@@ -50,13 +50,8 @@ void print_figure() {
       {"nbody", {{"n", 31}, {"s", 2}, {"m", 4}}},
   };
   for (const auto& c : cases) {
-    std::string source;
-    for (const auto& entry : larcs::programs::catalog()) {
-      if (entry.name == c.program) {
-        source = entry.source;
-      }
-    }
-    const auto cp = larcs::compile_source(source, c.bindings);
+    const auto cp = larcs::compile_source(
+        larcs::programs::find(c.program)->source, c.bindings);
     for (const auto& topo :
          {Topology::mesh(4, 4), Topology::hypercube(4)}) {
       const auto report = map_computation(cp.graph, topo);

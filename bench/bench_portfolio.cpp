@@ -106,12 +106,11 @@ std::vector<HeavyWorkload> heavy_workloads() {
 }
 
 larcs::Program parse_corpus(const char* program_name) {
-  for (const auto& e : larcs::programs::catalog()) {
-    if (e.name == program_name) {
-      return larcs::parse_program(e.source);
-    }
+  const auto* entry = larcs::programs::find(program_name);
+  if (entry == nullptr) {
+    throw std::runtime_error("unknown corpus program");
   }
-  throw std::runtime_error("unknown corpus program");
+  return larcs::parse_program(entry->source);
 }
 
 /// 16-candidate portfolio: 4 strategy/toggle candidates + 12 seeded

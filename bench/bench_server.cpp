@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <sstream>
 #include <string>
@@ -252,15 +251,7 @@ void print_telemetry_figures() {
 // ------------------------------------------------- micro benchmarks
 
 const larcs::programs::CatalogEntry& jacobi_entry() {
-  static const auto entry = [] {
-    for (const auto& e : larcs::programs::catalog()) {
-      if (e.name == "jacobi") {
-        return e;
-      }
-    }
-    std::abort();
-  }();
-  return entry;
+  return *larcs::programs::find("jacobi");
 }
 
 void BM_JobDigest(benchmark::State& state) {

@@ -277,8 +277,8 @@ std::string broadcast_vote(int n) {
   return src;
 }
 
-std::vector<CatalogEntry> catalog() {
-  return {
+const std::vector<CatalogEntry>& catalog() {
+  static const std::vector<CatalogEntry> entries = {
       {"nbody", nbody(), {{"n", 15}, {"s", 4}, {"m", 8}}},
       {"ring_pipeline", ring_pipeline(), {{"n", 16}, {"stages", 8}}},
       {"jacobi", jacobi(), {{"n", 8}, {"iters", 10}}},
@@ -291,6 +291,16 @@ std::vector<CatalogEntry> catalog() {
        {{"d", 4}, {"iters", 3}}},
       {"fft_parametric", fft_parametric(), {{"d", 4}}},
   };
+  return entries;
+}
+
+const CatalogEntry* find(std::string_view name) {
+  for (const CatalogEntry& entry : catalog()) {
+    if (entry.name == name) {
+      return &entry;
+    }
+  }
+  return nullptr;
 }
 
 }  // namespace oregami::larcs::programs

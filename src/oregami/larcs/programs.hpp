@@ -10,6 +10,8 @@
 #pragma once
 
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 namespace oregami::larcs::programs {
@@ -75,6 +77,10 @@ struct CatalogEntry {
   /// A representative set of bindings that compiles.
   std::vector<std::pair<std::string, long>> example_bindings;
 };
-[[nodiscard]] std::vector<CatalogEntry> catalog();
+/// Built once, on first use.
+[[nodiscard]] const std::vector<CatalogEntry>& catalog();
+
+/// The catalogue entry called `name`, or nullptr.
+[[nodiscard]] const CatalogEntry* find(std::string_view name);
 
 }  // namespace oregami::larcs::programs

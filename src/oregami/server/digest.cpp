@@ -14,6 +14,31 @@ void fold_phase_tree(Fnv1a& h, const PhaseTree& t) {
   }
 }
 
+template <class Folder>
+void fold_options_into(Folder& h, const MapperOptions& options) {
+  h.boolean(options.allow_canned);
+  h.boolean(options.allow_group);
+  h.boolean(options.allow_systolic);
+  h.i32(options.load_bound_B);
+  h.boolean(options.refine);
+  h.boolean(options.refine_placement);
+  h.i32(options.portfolio);
+  h.i32(options.anneal);
+  h.boolean(options.heft);
+  h.i32(options.multilevel);
+  h.i64(options.multilevel_budget_ms);
+  h.u64(options.portfolio_seed);
+  // `jobs` is deliberately NOT folded: the worker count never changes
+  // any result (the portfolio/multilevel determinism contract), so two
+  // requests differing only in parallelism share a cache entry.
+  const bool degraded =
+      options.faults != nullptr && !options.faults->spec().empty();
+  h.boolean(degraded);
+  if (degraded) {
+    h.str(options.faults->spec().to_string());
+  }
+}
+
 }  // namespace
 
 void fold_task_graph(Fnv1a& h, const TaskGraph& graph) {
@@ -70,27 +95,7 @@ void fold_topology(Fnv1a& h, const Topology& topo) {
 }
 
 void fold_options(Fnv1a& h, const MapperOptions& options) {
-  h.boolean(options.allow_canned);
-  h.boolean(options.allow_group);
-  h.boolean(options.allow_systolic);
-  h.i32(options.load_bound_B);
-  h.boolean(options.refine);
-  h.boolean(options.refine_placement);
-  h.i32(options.portfolio);
-  h.i32(options.anneal);
-  h.boolean(options.heft);
-  h.i32(options.multilevel);
-  h.i64(options.multilevel_budget_ms);
-  h.u64(options.portfolio_seed);
-  // `jobs` is deliberately NOT folded: the worker count never changes
-  // any result (the portfolio/multilevel determinism contract), so two
-  // requests differing only in parallelism share a cache entry.
-  const bool degraded =
-      options.faults != nullptr && !options.faults->spec().empty();
-  h.boolean(degraded);
-  if (degraded) {
-    h.str(options.faults->spec().to_string());
-  }
+  fold_options_into(h, options);
 }
 
 std::uint64_t job_digest(const TaskGraph& graph, const Topology& topo,
@@ -101,6 +106,24 @@ std::uint64_t job_digest(const TaskGraph& graph, const Topology& topo,
   fold_topology(h, topo);
   fold_options(h, options);
   return h.digest();
+}
+
+std::string request_key(std::string_view program, std::string_view source,
+                        const std::map<std::string, long>& bindings,
+                        std::string_view topology,
+                        const MapperOptions& options) {
+  FieldBytes key;
+  // The flag keeps a catalog name apart from LaRCS text that equals it.
+  key.boolean(!program.empty());
+  key.str(program.empty() ? source : program);
+  key.u64(bindings.size());
+  for (const auto& [name, value] : bindings) {
+    key.str(name);
+    key.i64(value);
+  }
+  key.str(topology);
+  fold_options_into(key, options);
+  return std::move(key).take();
 }
 
 }  // namespace oregami::server

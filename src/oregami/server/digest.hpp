@@ -25,6 +25,9 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
+#include <string>
+#include <string_view>
 
 #include "oregami/arch/topology.hpp"
 #include "oregami/core/task_graph.hpp"
@@ -46,5 +49,15 @@ void fold_options(Fnv1a& h, const MapperOptions& options);
 [[nodiscard]] std::uint64_t job_digest(const TaskGraph& graph,
                                        const Topology& topo,
                                        const MapperOptions& options);
+
+/// A job's request key: its inputs as spelled, before compiling, for
+/// the result cache's alias index (matched on the full bytes). Folds
+/// the catalog `program` name, or `source` (the LaRCS text) when
+/// `program` is empty; the bindings; the topology spec string; and the
+/// options fold_options folds, so `jobs` is excluded here too.
+[[nodiscard]] std::string request_key(
+    std::string_view program, std::string_view source,
+    const std::map<std::string, long>& bindings, std::string_view topology,
+    const MapperOptions& options);
 
 }  // namespace oregami::server

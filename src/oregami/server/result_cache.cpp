@@ -12,6 +12,7 @@ ResultCache::ResultCache(std::size_t capacity, int shards) {
   n = std::min<std::size_t>(n, 256);
   n = std::min(n, capacity_);  // every shard must hold >= 1 entry
   per_shard_capacity_ = (capacity_ + n - 1) / n;
+  per_shard_aliases_ = capacity_ / n;
   shards_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     shards_.push_back(std::make_unique<Shard>());
@@ -88,6 +89,41 @@ bool ResultCache::contains(std::uint64_t digest) const {
   return shard.map.find(digest) != shard.map.end();
 }
 
+ResultCache::Shard& ResultCache::alias_shard_of(std::string_view key) {
+  return *shards_[std::hash<std::string_view>{}(key) % shards_.size()];
+}
+
+std::optional<std::uint64_t> ResultCache::find_alias(std::string_view key) {
+  Shard& shard = alias_shard_of(key);
+  const std::lock_guard<std::mutex> lock(shard.mutex);
+  const auto it = shard.aliases.find(key);
+  if (it == shard.aliases.end()) {
+    return std::nullopt;
+  }
+  shard.alias_lru.splice(shard.alias_lru.begin(), shard.alias_lru,
+                         it->second.lru_it);
+  return it->second.digest;
+}
+
+void ResultCache::insert_alias(std::string key, std::uint64_t digest) {
+  Shard& shard = alias_shard_of(key);
+  const std::lock_guard<std::mutex> lock(shard.mutex);
+  const auto it = shard.aliases.find(key);
+  if (it != shard.aliases.end()) {
+    it->second.digest = digest;
+    shard.alias_lru.splice(shard.alias_lru.begin(), shard.alias_lru,
+                           it->second.lru_it);
+    return;
+  }
+  shard.alias_lru.push_front(std::move(key));
+  shard.aliases.emplace(shard.alias_lru.front(),
+                        Shard::AliasSlot{digest, shard.alias_lru.begin()});
+  if (shard.aliases.size() > per_shard_aliases_) {
+    shard.aliases.erase(shard.alias_lru.back());
+    shard.alias_lru.pop_back();
+  }
+}
+
 std::vector<std::pair<std::uint64_t, std::shared_ptr<const CachedOutcome>>>
 ResultCache::snapshot_entries() const {
   std::vector<std::pair<std::uint64_t, std::shared_ptr<const CachedOutcome>>>
@@ -111,6 +147,7 @@ ResultCache::Stats ResultCache::stats() const {
   for (const auto& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard->mutex);
     s.size += static_cast<std::int64_t>(shard->map.size());
+    s.aliases += static_cast<std::int64_t>(shard->aliases.size());
   }
   return s;
 }

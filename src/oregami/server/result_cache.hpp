@@ -14,7 +14,13 @@
 //     refcount, never a copy, and an entry evicted mid-use stays alive
 //     until its last reader drops it;
 //   * hit/miss/eviction counters are relaxed atomics, exported through
-//     the PR 4 trace/counter machinery by the server loop.
+//     the trace/counter machinery (support/trace.hpp) by the server
+//     loop;
+//   * an alias index maps a job's request key (server/digest.hpp) to
+//     its digest, so a job spelled as before skips compiling. Aliases
+//     shard by key hash into the same stripes, are LRU-bounded to at
+//     most `capacity` in all, live only in memory, and match on the
+//     key's full bytes. The digest stays the only cache key.
 #pragma once
 
 #include <atomic>
@@ -22,7 +28,9 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -53,7 +61,8 @@ class ResultCache {
     std::int64_t hits = 0;
     std::int64_t misses = 0;
     std::int64_t evictions = 0;
-    std::int64_t size = 0;  ///< current resident entries
+    std::int64_t size = 0;     ///< current resident entries
+    std::int64_t aliases = 0;  ///< current resident aliases
   };
 
   /// `capacity` = max resident entries (>= 1), split across `shards`
@@ -77,6 +86,16 @@ class ResultCache {
 
   /// True when `digest` is resident (no LRU refresh, no counter).
   [[nodiscard]] bool contains(std::uint64_t digest) const;
+
+  /// The digest aliased by request key `key`, refreshing the alias's
+  /// LRU position; nullopt when there is none. Counts nothing: the
+  /// caller's lookup() of the digest stays the job's one lookup, and
+  /// finds nothing when that digest has since been evicted.
+  [[nodiscard]] std::optional<std::uint64_t> find_alias(std::string_view key);
+
+  /// Records (or refreshes) `key` -> `digest`; evicts the stripe's
+  /// least recently used alias when it is over its bound.
+  void insert_alias(std::string key, std::uint64_t digest);
 
   /// Every resident entry, sorted by digest: a deterministic snapshot
   /// for the persistence layer's compaction (the shared_ptr values
@@ -102,13 +121,24 @@ class ResultCache {
       std::list<std::uint64_t>::iterator lru_it;
     };
     std::unordered_map<std::uint64_t, Slot> map;
+    /// Alias keys, most recent first. `aliases` views these strings:
+    /// list nodes never move, so the views live as long as the nodes.
+    std::list<std::string> alias_lru;
+    struct AliasSlot {
+      std::uint64_t digest = 0;
+      std::list<std::string>::iterator lru_it;
+    };
+    std::unordered_map<std::string_view, AliasSlot> aliases;
   };
 
   [[nodiscard]] Shard& shard_of(std::uint64_t digest);
   [[nodiscard]] const Shard& shard_of(std::uint64_t digest) const;
+  [[nodiscard]] Shard& alias_shard_of(std::string_view key);
 
   std::size_t capacity_ = 0;
   std::size_t per_shard_capacity_ = 0;
+  /// floor(capacity / shards) >= 1, so aliases never exceed capacity.
+  std::size_t per_shard_aliases_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<std::int64_t> hits_{0};
   std::atomic<std::int64_t> misses_{0};

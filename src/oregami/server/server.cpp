@@ -8,9 +8,11 @@
 #include <istream>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -46,38 +48,39 @@ struct CompiledJob {
   Topology topo;
 };
 
-/// Resolves and compiles a job's textual inputs. Throws WireError with
-/// a "job <id>: "-prefixed message on every failure.
-CompiledJob compile_job(const WireJob& job) {
-  const std::string prefix = "job " + job.id + ": ";
-  std::string source;
+/// The LaRCS text a job names: a catalog program's source, the inline
+/// text, or the program_file's contents, read now (into `file_text`,
+/// which the result then views) so an edited file is never stale.
+/// Throws WireError for an unknown program or an unreadable file.
+std::string_view job_source(const WireJob& job, std::string& file_text) {
   if (!job.program.empty()) {
-    bool found = false;
-    for (const auto& entry : larcs::programs::catalog()) {
-      if (entry.name == job.program) {
-        source = entry.source;
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      throw WireError(kJobBadInput, prefix + "unknown program \"" +
+    const auto* entry = larcs::programs::find(job.program);
+    if (entry == nullptr) {
+      throw WireError(kJobBadInput, "job " + job.id + ": unknown program \"" +
                                         job.program +
                                         "\" (see --list-programs)");
     }
-  } else if (!job.program_file.empty()) {
+    return entry->source;
+  }
+  if (!job.program_file.empty()) {
     std::ifstream in(job.program_file);
     if (!in) {
-      throw WireError(kJobBadInput, prefix + "cannot open program_file \"" +
+      throw WireError(kJobBadInput, "job " + job.id +
+                                        ": cannot open program_file \"" +
                                         job.program_file + "\"");
     }
     std::ostringstream buffer;
     buffer << in.rdbuf();
-    source = buffer.str();
-  } else {
-    source = job.larcs;
+    file_text = buffer.str();
+    return file_text;
   }
+  return job.larcs;
+}
 
+/// Compiles a job's source and topology. Throws WireError with a
+/// "job <id>: "-prefixed message on every failure.
+CompiledJob compile_job(const WireJob& job, std::string_view source) {
+  const std::string prefix = "job " + job.id + ": ";
   // Topology first: a typo'd machine spec should be reported as such
   // even when the program text has its own problems.
   Topology topo = [&] {
@@ -129,6 +132,30 @@ OutcomePtr compute_outcome(const WireJob& job, const CompiledJob& cj) {
   }
   return outcome;
 }
+
+/// Books the time since the previous boundary into a stage histogram
+/// (oregami_server_stage_us). Constructed off, it never reads the clock.
+class StageClock {
+ public:
+  explicit StageClock(bool on) : on_(on) { restart(); }
+
+  void restart() {
+    if (on_) last_ = std::chrono::steady_clock::now();
+  }
+
+  void book(metrics::Histogram& stage) {
+    if (!on_) return;
+    const auto now = std::chrono::steady_clock::now();
+    stage.record(
+        std::chrono::duration_cast<std::chrono::microseconds>(now - last_)
+            .count());
+    last_ = now;
+  }
+
+ private:
+  bool on_;
+  std::chrono::steady_clock::time_point last_;
+};
 
 /// Shared mutable state of one serve() call. Workers only touch the
 /// thread-safe members; the scalar tallies are owned by the writer
@@ -182,6 +209,12 @@ struct ServeState {
   std::condition_variable watch_cv;
   std::vector<Ticket> watch;
   bool watch_closed = false;
+
+  /// Retires `digest`'s in-flight entry once its promise is settled.
+  void end_flight(std::uint64_t digest) {
+    const std::lock_guard<std::mutex> lock(inflight_mutex);
+    inflight.erase(digest);
+  }
 
   void job_finished() {
     sm.inflight_jobs.add(-1);
@@ -248,11 +281,12 @@ void run_watchdog(ServeState& state, const ServerOptions& opts) {
   }
 }
 
-/// The per-job worker body: compile, digest, cache/single-flight,
-/// format, emit. Never throws. `claimed` (when the job has a watchdog
-/// ticket) gates emission: if the watchdog claimed the job first, the
-/// line is discarded -- but the computed outcome was already cached
-/// and journaled, so the work is not wasted.
+/// The per-job worker body: alias probe (on a miss: compile, digest,
+/// alias insert), cache/single-flight, format, emit. Never throws.
+/// `claimed` (when the job has a watchdog ticket) gates emission: if
+/// the watchdog claimed the job first, the line is discarded -- but the
+/// computed outcome was already cached and journaled, so the work is
+/// not wasted.
 void run_job(ServeState& state, const WireJob& job,
              std::chrono::steady_clock::time_point admitted,
              const ServerOptions& opts,
@@ -287,8 +321,26 @@ void run_job(ServeState& state, const WireJob& job,
     if (fp.action == failpoint::Action::Hang) {
       std::this_thread::sleep_for(std::chrono::milliseconds(fp.arg));
     }
-    const CompiledJob cj = compile_job(job);
-    digest = job_digest(cj.compiled.graph, cj.topo, job.options);
+    StageClock clock(telemetry);
+    std::string file_text;
+    const std::string_view source = job_source(job, file_text);
+    std::string key = request_key(job.program, source, job.bindings,
+                                  job.topology, job.options);
+    const std::optional<std::uint64_t> aliased = state.cache->find_alias(key);
+    clock.book(state.sm.alias_us);
+    // A job spelled as before skips compile, topology and digest.
+    std::optional<CompiledJob> cj;
+    if (aliased) {
+      digest = *aliased;
+      if (telemetry) state.sm.alias_hits.increment();
+    } else {
+      if (telemetry) state.sm.alias_misses.increment();
+      cj.emplace(compile_job(job, source));
+      clock.book(state.sm.compile_us);
+      digest = job_digest(cj->compiled.graph, cj->topo, job.options);
+      state.cache->insert_alias(std::move(key), digest);
+      clock.book(state.sm.digest_us);
+    }
     have_digest = true;
 
     OutcomePtr outcome;
@@ -315,10 +367,20 @@ void run_job(ServeState& state, const WireJob& job,
         }
       }
     }
+    clock.book(state.sm.lookup_us);
     if (computing) {
-      const auto compute_start = telemetry ? std::chrono::steady_clock::now()
-                                           : admitted;
-      outcome = compute_outcome(job, cj);
+      try {
+        if (!cj) {  // an alias whose digest was evicted skipped this
+          cj.emplace(compile_job(job, source));
+          clock.book(state.sm.compile_us);
+        }
+        outcome = compute_outcome(job, *cj);
+      } catch (...) {
+        // Joiners fail the same way, and nothing is cached.
+        promise.set_exception(std::current_exception());
+        state.end_flight(digest);
+        throw;
+      }
       state.cache->insert(digest, outcome);
       if (opts.journal != nullptr) {
         // Best-effort: a failed append degrades persistence, never
@@ -326,13 +388,11 @@ void run_job(ServeState& state, const WireJob& job,
         (void)opts.journal->append(digest, *outcome);
       }
       promise.set_value(outcome);
-      {
-        const std::lock_guard<std::mutex> lock(state.inflight_mutex);
-        state.inflight.erase(digest);
-      }
-      if (telemetry) state.sm.compute_us.record(elapsed_us(compute_start));
+      state.end_flight(digest);
+      clock.book(state.sm.compute_us);
     } else if (!hit) {
       outcome = wait_on.get();  // join the identical in-flight job
+      clock.restart();
       hit = true;
       state.deduped.fetch_add(1, std::memory_order_relaxed);
       state.sm.dedup_joins.increment();
@@ -359,6 +419,7 @@ void run_job(ServeState& state, const WireJob& job,
                                  outcome->error);
       result_code = outcome->error_code;
     }
+    clock.book(state.sm.format_us);
   } catch (const WireError& e) {
     line = format_error_result(job.id, job.line, e.code(), e.what());
     result_code = e.code();
@@ -474,9 +535,11 @@ ServerStats serve(std::istream& in, std::ostream& out,
       ++stats.lines;
       state.sm.jobs_submitted.increment();
 
+      StageClock parse_clock(metrics::enabled());
       WireJob job;
       try {
         job = parse_job(raw, line_number);
+        parse_clock.book(state.sm.parse_us);
       } catch (const WireError& e) {
         state.results.push(
             format_error_result("", line_number, e.code(), e.what()));

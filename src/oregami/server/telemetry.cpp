@@ -35,11 +35,23 @@ ServerMetrics& server_metrics() {
       metrics::gauge("oregami_server_queue_depth", Determinism::kVolatile),
       metrics::gauge("oregami_server_inflight_jobs", Determinism::kVolatile),
       metrics::histogram("oregami_server_job_queue_wait_us"),
-      metrics::histogram("oregami_server_job_compute_us"),
-      metrics::histogram("oregami_server_job_write_us"),
       metrics::histogram("oregami_server_job_wall_us{outcome=\"hit\"}"),
       metrics::histogram("oregami_server_job_wall_us{outcome=\"miss\"}"),
       metrics::histogram("oregami_server_job_wall_us{outcome=\"error\"}"),
+      metrics::histogram("oregami_server_stage_us{stage=\"parse\"}"),
+      metrics::histogram("oregami_server_stage_us{stage=\"alias\"}"),
+      metrics::histogram("oregami_server_stage_us{stage=\"compile\"}",
+                         Determinism::kVolatile),
+      metrics::histogram("oregami_server_stage_us{stage=\"digest\"}",
+                         Determinism::kVolatile),
+      metrics::histogram("oregami_server_stage_us{stage=\"lookup\"}"),
+      metrics::histogram("oregami_server_stage_us{stage=\"compute\"}"),
+      metrics::histogram("oregami_server_stage_us{stage=\"format\"}"),
+      metrics::histogram("oregami_server_stage_us{stage=\"write\"}"),
+      metrics::counter("oregami_server_alias_total{result=\"hit\"}",
+                       Determinism::kVolatile),
+      metrics::counter("oregami_server_alias_total{result=\"miss\"}",
+                       Determinism::kVolatile),
   };
   return *m;
 }

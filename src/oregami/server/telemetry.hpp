@@ -63,11 +63,24 @@ struct ServerMetrics {
   metrics::Gauge& inflight_jobs;
   // Per-job lifecycle timings; wall time split by outcome.
   metrics::Histogram& queue_wait_us;
-  metrics::Histogram& compute_us;
-  metrics::Histogram& write_us;
   metrics::Histogram& wall_us_hit;
   metrics::Histogram& wall_us_miss;
   metrics::Histogram& wall_us_error;
+  // Per-stage service time, oregami_server_stage_us{stage=...}, in job
+  // order: parse (reader), alias, compile, digest, lookup, compute,
+  // format, write. Compile and digest run only on alias misses, which
+  // identical concurrent jobs can both take, hence Volatile.
+  metrics::Histogram& parse_us;
+  metrics::Histogram& alias_us;
+  metrics::Histogram& compile_us;
+  metrics::Histogram& digest_us;
+  metrics::Histogram& lookup_us;
+  metrics::Histogram& compute_us;
+  metrics::Histogram& format_us;
+  metrics::Histogram& write_us;
+  // Alias index probes (result_cache.hpp): Volatile, as above.
+  metrics::Counter& alias_hits;
+  metrics::Counter& alias_misses;
 };
 
 /// Registers (first call) and returns the server metric handles.

@@ -26,14 +26,13 @@ struct Compiled {
 
 Compiled compile_named(const std::string& name,
                        std::map<std::string, long> bindings) {
-  for (const auto& entry : larcs::programs::catalog()) {
-    if (entry.name == name) {
-      larcs::Program ast = larcs::parse_program(entry.source);
-      larcs::CompiledProgram cp = larcs::compile(ast, bindings);
-      return {std::move(ast), std::move(cp)};
-    }
+  const auto* entry = larcs::programs::find(name);
+  if (entry == nullptr) {
+    throw std::runtime_error("program not in catalog: " + name);
   }
-  throw std::runtime_error("program not in catalog: " + name);
+  larcs::Program ast = larcs::parse_program(entry->source);
+  larcs::CompiledProgram cp = larcs::compile(ast, bindings);
+  return {std::move(ast), std::move(cp)};
 }
 
 // -------------------------------------------------------- upward ranks

@@ -1,16 +1,18 @@
 // The mapping server's storage layer: FNV-1a digest combinators, the
-// canonical job digest, the sharded LRU result cache, and the
-// concurrency primitives behind the serve loop (ThreadSafeQueue,
-// ThreadPool::pending). The digest pins here are the cache-format
-// contract: if one breaks, bump oregami::kDigestVersion instead of
-// editing the constant.
+// canonical job digest, the sharded LRU result cache and its alias
+// index, and the concurrency primitives behind the serve loop
+// (ThreadSafeQueue, ThreadPool::pending). The digest pins here are the
+// cache-format contract: if one breaks, bump oregami::kDigestVersion
+// instead of editing the constant.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <memory>
 #include <optional>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -243,6 +245,95 @@ TEST(ResultCache, ConcurrentHammerIsRaceFreeAndConsistent) {
   const auto stats = cache.stats();
   EXPECT_EQ(stats.hits + stats.misses, kThreads * kOpsPerThread);
   EXPECT_LE(stats.size, 32 + 4);  // capacity + one-per-shard slack
+}
+
+// ---------------------------------------------------------- aliases
+
+TEST(RequestKey, FoldsTheSpellingButNotTheWorkerCount) {
+  const std::map<std::string, long> binds{{"n", 8}, {"iters", 10}};
+  MapperOptions serial;
+  serial.jobs = 1;
+  MapperOptions wide;
+  wide.jobs = 8;
+  MapperOptions portfolio;
+  portfolio.portfolio = 4;
+  const std::string key =
+      request_key("jacobi", "", binds, "mesh:4x4", serial);
+  EXPECT_EQ(key, request_key("jacobi", "", binds, "mesh:4x4", wide));
+  // Inline text that happens to equal a catalog name is another job.
+  EXPECT_NE(key, request_key("", "jacobi", binds, "mesh:4x4", serial));
+  EXPECT_NE(key, request_key("jacobi", "", {{"n", 8}, {"iters", 11}},
+                             "mesh:4x4", serial));
+  EXPECT_NE(key, request_key("jacobi", "", binds, "ring:16", serial));
+  EXPECT_NE(key, request_key("jacobi", "", binds, "mesh:4x4", portfolio));
+}
+
+TEST(ResultCache, AliasesEvictLeastRecentlyUsedAndCountNothing) {
+  ResultCache cache(2, 1);
+  cache.insert_alias("a", 1);
+  cache.insert_alias("b", 2);
+  ASSERT_EQ(cache.find_alias("a"), std::optional<std::uint64_t>(1));
+  cache.insert_alias("c", 3);  // evicts "b", the least recently used
+  EXPECT_EQ(cache.find_alias("b"), std::nullopt);
+  EXPECT_EQ(cache.find_alias("a"), std::optional<std::uint64_t>(1));
+  EXPECT_EQ(cache.find_alias("c"), std::optional<std::uint64_t>(3));
+  EXPECT_EQ(cache.find_alias(std::string("c\0", 2)), std::nullopt);
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.aliases, 2);
+  EXPECT_EQ(stats.hits + stats.misses, 0);
+}
+
+TEST(ResultCache, AliasesNeverExceedCapacity) {
+  for (const int shards : {1, 3, 8}) {
+    ResultCache cache(10, shards);
+    for (std::uint64_t i = 0; i < 1000; ++i) {
+      cache.insert_alias("key" + std::to_string(i), i);
+      ASSERT_LE(cache.stats().aliases, 10) << "shards " << shards;
+    }
+    EXPECT_EQ(cache.find_alias("key999"), std::optional<std::uint64_t>(999));
+  }
+}
+
+TEST(ResultCache, AliasHammerIsRaceFreeUnderEviction) {
+  // TSan-checked in CI: 8 threads resolving keys through the alias
+  // index into a 4-entry cache, the way serve() workers do, while
+  // eviction churns both. A key's alias must only ever name its own
+  // digest.
+  ResultCache cache(4, 2);
+  constexpr int kThreads = 8;
+  constexpr int kOpsPerThread = 2000;
+  std::atomic<int> ready{0};
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&cache, &ready, &wrong, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      for (int i = 0; i < kOpsPerThread; ++i) {
+        const auto k = static_cast<std::uint64_t>((t * 7 + i) % 16);
+        const std::string key = "job" + std::to_string(k);
+        const std::uint64_t digest = (k + 1) * 0x9e3779b97f4a7c15ULL;
+        const auto aliased = cache.find_alias(key);
+        if (aliased.has_value() && *aliased != digest) {
+          wrong.fetch_add(1);
+        }
+        if (cache.lookup(digest) == nullptr) {
+          cache.insert(digest, outcome_with(i));
+        }
+        if (!aliased.has_value()) {
+          cache.insert_alias(key, digest);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(wrong.load(), 0);
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses, kThreads * kOpsPerThread);
+  EXPECT_LE(stats.aliases, 4);
+  EXPECT_LE(stats.size, 4 + 2);  // capacity + one-per-shard slack
 }
 
 // ---------------------------------------------------- ThreadSafeQueue

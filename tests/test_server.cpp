@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -26,6 +28,12 @@ void expect_contains(const std::string& haystack,
                      const std::string& needle) {
   EXPECT_NE(haystack.find(needle), std::string::npos)
       << "expected to find: " << needle << "\nin: " << haystack;
+}
+
+std::int64_t series_value(const metrics::Snapshot& snap,
+                          const std::string& name) {
+  const metrics::SeriesValue* s = snap.find(name);
+  return s == nullptr ? -1 : s->scalar;
 }
 
 // ----------------------------------------------------------- parsing
@@ -180,13 +188,14 @@ std::vector<std::string> normalized(const std::string& text) {
   return lines;
 }
 
-/// A 50-line mixed stream: every catalog program (with its example
-/// bindings), duplicates that must hit the cache, and a tail of
-/// malformed / unknown-input / infeasible / expired jobs.
+/// A 53-line mixed stream: every catalog program (with its example
+/// bindings), duplicates that must hit the cache, three respellings of
+/// the jacobi-on-mesh job (ids 31-33; its canonical line is id 3), and
+/// a tail of malformed / unknown-input / infeasible / expired jobs.
 std::string mixed_stream() {
   std::string stream;
   int id = 0;
-  const auto catalog = larcs::programs::catalog();
+  const auto& catalog = larcs::programs::catalog();
   auto job_line = [&](const larcs::programs::CatalogEntry& entry,
                       const std::string& topo) {
     std::string line =
@@ -208,6 +217,17 @@ std::string mixed_stream() {
       job_line(entry, round == 1 ? "ring:16" : "mesh:4x4");
     }
   }
+  // The respellings: inline source, reversed bind, an added
+  // options.jobs. All three must land on the canonical digest.
+  stream += "{\"id\":" + std::to_string(++id) + ",\"larcs\":\"" +
+            json_escape(larcs::programs::find("jacobi")->source) +
+            "\",\"bind\":{\"n\":8,\"iters\":10},\"topology\":\"mesh:4x4\"}\n";
+  stream += "{\"id\":" + std::to_string(++id) +
+            ",\"program\":\"jacobi\",\"bind\":{\"iters\":10,\"n\":8},"
+            "\"topology\":\"mesh:4x4\"}\n";
+  stream += "{\"id\":" + std::to_string(++id) +
+            ",\"program\":\"jacobi\",\"bind\":{\"n\":8,\"iters\":10},"
+            "\"topology\":\"mesh:4x4\",\"options\":{\"jobs\":4}}\n";
   // 20 deterministic failures of every flavour.
   for (int i = 0; i < 5; ++i) {
     stream += "{\"id\":" + std::to_string(++id) + "}\n";  // malformed
@@ -231,9 +251,22 @@ ServerOptions deterministic_options(int jobs) {
   return options;
 }
 
+/// The result line of job `id` without its id, so the lines of jobs
+/// that mean the same mapping compare equal; empty when absent.
+std::string payload_of(const std::vector<std::string>& lines,
+                       const std::string& id) {
+  const std::string prefix = "{\"id\":\"" + id + "\",";
+  for (const auto& line : lines) {
+    if (line.rfind(prefix, 0) == 0) {
+      return line.substr(prefix.size());
+    }
+  }
+  return "";
+}
+
 TEST(Serve, MixedStreamIsDeterministicAcrossWorkerCounts) {
   const std::string stream = mixed_stream();
-  ASSERT_GE(split_lines(stream).size(), 50u);
+  ASSERT_EQ(split_lines(stream).size(), 53u);
 
   std::istringstream in1(stream);
   std::ostringstream out1;
@@ -246,14 +279,22 @@ TEST(Serve, MixedStreamIsDeterministicAcrossWorkerCounts) {
   EXPECT_EQ(normalized(out1.str()), normalized(out3.str()));
 
   // Accounting is deterministic too: 20 unique mapping jobs (10
-  // programs x 2 topologies), 10 duplicates, 20 failures of which the
-  // 5 bad-topology and 5 unknown-program jobs fail before the cache.
-  EXPECT_EQ(s1.lines, 50);
-  EXPECT_EQ(s1.ok, 30);
+  // programs x 2 topologies), 13 duplicates (3 of them respelled), 20
+  // failures of which the 5 bad-topology and 5 unknown-program jobs
+  // fail before the cache.
+  EXPECT_EQ(s1.lines, 53);
+  EXPECT_EQ(s1.ok, 33);
   EXPECT_EQ(s1.errors, 20);
   EXPECT_EQ(s1.rejected, 0);
   EXPECT_EQ(s1.cache_misses, 20);
-  EXPECT_EQ(s1.cache_hits, 10);
+  EXPECT_EQ(s1.cache_hits, 13);
+  // The respelled lines carry the canonical digest and payload.
+  const std::vector<std::string> lines = normalized(out1.str());
+  const std::string canonical = payload_of(lines, "3");
+  ASSERT_NE(canonical, "");
+  for (const char* id : {"31", "32", "33"}) {
+    EXPECT_EQ(payload_of(lines, id), canonical) << "id " << id;
+  }
   EXPECT_EQ(s3.lines, s1.lines);
   EXPECT_EQ(s3.ok, s1.ok);
   EXPECT_EQ(s3.errors, s1.errors);
@@ -333,6 +374,109 @@ TEST(Serve, ExternalCacheStaysWarmAcrossCalls) {
 
   // Identical payloads modulo the hit/miss label.
   EXPECT_EQ(normalized(cold_out.str()), normalized(warm_out.str()));
+}
+
+/// The 16 hex digits of every result line's digest, in output order.
+std::vector<std::string> digests_of(const std::string& text) {
+  std::vector<std::string> digests;
+  for (const auto& line : split_lines(text)) {
+    const auto at = line.find("\"digest\":\"");
+    if (at != std::string::npos) {
+      digests.push_back(line.substr(at + 10, 16));
+    }
+  }
+  return digests;
+}
+
+TEST(Serve, RewrittenProgramFileMapsItsNewContents) {
+  // One cache across two serve() calls; the file changes in between.
+  // Each call maps the file, then the catalog program it now holds: the
+  // two lines must share a digest, so the second call cannot be served
+  // from an alias of the first file's contents.
+  const std::string path = testing::TempDir() + "serve_rewritten.larcs";
+  ResultCache cache(64, 4);
+  ServerOptions options = deterministic_options(1);
+  options.cache = &cache;
+  std::vector<std::string> first;
+  for (const char* program : {"jacobi", "sor"}) {
+    std::ofstream(path) << larcs::programs::find(program)->source;
+    std::istringstream in(
+        "{\"id\":1,\"program_file\":\"" + json_escape(path) +
+        "\",\"bind\":{\"n\":8,\"iters\":10},\"topology\":\"mesh:4x4\"}\n"
+        "{\"id\":2,\"program\":\"" + std::string(program) +
+        "\",\"bind\":{\"n\":8,\"iters\":10},\"topology\":\"mesh:4x4\"}\n");
+    std::ostringstream out;
+    const ServerStats stats = serve(in, out, options);
+    EXPECT_EQ(stats.ok, 2) << program;
+    EXPECT_EQ(stats.cache_misses, 1) << program;
+    const std::vector<std::string> digests = digests_of(out.str());
+    ASSERT_EQ(digests.size(), 2u) << program;
+    EXPECT_EQ(digests[0], digests[1]) << program;
+    if (first.empty()) {
+      first = digests;
+    } else {
+      EXPECT_NE(digests[0], first[0]);
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Serve, AliasOfAnEvictedDigestRecomputesWithOneMiss) {
+  const std::string stream =
+      "{\"id\":1,\"program\":\"jacobi\",\"bind\":{\"n\":8,\"iters\":10},"
+      "\"topology\":\"mesh:4x4\"}\n";
+  ResultCache cache(1, 1);
+  ServerOptions options = deterministic_options(1);
+  options.cache = &cache;
+  std::istringstream cold_in(stream);
+  std::ostringstream cold_out;
+  (void)serve(cold_in, cold_out, options);
+  ASSERT_EQ(cache.stats().aliases, 1);
+
+  // Evict the job's entry but not its alias.
+  cache.insert(0, std::make_shared<CachedOutcome>());
+  const ResultCache::Stats before = cache.stats();
+  metrics::reset_values();
+  metrics::enable();
+  std::istringstream in(stream);
+  std::ostringstream out;
+  const ServerStats stats = serve(in, out, options);
+  const metrics::Snapshot snap = metrics::snapshot();
+  metrics::disable();
+  const ResultCache::Stats after = cache.stats();
+
+  EXPECT_EQ(
+      series_value(snap, "oregami_server_alias_total{result=\"hit\"}"), 1);
+  EXPECT_EQ(stats.cache_misses, 1);
+  EXPECT_EQ(stats.cache_hits, 0);
+  EXPECT_EQ(after.misses - before.misses, 1);
+  EXPECT_EQ(after.hits - before.hits, 0);
+  EXPECT_EQ(normalized(out.str()), normalized(cold_out.str()));
+}
+
+TEST(Serve, FailedCompilesReturnCodeThreeEveryTime) {
+  // Unknown program, bad topology, LaRCS syntax error: none of them
+  // may leave an alias that a repeat could hit.
+  const std::string once =
+      "{\"id\":1,\"program\":\"nope\",\"topology\":\"mesh:4x4\"}\n"
+      "{\"id\":2,\"program\":\"jacobi\",\"bind\":{\"n\":8,\"iters\":10},"
+      "\"topology\":\"taurus\"}\n"
+      "{\"id\":3,\"larcs\":\"algorithm broken(\",\"topology\":\"mesh:4x4\"}\n";
+  ResultCache cache(64, 4);
+  ServerOptions options = deterministic_options(2);
+  options.cache = &cache;
+  for (int run = 0; run < 2; ++run) {
+    std::istringstream in(once + once + once);
+    std::ostringstream out;
+    const ServerStats stats = serve(in, out, options);
+    EXPECT_EQ(stats.errors, 9) << "run " << run;
+    const std::vector<std::string> lines = split_lines(out.str());
+    ASSERT_EQ(lines.size(), 9u) << "run " << run;
+    for (const auto& line : lines) {
+      expect_contains(line, "\"code\":3");
+    }
+  }
+  EXPECT_EQ(cache.stats().aliases, 0);
 }
 
 TEST(Serve, StopFlagStopsAdmissionButStillDrains) {
@@ -501,12 +645,6 @@ std::string serve_with_metrics(int jobs, ServerStats* stats_out) {
   return text;
 }
 
-std::int64_t series_value(const metrics::Snapshot& snap,
-                          const std::string& name) {
-  const metrics::SeriesValue* s = snap.find(name);
-  return s == nullptr ? -1 : s->scalar;
-}
-
 TEST(ServeMetricsIdentity, OutcomesPartitionSubmittedJobs) {
   for (const int jobs : {1, 0, 5}) {
     metrics::reset_values();
@@ -536,7 +674,7 @@ TEST(ServeMetricsIdentity, OutcomesPartitionSubmittedJobs) {
     EXPECT_EQ(hit + miss + error + rejected + abandoned, submitted)
         << "jobs=" << jobs;
     EXPECT_EQ(submitted, stats.lines) << "jobs=" << jobs;
-    EXPECT_EQ(hit, 10) << "jobs=" << jobs;
+    EXPECT_EQ(hit, 13) << "jobs=" << jobs;
     EXPECT_EQ(miss, 20) << "jobs=" << jobs;
     EXPECT_EQ(error, 20) << "jobs=" << jobs;
     EXPECT_EQ(rejected, 0) << "jobs=" << jobs;
@@ -552,7 +690,47 @@ TEST(ServeMetricsIdentity, OutcomesPartitionSubmittedJobs) {
     EXPECT_EQ(series_value(snap, "oregami_server_dedup_joins_total"), 0);
     EXPECT_EQ(series_value(snap, "oregami_server_queue_depth"), 0);
     EXPECT_EQ(series_value(snap, "oregami_server_inflight_jobs"), 0);
+    EXPECT_EQ(
+        series_value(snap, "oregami_server_alias_total{result=\"hit\"}"), 0);
+    EXPECT_EQ(
+        series_value(snap, "oregami_server_alias_total{result=\"miss\"}"), 0);
   }
+}
+
+std::uint64_t stage_count(const metrics::Snapshot& snap, const char* stage) {
+  const metrics::SeriesValue* s = snap.find(
+      std::string("oregami_server_stage_us{stage=\"") + stage + "\"}");
+  return s == nullptr ? 0 : s->histogram.count();
+}
+
+TEST(ServeMetricsIdentity, AliasHitsSkipTheCompilerWithOneWorker) {
+  // One worker runs jobs in stream order, so the schedule-dependent
+  // alias and compile counts are exact here.
+  metrics::reset_values();
+  metrics::enable();
+  std::istringstream in(mixed_stream());
+  std::ostringstream out;
+  const ServerStats stats = serve(in, out, deterministic_options(1));
+  const metrics::Snapshot snap = metrics::snapshot();
+  metrics::disable();
+
+  // 33 ok lines spell 21 request keys: 20 catalog jobs plus the inline
+  // jacobi source; the reversed bind and options.jobs respellings share
+  // the canonical key. The 5 bad-topology jobs miss and fail to compile.
+  ASSERT_EQ(stats.ok, 33);
+  EXPECT_EQ(series_value(snap, "oregami_server_alias_total{result=\"hit\"}"),
+            33 - 21);
+  EXPECT_EQ(series_value(snap, "oregami_server_alias_total{result=\"miss\"}"),
+            21 + 5);
+  EXPECT_EQ(stage_count(snap, "compile"), 21u);
+  EXPECT_EQ(stage_count(snap, "digest"), 21u);
+  // Every other stage books each job that reaches it exactly once.
+  EXPECT_EQ(stage_count(snap, "parse"), 48u);  // 53 lines, 5 malformed
+  EXPECT_EQ(stage_count(snap, "alias"), 38u);  // 33 ok + 5 bad topology
+  EXPECT_EQ(stage_count(snap, "lookup"), 33u);
+  EXPECT_EQ(stage_count(snap, "compute"), 20u);
+  EXPECT_EQ(stage_count(snap, "format"), 33u);
+  EXPECT_EQ(stage_count(snap, "write"), 48u);
 }
 
 TEST(ServeMetricsIdentity, DeterministicExpositionIsIdenticalAcrossJobs) {
@@ -566,10 +744,10 @@ TEST(ServeMetricsIdentity, DeterministicExpositionIsIdenticalAcrossJobs) {
   EXPECT_EQ(s1.ok, s5.ok);
   // The exposition is real, not empty: spot-check a family.
   expect_contains(m1, "# TYPE oregami_server_jobs_total counter");
-  expect_contains(m1, "oregami_server_jobs_total{outcome=\"hit\"} 10\n");
-  // 45 admitted jobs: everything but the 5 parse errors reaches a
+  expect_contains(m1, "oregami_server_jobs_total{outcome=\"hit\"} 13\n");
+  // 48 admitted jobs: everything but the 5 parse errors reaches a
   // worker and records a queue wait.
-  expect_contains(m1, "oregami_server_job_queue_wait_us_count 45\n");
+  expect_contains(m1, "oregami_server_job_queue_wait_us_count 48\n");
 }
 
 TEST(ServeMetricsIdentity, WatchdogAbandonmentCountsAsAbandonedOnly) {

@@ -514,19 +514,13 @@ int run(const Options& options) {
     buffer << in.rdbuf();
     source = buffer.str();
   } else {
-    bool found = false;
-    for (const auto& entry : larcs::programs::catalog()) {
-      if (entry.name == *options.program_name) {
-        source = entry.source;
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
+    const auto* entry = larcs::programs::find(*options.program_name);
+    if (entry == nullptr) {
       std::cerr << "error: unknown program '" << *options.program_name
                 << "' (see --list-programs)\n";
       return kExitBadInput;
     }
+    source = entry->source;
   }
 
   try {
