@@ -1,0 +1,206 @@
+// Exact-output pins for the three placement polishers that share the
+// greedy sweep (mapper/refine.hpp): refine_placement, repair's migrate
+// rung and the multilevel V-cycle's per-round commit. The other suites
+// check validity and invariance across --jobs; these pin the placements
+// themselves, as the FNV-1a of the serialised mapping plus each caller's
+// reported counts, so a rewrite of the shared loop cannot drift.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <map>
+#include <string>
+
+#include "oregami/arch/fault_model.hpp"
+#include "oregami/arch/topology_spec.hpp"
+#include "oregami/core/mapping_io.hpp"
+#include "oregami/larcs/compiler.hpp"
+#include "oregami/larcs/parser.hpp"
+#include "oregami/larcs/programs.hpp"
+#include "oregami/mapper/driver.hpp"
+#include "oregami/mapper/multilevel.hpp"
+#include "oregami/mapper/refine.hpp"
+#include "oregami/mapper/repair.hpp"
+#include "oregami/support/hash.hpp"
+
+namespace oregami {
+namespace {
+
+struct Compiled {
+  larcs::Program ast;
+  larcs::CompiledProgram cp;
+};
+
+Compiled compile_named(const std::string& name,
+                       const std::map<std::string, long>& bindings) {
+  const auto* entry = larcs::programs::find(name);
+  EXPECT_NE(entry, nullptr) << name;
+  larcs::Program ast = larcs::parse_program(entry->source);
+  larcs::CompiledProgram cp = larcs::compile(ast, bindings);
+  return {std::move(ast), std::move(cp)};
+}
+
+Compiled compile_example(const std::string& name) {
+  const auto* entry = larcs::programs::find(name);
+  EXPECT_NE(entry, nullptr) << name;
+  return compile_named(name, {entry->example_bindings.begin(),
+                              entry->example_bindings.end()});
+}
+
+std::uint64_t digest(const Mapping& mapping, int num_procs) {
+  const std::string text = mapping_to_string(mapping, num_procs);
+  Fnv1a h;
+  h.bytes(text.data(), text.size());
+  return h.digest();
+}
+
+// ------------------------------------------------------ refine_placement
+
+struct PlacementPin {
+  std::uint64_t digest = 0;
+  int moves = 0;
+  int passes = 0;
+};
+
+/// Maps `name`'s example instance onto `spec` twice: once with
+/// MapperOptions::refine_placement (the pinned mapping and its reported
+/// move count), once plain and then polished by a direct
+/// refine_placement call with the driver's bound (the pass count, and a
+/// cross-check that both routes land on the same mapping).
+PlacementPin pin_placement(const std::string& name, const std::string& spec,
+                           int load_bound_B) {
+  const Compiled c = compile_example(name);
+  const Topology topo = parse_topology_spec(spec);
+  MapperOptions plain;
+  plain.load_bound_B = load_bound_B;
+  MapperOptions polished = plain;
+  polished.refine_placement = true;
+  const MapperReport report = map_program(c.ast, c.cp, topo, polished);
+  const MapperReport base = map_program(c.ast, c.cp, topo, plain);
+
+  const int bound = load_bound_B > 0
+                        ? load_bound_B
+                        : base.mapping.contraction.max_cluster_size();
+  const PlacementRefineResult direct =
+      refine_placement(c.cp.graph, topo, base.mapping.proc_of_task(),
+                       base.mapping.routing, {}, bound);
+  const Mapping refined = mapping_from_placement(
+      direct.proc_of_task, direct.routing, topo.num_procs());
+  EXPECT_EQ(digest(refined, topo.num_procs()),
+            digest(report.mapping, topo.num_procs()));
+  EXPECT_NE(report.details.find("(" + std::to_string(direct.moves) +
+                                " moves)"),
+            std::string::npos)
+      << report.details;
+  return {digest(report.mapping, topo.num_procs()), direct.moves,
+          direct.passes};
+}
+
+TEST(RefinePlacementPins, MatmulOnMesh3x3) {
+  const PlacementPin pin = pin_placement("matmul", "mesh:3x3", -1);
+  EXPECT_EQ(pin.digest, 0x7f2bb197a5793e1fULL);
+  EXPECT_EQ(pin.moves, 4);
+  EXPECT_EQ(pin.passes, 2);
+}
+
+TEST(RefinePlacementPins, NbodyOnTorus4x4) {
+  const PlacementPin pin = pin_placement("nbody", "torus:4x4", -1);
+  EXPECT_EQ(pin.digest, 0x67d5079c234893c4ULL);
+  EXPECT_EQ(pin.moves, 2);
+  EXPECT_EQ(pin.passes, 3);
+}
+
+TEST(RefinePlacementPins, SorOnRing8WithExplicitLoadBound) {
+  // Bound 12 admits moves the default bound (the largest cluster) bars.
+  const PlacementPin pin = pin_placement("sor", "ring:8", 12);
+  EXPECT_EQ(pin.digest, 0x9d5c98ea67606144ULL);
+  EXPECT_EQ(pin.moves, 2);
+  EXPECT_EQ(pin.passes, 2);
+}
+
+// ------------------------------------------------------- repair_mapping
+
+/// The jacobi example mapped onto healthy mesh:4x4, then repaired onto
+/// the machine degraded by `faults`.
+RepairResult repair_jacobi(const std::string& faults,
+                           const RepairOptions& options) {
+  const Compiled c = compile_example("jacobi");
+  const Topology topo = parse_topology_spec("mesh:4x4");
+  const MapperReport healthy = map_program(c.ast, c.cp, topo);
+  const FaultedTopology ft(topo, FaultSpec::parse(faults, topo));
+  return repair_mapping(c.cp.graph, ft, healthy.mapping, options);
+}
+
+std::string migrations_of(const RepairResult& result) {
+  std::string text;
+  for (const RepairMove& m : result.migrations) {
+    text += std::to_string(m.task) + ":" + std::to_string(m.from_proc) +
+            "->" + std::to_string(m.to_proc) + " ";
+  }
+  return text;
+}
+
+TEST(RepairPins, JacobiDeadProcessorAndLink) {
+  const RepairResult r = repair_jacobi("p5,l3", {});
+  EXPECT_EQ(digest(r.mapping, 16), 0x73157559b0c5106cULL);
+  EXPECT_EQ(to_string(r.rung), "migrate");
+  EXPECT_EQ(r.attempts, 2);
+  EXPECT_EQ(migrations_of(r), "18:5->0 19:5->2 26:5->0 27:5->2 ");
+  EXPECT_EQ(r.details, "migrated 4 task(s) in 2 attempt(s)");
+  EXPECT_FALSE(r.deadline_hit);
+}
+
+TEST(RepairPins, JacobiWithSlowedLinkReachesRefineRung) {
+  const RepairResult r = repair_jacobi("p5,l3,s1:8", {});
+  EXPECT_EQ(digest(r.mapping, 16), 0xb6d3709ac393829dULL);
+  EXPECT_EQ(to_string(r.rung), "refine");
+  EXPECT_EQ(r.attempts, 4);
+  EXPECT_EQ(migrations_of(r), "18:5->10 19:5->1 26:5->9 27:5->2 ");
+  EXPECT_EQ(r.details,
+            "migrated 4 task(s) in 4 attempt(s); refinement -150 completion "
+            "(2 moves)");
+  EXPECT_FALSE(r.deadline_hit);
+}
+
+TEST(RepairPins, JacobiWithExpiredBudget) {
+  RepairOptions expired;
+  expired.time_budget_ms = -1;
+  const RepairResult r = repair_jacobi("p5,l3", expired);
+  EXPECT_EQ(digest(r.mapping, 16), 0xac2eefe8ddaf11d8ULL);
+  EXPECT_EQ(to_string(r.rung), "migrate");
+  EXPECT_EQ(r.attempts, 0);
+  EXPECT_EQ(migrations_of(r), "18:5->1 19:5->1 26:5->1 27:5->1 ");
+  EXPECT_EQ(r.details,
+            "migrated 4 task(s) in 0 attempt(s); refinement skipped "
+            "(deadline)");
+  EXPECT_TRUE(r.deadline_hit);
+}
+
+// ------------------------------------------------------- map_multilevel
+
+MapperReport multilevel_stencil(int max_levels) {
+  const Compiled c =
+      compile_named("torus_stencil", {{"r", 64}, {"c", 64}, {"iters", 1}});
+  const Topology topo = parse_topology_spec("torus:8x8");
+  MultilevelOptions ml;
+  ml.max_levels = max_levels;
+  return map_multilevel(c.cp.graph, topo, ml);
+}
+
+TEST(MultilevelPins, TorusStencilAutoDepth) {
+  const MapperReport report = multilevel_stencil(0);
+  EXPECT_EQ(digest(report.mapping, 64), 0xca1e5c84dcf67356ULL);
+  EXPECT_EQ(report.details,
+            "multilevel V-cycle: 8 level(s), 4096 -> 64 super-tasks; coarsest "
+            "map NN-Embed; 8 refining moves");
+}
+
+TEST(MultilevelPins, TorusStencilLevelCap) {
+  const MapperReport report = multilevel_stencil(2);
+  EXPECT_EQ(digest(report.mapping, 64), 0xb85180517ff5c4cfULL);
+  EXPECT_EQ(report.details,
+            "multilevel V-cycle: 3 level(s), 4096 -> 1214 super-tasks; "
+            "coarsest map round-robin; 191 refining moves");
+}
+
+}  // namespace
+}  // namespace oregami
