@@ -42,7 +42,6 @@ namespace {
 MultilevelOptions multilevel_options_from(const MapperOptions& options) {
   MultilevelOptions ml;
   ml.max_levels = options.multilevel > 0 ? options.multilevel : 0;
-  ml.jobs = options.jobs;
   ml.seed = options.portfolio_seed;
   ml.time_budget_ms = options.multilevel_budget_ms;
   return ml;

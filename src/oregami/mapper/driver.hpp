@@ -77,7 +77,7 @@ struct MapperOptions {
   /// (support/deadline.hpp idiom; 0 = none). Ignored when
   /// `multilevel` == 0.
   std::int64_t multilevel_budget_ms = 0;
-  int jobs = 1;  ///< portfolio/multilevel workers; 0 = hardware_concurrency
+  int jobs = 1;  ///< portfolio workers; 0 = hardware_concurrency
   std::uint64_t portfolio_seed = 0x09E6A311u;  ///< candidate RNG base seed
   /// Degraded-mode mapping (not owned; must outlive the call). When set
   /// with a non-empty FaultSpec, map_computation/map_program run the

@@ -1,19 +1,17 @@
 #include "oregami/mapper/multilevel.hpp"
 
-#include <algorithm>
-#include <future>
 #include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "oregami/arch/routes.hpp"
 #include "oregami/core/csr_graph.hpp"
+#include "oregami/mapper/baselines.hpp"
 #include "oregami/mapper/nn_embed.hpp"
+#include "oregami/mapper/refine.hpp"
 #include "oregami/metrics/incremental.hpp"
 #include "oregami/support/deadline.hpp"
 #include "oregami/support/error.hpp"
-#include "oregami/support/thread_pool.hpp"
 #include "oregami/support/trace.hpp"
 
 namespace oregami {
@@ -27,36 +25,12 @@ struct Level {
   std::vector<std::int32_t> coarse_of_fine;
 };
 
-// Greedy canonical routes for every comm edge under `placement` — the
-// same rule IncrementalCompletion replays on apply_move, so the
-// evaluator starts cache-consistent.
-std::vector<PhaseRouting> initial_routing(const TaskGraph& graph,
-                                          const Topology& topo,
-                                          const std::vector<int>& placement) {
-  std::vector<PhaseRouting> routing(graph.comm_phases().size());
-  for (std::size_t k = 0; k < graph.comm_phases().size(); ++k) {
-    const auto& edges = graph.comm_phases()[k].edges;
-    routing[k].route_of_edge.reserve(edges.size());
-    for (const CommEdge& e : edges) {
-      routing[k].route_of_edge.push_back(greedy_shortest_route(
-          topo, placement[static_cast<std::size_t>(e.src)],
-          placement[static_cast<std::size_t>(e.dst)]));
-    }
-  }
-  return routing;
-}
-
-struct Proposal {
-  std::int32_t task = 0;
-  std::int32_t to = 0;
-};
-
 // Best strictly-gainful destination for `v` under the frozen
 // `placement`, or -1. Gain is the weighted-distance improvement of v's
 // own incident edges (the same objective NN-Embed greedily optimises);
 // the serial commit re-probes with the exact completion delta, so this
 // only has to be a good filter, not a perfect score. Pure function of
-// (csr, topo, placement) — safe to fan out over workers.
+// (csr, topo, placement).
 int propose_move(const CsrTaskGraph& csr, const Topology& topo,
                  const std::vector<int>& placement, int v,
                  std::vector<int>& candidates) {
@@ -98,80 +72,59 @@ int propose_move(const CsrTaskGraph& csr, const Topology& topo,
   return best;
 }
 
-// One level's boundary refinement. Workers propose against a frozen
-// placement (chunked in ascending task order, futures collected in
-// submission order); the caller's thread then walks the proposals in
-// that same deterministic order, re-probing each with the exact
-// incremental delta and committing only strict improvements. The
-// result is therefore bit-identical for every worker count.
+// One level's boundary refinement. Each round proposes a move for
+// every boundary task against the frozen placement, then commits the
+// proposals through greedy_sweep in ascending task order: each is
+// re-probed with the exact incremental delta and applied only when
+// strictly improving.
 long refine_level(const CsrTaskGraph& csr, IncrementalCompletion& inc,
-                  const Topology& topo, ThreadPool& pool, int rounds,
-                  const Deadline& deadline, int level) {
-  constexpr int kChunk = 512;
+                  const Topology& topo, int rounds,
+                  const Deadline& deadline) {
   const int n = csr.num_vertices();
   long total_moves = 0;
-  std::vector<std::int32_t> boundary;
+  // proposal[v] is read only for the tasks in `movers`, which the
+  // current round has just written.
+  std::vector<int> proposal(static_cast<std::size_t>(n));
+  std::vector<int> movers;
+  std::vector<int> scratch;
   for (int round = 0; round < rounds; ++round) {
     if (deadline.passed()) break;
     const std::vector<int>& placement = inc.proc_of_task();
 
-    boundary.clear();
-    for (int v = 0; v < n; ++v) {
-      const int p = placement[static_cast<std::size_t>(v)];
-      for (std::int32_t i = csr.offsets[v]; i < csr.offsets[v + 1]; ++i) {
-        if (placement[static_cast<std::size_t>(csr.neighbors[i])] != p) {
-          boundary.push_back(v);
-          break;
+    std::int64_t boundary = 0;
+    movers.clear();
+    {
+      trace::Span span("propose");
+      for (int v = 0; v < n; ++v) {
+        const int p = placement[static_cast<std::size_t>(v)];
+        bool on_boundary = false;
+        for (std::int32_t i = csr.offsets[v]; i < csr.offsets[v + 1]; ++i) {
+          if (placement[static_cast<std::size_t>(csr.neighbors[i])] != p) {
+            on_boundary = true;
+            break;
+          }
+        }
+        if (!on_boundary) continue;
+        ++boundary;
+        const int q = propose_move(csr, topo, placement, v, scratch);
+        if (q != -1) {
+          proposal[static_cast<std::size_t>(v)] = q;
+          movers.push_back(v);
         }
       }
     }
-    if (boundary.empty()) break;
+    if (boundary == 0) break;
 
-    const int num_chunks =
-        (static_cast<int>(boundary.size()) + kChunk - 1) / kChunk;
-    std::vector<std::future<std::vector<Proposal>>> futures;
-    futures.reserve(static_cast<std::size_t>(num_chunks));
-    for (int c = 0; c < num_chunks; ++c) {
-      const int begin = c * kChunk;
-      const int end = std::min(begin + kChunk,
-                               static_cast<int>(boundary.size()));
-      futures.push_back(pool.submit(
-          [&csr, &topo, &placement, &boundary, begin, end, level, c]() {
-            trace::LaneScope lane("multilevel/level#" + std::to_string(level) +
-                                      "/chunk#" + std::to_string(c),
-                                  c + 1);
-            trace::Span span("propose");
-            std::vector<Proposal> out;
-            std::vector<int> scratch;
-            for (int i = begin; i < end; ++i) {
-              const int v = boundary[static_cast<std::size_t>(i)];
-              const int q = propose_move(csr, topo, placement, v, scratch);
-              if (q != -1) out.push_back({v, q});
-            }
-            return out;
-          }));
-    }
-
-    // Drain every worker before the first commit: the frozen placement
-    // the workers read must stay frozen until the proposal phase is
-    // completely over.
-    std::vector<Proposal> proposals;
-    for (auto& f : futures) {
-      std::vector<Proposal> chunk = f.get();
-      proposals.insert(proposals.end(), chunk.begin(), chunk.end());
-    }
-
-    long moves = 0;
-    for (const Proposal& p : proposals) {
-      if (inc.delta_move(p.task, p.to) < 0) {
-        inc.apply_move(p.task, p.to);
-        ++moves;
-      }
-    }
-    trace::counter("boundary", static_cast<std::int64_t>(boundary.size()));
-    trace::counter("moves", moves);
-    total_moves += moves;
-    if (moves == 0) break;
+    const SweepResult sweep = greedy_sweep(
+        inc, movers,
+        [&proposal](int v, int /*pass*/, std::vector<int>& out) {
+          out.push_back(proposal[static_cast<std::size_t>(v)]);
+        },
+        /*load_bound=*/0, /*max_passes=*/1, deadline);
+    trace::counter("boundary", boundary);
+    trace::counter("moves", sweep.moves);
+    total_moves += sweep.moves;
+    if (sweep.moves == 0) break;
   }
   return total_moves;
 }
@@ -238,7 +191,6 @@ MapperReport map_multilevel(const TaskGraph& graph, const Topology& topo,
   }
 
   // 3. Uncoarsen level by level, refining at each resolution.
-  ThreadPool pool(ThreadPool::resolve_workers(options.jobs), "oregami-ml");
   long total_moves = 0;
   Mapping mapping;
   for (int k = static_cast<int>(levels.size()) - 1; k >= 0; --k) {
@@ -250,12 +202,12 @@ MapperReport map_multilevel(const TaskGraph& graph, const Topology& topo,
       // true phase expression), so the last sweeps optimise the exact
       // completion objective.
       std::vector<PhaseRouting> routing =
-          initial_routing(graph, topo, placement);
+          route_greedy_shortest(graph, placement, topo);
       IncrementalCompletion inc(graph, topo, placement, std::move(routing),
                                 options.model);
       if (!deadline.passed()) {
-        total_moves += refine_level(levels[0].csr, inc, topo, pool,
-                                    options.refine_rounds, deadline, 0);
+        total_moves += refine_level(levels[0].csr, inc, topo,
+                                    options.refine_rounds, deadline);
       }
       trace::counter("completion", inc.completion());
       mapping =
@@ -267,13 +219,13 @@ MapperReport map_multilevel(const TaskGraph& graph, const Topology& topo,
       const TaskGraph level_graph =
           levels[static_cast<std::size_t>(k)].csr.to_task_graph();
       std::vector<PhaseRouting> routing =
-          initial_routing(level_graph, topo, placement);
+          route_greedy_shortest(level_graph, placement, topo);
       IncrementalCompletion inc(level_graph, topo, placement,
                                 std::move(routing), options.model);
       if (!deadline.passed()) {
         total_moves += refine_level(levels[static_cast<std::size_t>(k)].csr,
-                                    inc, topo, pool, options.refine_rounds,
-                                    deadline, k);
+                                    inc, topo, options.refine_rounds,
+                                    deadline);
       }
       const std::vector<std::int32_t>& projection =
           levels[static_cast<std::size_t>(k - 1)].coarse_of_fine;

@@ -11,19 +11,21 @@
 //      with the seed pipeline's NN-Embed; at that size the paper-scale
 //      machinery is fast and good.
 //   3. UNCOARSEN + REFINE: project the placement down one level at a
-//      time; at each level run boundary-focused refinement sweeps --
+//      time; at each level run boundary-focused refinement rounds --
 //      only tasks with a neighbor on another processor are candidates.
-//      Candidate gains are estimated in parallel over the `ThreadPool`
-//      from a frozen placement (CSR scans + the O(1) distance oracle),
-//      then committed serially in ascending task order, each re-probed
+//      Each round first proposes one destination per boundary task
+//      from the frozen placement (CSR scans + the O(1) distance
+//      oracle), then commits the proposals in ascending task order
+//      through the shared greedy sweep (refine.hpp): each is re-probed
 //      exactly with `IncrementalCompletion::delta_move` and applied
 //      only when strictly improving.
 //
-// Determinism contract (same as the portfolio's): proposals are pure
-// functions of the frozen placement and are collected in submission
-// order, commits are serial and ordered, and all randomness flows from
-// `seed` through per-level SplitMix64 streams -- so the result is
-// bit-identical across `jobs` values.
+// Determinism contract: proposals are pure functions of the frozen
+// placement, commits are serial and ordered, and all randomness flows
+// from `seed` through per-level SplitMix64 streams -- so the result is
+// a pure function of (graph, topology, options) and the CLI's --jobs
+// never changes it. With a positive `time_budget_ms` the expiry point
+// is the sole nondeterminism.
 #pragma once
 
 #include <cstdint>
@@ -39,20 +41,18 @@ struct MultilevelOptions {
   /// matching stalls). A small positive cap yields a shallower cycle
   /// with more refinement work per level.
   int max_levels = 0;
-  /// Boundary-refinement sweeps per level. Each sweep proposes in
-  /// parallel and commits serially; a sweep that commits no move ends
-  /// the level early.
+  /// Boundary-refinement rounds per level. Each round proposes against
+  /// the frozen placement, then commits; a round that commits no move
+  /// ends the level early.
   int refine_rounds = 2;
-  /// Proposal workers; 0 = hardware_concurrency. Never affects the
-  /// result, only wall time.
-  int jobs = 1;
   /// Base seed for the coarsening shuffles and the coarsest NN-Embed
   /// tie-breaks (level k uses seed + k).
   std::uint64_t seed = 0x09E6A311u;
   /// Wall-clock budget (support/deadline.hpp idiom: 0 = none, < 0 =
-  /// already expired). Checked between levels and sweeps; on expiry
-  /// remaining refinement is skipped but the projected placement is
-  /// still returned, so the mapping is always valid.
+  /// already expired). Checked between levels and rounds and before
+  /// each commit; on expiry remaining refinement is skipped but the
+  /// projected placement is still returned, so the mapping is always
+  /// valid.
   std::int64_t time_budget_ms = 0;
   CostModel model;
 };

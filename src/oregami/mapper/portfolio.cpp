@@ -11,6 +11,7 @@
 
 #include "oregami/mapper/anneal.hpp"
 #include "oregami/mapper/list_schedule.hpp"
+#include "oregami/support/deadline.hpp"
 #include "oregami/support/error.hpp"
 #include "oregami/support/rng.hpp"
 #include "oregami/support/text_table.hpp"
@@ -202,32 +203,19 @@ PortfolioReport run_portfolio(const TaskGraph& graph, const Topology& topo,
                               std::vector<CandidateSpec> specs) {
   const trace::Span portfolio_span("portfolio");
   const auto search_start = std::chrono::steady_clock::now();
+  // Candidate 0 is exempt from the deadline so a result always exists.
+  const Deadline deadline(options.time_budget_ms);
   // Shared read-only state really is read-only under the pool: regular
   // families answer distance queries with closed-form oracles, and the
   // Custom family's lazy BFS table is published under std::call_once,
   // so no pre-warm is needed before fanning out.
   ThreadPool pool(options.jobs, "portfolio");
-  // Deadline support: non-positive budgets never consult the clock
-  // (0 = none, < 0 = already expired), keeping those modes
-  // bit-deterministic. Candidate 0 is exempt so a result always exists.
-  const std::int64_t budget = options.time_budget_ms;
-  const auto deadline_at =
-      search_start + std::chrono::milliseconds(budget > 0 ? budget : 0);
-  const auto deadline_passed = [budget, deadline_at] {
-    if (budget == 0) {
-      return false;
-    }
-    if (budget < 0) {
-      return true;
-    }
-    return std::chrono::steady_clock::now() >= deadline_at;
-  };
   std::vector<std::future<PortfolioCandidate>> futures;
   futures.reserve(specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     futures.push_back(pool.submit(
-        [spec = std::move(specs[i]), id = static_cast<int>(i),
-         deadline_passed, search_start] {
+        [spec = std::move(specs[i]), id = static_cast<int>(i), deadline,
+         search_start] {
           // Every candidate's events land under the same deterministic
           // lane path no matter which worker (or the sole jobs=1
           // worker) picked the task up.
@@ -239,7 +227,7 @@ PortfolioReport run_portfolio(const TaskGraph& graph, const Topology& topo,
           candidate.id = id;
           candidate.label = spec.label;
           const auto t0 = std::chrono::steady_clock::now();
-          if (id != 0 && deadline_passed()) {
+          if (id != 0 && deadline.passed()) {
             candidate.note = "skipped (deadline)";
             candidate.skipped = true;
             // Not "how long the candidate ran" (it never did) but when

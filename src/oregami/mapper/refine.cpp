@@ -1,6 +1,7 @@
 #include "oregami/mapper/refine.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "oregami/metrics/incremental.hpp"
 #include "oregami/support/error.hpp"
@@ -134,6 +135,65 @@ RefineResult refine_contraction(const Graph& task_graph,
   return result;
 }
 
+SweepResult greedy_sweep(IncrementalCompletion& inc,
+                         const std::vector<int>& order,
+                         const SweepCandidates& candidates, int load_bound,
+                         int max_passes, const Deadline& deadline) {
+  std::vector<int> load;
+  if (load_bound > 0) {
+    load.assign(static_cast<std::size_t>(inc.topology().num_procs()), 0);
+    for (const int p : inc.proc_of_task()) {
+      ++load[static_cast<std::size_t>(p)];
+    }
+  }
+  SweepResult result;
+  std::vector<int> listed;
+  for (int pass = 0; pass < max_passes; ++pass) {
+    if (deadline.passed()) {
+      result.deadline_hit = true;
+      break;
+    }
+    ++result.passes;
+    bool moved = false;
+    for (const int t : order) {
+      if (deadline.passed()) {
+        result.deadline_hit = true;
+        break;
+      }
+      const int here = inc.proc_of_task()[static_cast<std::size_t>(t)];
+      listed.clear();
+      candidates(t, pass, listed);
+      std::int64_t best_delta = 0;
+      int best_proc = -1;
+      for (const int q : listed) {
+        if (q == here || (load_bound > 0 &&
+                          load[static_cast<std::size_t>(q)] >= load_bound)) {
+          continue;
+        }
+        const std::int64_t delta = inc.delta_move(t, q);
+        if (delta < best_delta) {
+          best_delta = delta;
+          best_proc = q;
+        }
+      }
+      if (best_proc < 0) {
+        continue;
+      }
+      inc.apply_move(t, best_proc);
+      if (load_bound > 0) {
+        --load[static_cast<std::size_t>(here)];
+        ++load[static_cast<std::size_t>(best_proc)];
+      }
+      ++result.moves;
+      moved = true;
+    }
+    if (result.deadline_hit || !moved) {
+      break;
+    }
+  }
+  return result;
+}
+
 PlacementRefineResult refine_placement(const TaskGraph& graph,
                                        const Topology& topo,
                                        std::vector<int> proc_of_task,
@@ -149,12 +209,6 @@ PlacementRefineResult refine_placement(const TaskGraph& graph,
   PlacementRefineResult result;
   result.completion_before = inc.completion();
 
-  std::vector<int> tasks_on_proc(static_cast<std::size_t>(topo.num_procs()),
-                                 0);
-  for (const int p : inc.proc_of_task()) {
-    ++tasks_on_proc[static_cast<std::size_t>(p)];
-  }
-
   // Communication partners of each task under the static aggregate
   // (phase-independent, so computed once).
   std::vector<std::vector<int>> partners(static_cast<std::size_t>(n));
@@ -166,52 +220,24 @@ PlacementRefineResult refine_placement(const TaskGraph& graph,
       }
     }
   }
-  std::vector<int> candidates;
-  for (int pass = 0; pass < max_passes; ++pass) {
-    ++result.passes;
-    bool improved = false;
-    for (int t = 0; t < n; ++t) {
-      const int here = inc.proc_of_task()[static_cast<std::size_t>(t)];
-      candidates.clear();
-      for (const auto& a : topo.graph().neighbors(here)) {
-        candidates.push_back(a.neighbor);
-      }
-      for (const int u : partners[static_cast<std::size_t>(t)]) {
-        candidates.push_back(inc.proc_of_task()[static_cast<std::size_t>(u)]);
-      }
-      std::sort(candidates.begin(), candidates.end());
-      candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                       candidates.end());
-
-      std::int64_t best_delta = 0;
-      int best_proc = -1;
-      for (const int q : candidates) {
-        if (q == here) {
-          continue;
+  std::vector<int> order(static_cast<std::size_t>(n));
+  std::iota(order.begin(), order.end(), 0);
+  const SweepResult sweep = greedy_sweep(
+      inc, order,
+      [&](int t, int /*pass*/, std::vector<int>& out) {
+        const int here = inc.proc_of_task()[static_cast<std::size_t>(t)];
+        for (const auto& a : topo.graph().neighbors(here)) {
+          out.push_back(a.neighbor);
         }
-        if (load_bound_B > 0 &&
-            tasks_on_proc[static_cast<std::size_t>(q)] >= load_bound_B) {
-          continue;
+        for (const int u : partners[static_cast<std::size_t>(t)]) {
+          out.push_back(inc.proc_of_task()[static_cast<std::size_t>(u)]);
         }
-        const std::int64_t delta = inc.delta_move(t, q);
-        if (delta < best_delta) {
-          best_delta = delta;
-          best_proc = q;
-        }
-      }
-      if (best_proc < 0) {
-        continue;
-      }
-      inc.apply_move(t, best_proc);
-      --tasks_on_proc[static_cast<std::size_t>(here)];
-      ++tasks_on_proc[static_cast<std::size_t>(best_proc)];
-      ++result.moves;
-      improved = true;
-    }
-    if (!improved) {
-      break;
-    }
-  }
+        std::sort(out.begin(), out.end());
+        out.erase(std::unique(out.begin(), out.end()), out.end());
+      },
+      load_bound_B, max_passes);
+  result.moves = sweep.moves;
+  result.passes = sweep.passes;
 
   result.completion_after = inc.completion();
   OREGAMI_ASSERT(result.completion_after <= result.completion_before,

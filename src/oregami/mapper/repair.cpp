@@ -5,7 +5,7 @@
 #include <limits>
 #include <utility>
 
-#include "oregami/arch/routes.hpp"
+#include "oregami/mapper/baselines.hpp"
 #include "oregami/mapper/driver.hpp"
 #include "oregami/mapper/refine.hpp"
 #include "oregami/metrics/incremental.hpp"
@@ -46,27 +46,6 @@ int nearest_healthy(const FaultedTopology& faults, int from) {
     }
   }
   return best;
-}
-
-/// Re-routes every comm edge greedily on the faulted topology
-/// (faulted link ids). Every endpoint must be healthy.
-std::vector<PhaseRouting> reroute_on_faulted(
-    const TaskGraph& graph, const FaultedTopology& faults,
-    const std::vector<int>& proc_of_task) {
-  const Topology& ftopo = faults.faulted();
-  std::vector<PhaseRouting> routing(graph.comm_phases().size());
-  for (std::size_t k = 0; k < graph.comm_phases().size(); ++k) {
-    const auto& phase = graph.comm_phases()[k];
-    routing[k].route_of_edge.reserve(phase.edges.size());
-    for (const auto& edge : phase.edges) {
-      const int src = proc_of_task[static_cast<std::size_t>(edge.src)];
-      const int dst = proc_of_task[static_cast<std::size_t>(edge.dst)];
-      routing[k].route_of_edge.push_back(
-          src == dst ? Route{{src}, {}}
-                     : greedy_shortest_route(ftopo, src, dst));
-    }
-  }
-  return routing;
 }
 
 /// Translates faulted-link-id routing back into base link ids.
@@ -121,67 +100,43 @@ RepairResult repair_mapping(const TaskGraph& graph,
   if (options.allow_migrate) {
     // --- Rung 1: migrate displaced tasks, re-route everything. ---
     const trace::Span rung_span("migrate");
+    std::vector<int> displaced;
     for (int t = 0; t < graph.num_tasks(); ++t) {
       const int p = proc[static_cast<std::size_t>(t)];
       if (!faults.healthy(p)) {
         const int to = nearest_healthy(faults, p);
         result.migrations.push_back({t, p, to});
+        displaced.push_back(t);
         proc[static_cast<std::size_t>(t)] = to;
       }
     }
     std::vector<PhaseRouting> routing =
-        reroute_on_faulted(graph, faults, proc);
+        route_greedy_shortest(graph, proc, ftopo);
 
     IncrementalCompletion inc(graph, ftopo, std::move(proc),
                               std::move(routing), options.model,
                               faults.faulted_link_factors());
 
-    // Improvement loop over the displaced tasks only, with an
-    // exponentially growing radius. Healthy candidates are enumerated
-    // by faulted-topology distance from the task's current processor.
-    for (int attempt = 0; attempt < options.max_attempts; ++attempt) {
-      if (deadline.passed()) {
-        result.deadline_hit = true;
-        break;
-      }
-      const int radius = attempt < 30 ? (1 << attempt)
-                                      : std::numeric_limits<int>::max() / 2;
-      bool improved = false;
-      for (const RepairMove& move : result.migrations) {
-        if (deadline.passed()) {
-          result.deadline_hit = true;
-          break;
-        }
-        const int t = move.task;
-        const int here =
-            inc.proc_of_task()[static_cast<std::size_t>(t)];
-        const DistanceRow row = ftopo.distance_row(here);
-        std::int64_t best_delta = 0;
-        int best_proc = -1;
-        for (const int q : faults.healthy_procs()) {
-          if (q == here) {
-            continue;
+    // Improve the displaced tasks only. Sweep k probes the healthy
+    // processors within 2^k hops (faulted-topology distance) of the
+    // task's current processor.
+    const SweepResult sweep = greedy_sweep(
+        inc, displaced,
+        [&](int t, int pass, std::vector<int>& out) {
+          const int radius = pass < 30 ? (1 << pass)
+                                       : std::numeric_limits<int>::max() / 2;
+          const DistanceRow row = ftopo.distance_row(
+              inc.proc_of_task()[static_cast<std::size_t>(t)]);
+          for (const int q : faults.healthy_procs()) {
+            const int d = row[q];
+            if (d >= 0 && d <= radius) {
+              out.push_back(q);
+            }
           }
-          const int d = row[q];
-          if (d < 0 || d > radius) {
-            continue;
-          }
-          const std::int64_t delta = inc.delta_move(t, q);
-          if (delta < best_delta) {
-            best_delta = delta;
-            best_proc = q;
-          }
-        }
-        if (best_proc >= 0) {
-          inc.apply_move(t, best_proc);
-          improved = true;
-        }
-      }
-      ++result.attempts;
-      if (result.deadline_hit || !improved) {
-        break;
-      }
-    }
+        },
+        /*load_bound=*/0, options.max_attempts, deadline);
+    result.attempts = sweep.passes;
+    result.deadline_hit = sweep.deadline_hit;
     // Record where each displaced task actually landed.
     for (RepairMove& move : result.migrations) {
       move.to_proc =

@@ -10,10 +10,10 @@
 //   1. Migrate -- move ONLY the displaced tasks (those on dead or
 //      disconnected processors) to nearby healthy processors, re-route
 //      every communication edge around the dead links, then improve the
-//      displaced tasks' placement with IncrementalCompletion::delta_move
-//      probes under a bounded retry budget: each attempt doubles the
-//      search radius (1, 2, 4, ... hops), capped by `max_attempts` and
-//      the wall-clock deadline.
+//      displaced tasks' placement with the shared greedy sweep
+//      (refine.hpp): sweep k probes the healthy processors within 2^k
+//      hops (1, 2, 4, ...), capped by `max_attempts` sweeps and the
+//      wall-clock deadline.
 //   2. Refine -- polish the migrated placement with refine_placement on
 //      the faulted topology (its candidate sets only ever contain
 //      healthy processors, because dead processors have no surviving
@@ -51,7 +51,7 @@ enum class RepairRung {
 [[nodiscard]] std::string to_string(RepairRung rung);
 
 struct RepairOptions {
-  /// Improvement attempts for the migrate rung; attempt k probes
+  /// Improvement sweeps for the migrate rung; sweep k probes the
   /// healthy processors within 2^k hops of each displaced task.
   int max_attempts = 4;
   /// Hard wall-clock deadline in milliseconds. 0 = none (fully
@@ -92,7 +92,7 @@ struct RepairResult {
   /// in ascending task order. Empty for the remap rung (everything may
   /// have moved; diff the mappings instead).
   std::vector<RepairMove> migrations;
-  int attempts = 0;         ///< migrate improvement attempts executed
+  int attempts = 0;         ///< migrate improvement sweeps run
   bool deadline_hit = false;
 };
 

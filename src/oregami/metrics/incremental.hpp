@@ -84,6 +84,7 @@ class IncrementalCompletion {
                         const Mapping& mapping, CostModel model = {},
                         std::vector<std::int64_t> link_factor = {});
 
+  [[nodiscard]] const Topology& topology() const { return topo_; }
   [[nodiscard]] std::int64_t completion() const { return completion_; }
   [[nodiscard]] const std::vector<int>& proc_of_task() const {
     return proc_of_task_;

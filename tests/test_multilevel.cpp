@@ -44,15 +44,17 @@ TEST(Multilevel, ProducesValidMappingOnLarcsProgram) {
 }
 
 TEST(Multilevel, BitIdenticalAcrossJobs) {
-  // The determinism contract: jobs only changes wall time, never the
+  // The determinism contract: --jobs never changes a multilevel
   // mapping. Compare full serialised mappings across 1 / auto / 5.
   const TaskGraph graph = make_random_geometric(600, 0.06, kSeed);
   const Topology topo = Topology::torus(8, 8);
   std::vector<std::string> texts;
   for (const int jobs : {1, 0, 5}) {
-    MultilevelOptions ml;
-    ml.jobs = jobs;
-    const MapperReport report = map_multilevel(graph, topo, ml);
+    MapperOptions options;
+    options.multilevel = -1;
+    options.jobs = jobs;
+    const MapperReport report = map_computation(graph, topo, options);
+    EXPECT_EQ(report.strategy, MapStrategy::Multilevel);
     texts.push_back(mapping_to_string(report.mapping, topo.num_procs()));
   }
   EXPECT_EQ(texts[0], texts[1]);
