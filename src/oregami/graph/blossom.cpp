@@ -348,11 +348,15 @@ class BlossomSolver {
           }
         }
       }
+      // Check every S label before adjusting any: with no bound found,
+      // d is INT64_MAX, and adding it to a T label would overflow.
+      for (int u = 1; u <= n_; ++u) {
+        if (s_[idx(st_[idx(u)])] == 0 && lab_[idx(u)] <= d) {
+          return false;  // dual would hit zero: no augmenting path left
+        }
+      }
       for (int u = 1; u <= n_; ++u) {
         if (s_[idx(st_[idx(u)])] == 0) {
-          if (lab_[idx(u)] <= d) {
-            return false;  // dual would hit zero: no augmenting path left
-          }
           lab_[idx(u)] -= d;
         } else if (s_[idx(st_[idx(u)])] == 1) {
           lab_[idx(u)] += d;

@@ -315,17 +315,31 @@ RecoveryStats CacheJournal::open_and_recover() {
     sm.recovery_skipped.add(recovery.skipped);
   }
   const std::lock_guard<std::mutex> lock(mutex_);
-  const std::int64_t io_before = stats_.io_errors;
   // Boot always rewrites a compacted snapshot: it creates the file on
   // first boot, sheds skipped garbage and duplicates after a crash,
   // and replaces a version-skewed file with the current format.
   if (!compact_locked()) {
     stats_.degraded = true;
   }
-  if (metrics::enabled()) {
-    server_metrics().persist_io_errors.add(stats_.io_errors - io_before);
-  }
   return recovery;
+}
+
+void CacheJournal::book_locked(Event event) {
+  ServerMetrics& sm = server_metrics();
+  switch (event) {
+    case Event::kAppend:
+      ++stats_.appended;
+      sm.persist_appends.increment();
+      return;
+    case Event::kCompaction:
+      ++stats_.compactions;
+      sm.persist_compactions.increment();
+      return;
+    case Event::kIoError:
+      ++stats_.io_errors;
+      sm.persist_io_errors.increment();
+      return;
+  }
 }
 
 bool CacheJournal::write_record_locked(const std::string& record) {
@@ -334,7 +348,7 @@ bool CacheJournal::write_record_locked(const std::string& record) {
   }
   const auto fp = failpoint::evaluate("persist.write");
   if (fp.action == failpoint::Action::Err) {
-    ++stats_.io_errors;
+    book_locked(Event::kIoError);
     stats_.degraded = true;
     return false;
   }
@@ -346,7 +360,7 @@ bool CacheJournal::write_record_locked(const std::string& record) {
       std::fwrite(record.data(), 1, to_write, file_);
   std::fflush(file_);
   if (written != record.size()) {
-    ++stats_.io_errors;
+    book_locked(Event::kIoError);
     stats_.degraded = true;
     return false;
   }
@@ -359,21 +373,15 @@ bool CacheJournal::append(std::uint64_t digest,
   const auto start = std::chrono::steady_clock::now();
   const std::string record = encode_record(digest, outcome);
   const std::lock_guard<std::mutex> lock(mutex_);
-  const std::int64_t io_before = stats_.io_errors;
   const bool wrote = write_record_locked(record);
   if (wrote) {
-    ++stats_.appended;
+    book_locked(Event::kAppend);
     if (compact_every_ > 0 && ++appends_since_compact_ >= compact_every_) {
       // Best-effort: a failed compaction keeps the (valid) journal.
       (void)compact_locked();
     }
   }
-  if (telemetry) {
-    ServerMetrics& sm = server_metrics();
-    sm.persist_append_us.record(elapsed_us(start));
-    if (wrote) sm.persist_appends.increment();
-    sm.persist_io_errors.add(stats_.io_errors - io_before);
-  }
+  if (telemetry) server_metrics().persist_append_us.record(elapsed_us(start));
   return wrote;
 }
 
@@ -381,11 +389,7 @@ bool CacheJournal::compact_locked() {
   const bool telemetry = metrics::enabled();
   const auto start = std::chrono::steady_clock::now();
   const bool ok = compact_locked_impl();
-  if (telemetry) {
-    ServerMetrics& sm = server_metrics();
-    sm.persist_compact_us.record(elapsed_us(start));
-    if (ok) sm.persist_compactions.increment();
-  }
+  if (telemetry) server_metrics().persist_compact_us.record(elapsed_us(start));
   return ok;
 }
 
@@ -400,7 +404,7 @@ bool CacheJournal::compact_locked_impl() {
   const std::string tmp = path_ + ".tmp";
   std::FILE* out = std::fopen(tmp.c_str(), "wb");
   if (out == nullptr) {
-    ++stats_.io_errors;
+    book_locked(Event::kIoError);
     return false;
   }
   const auto fp = failpoint::evaluate("persist.write");
@@ -424,7 +428,7 @@ bool CacheJournal::compact_locked_impl() {
   std::fclose(out);
   if (!ok) {
     std::remove(tmp.c_str());
-    ++stats_.io_errors;
+    book_locked(Event::kIoError);
     return false;
   }
 
@@ -432,7 +436,7 @@ bool CacheJournal::compact_locked_impl() {
           failpoint::Action::None ||
       std::rename(tmp.c_str(), path_.c_str()) != 0) {
     std::remove(tmp.c_str());
-    ++stats_.io_errors;
+    book_locked(Event::kIoError);
     return false;
   }
 
@@ -442,11 +446,11 @@ bool CacheJournal::compact_locked_impl() {
   }
   file_ = std::fopen(path_.c_str(), "ab");
   if (file_ == nullptr) {
-    ++stats_.io_errors;
+    book_locked(Event::kIoError);
     stats_.degraded = true;
     return false;
   }
-  ++stats_.compactions;
+  book_locked(Event::kCompaction);
   appends_since_compact_ = 0;
   return true;
 }
@@ -469,8 +473,7 @@ void CacheJournal::flush() {
       failpoint::Action::None) {
     (void)::fsync(fileno(file_));
   } else {
-    ++stats_.io_errors;
-    if (telemetry) server_metrics().persist_io_errors.increment();
+    book_locked(Event::kIoError);
   }
 #endif
   if (telemetry) server_metrics().persist_fsync_us.record(elapsed_us(start));

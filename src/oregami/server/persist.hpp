@@ -68,6 +68,8 @@ struct RecoveryStats {
 };
 
 /// Journal/snapshot health counters (the daemon's shutdown report).
+/// Each count is booked together with its registry series
+/// (oregami_persist_*_total), so the two agree while metrics are on.
 struct PersistStats {
   std::int64_t appended = 0;     ///< records journaled
   std::int64_t compactions = 0;  ///< successful snapshot rewrites
@@ -136,6 +138,11 @@ class CacheJournal {
   [[nodiscard]] const std::string& path() const { return path_; }
 
  private:
+  /// The events the journal counts.
+  enum class Event { kAppend, kCompaction, kIoError };
+  /// Counts one `event` in stats_ and in its registry series: the one
+  /// place a journal event is counted. Caller holds mutex_.
+  void book_locked(Event event);
   bool write_record_locked(const std::string& record);
   bool compact_locked();
   bool compact_locked_impl();

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "oregami/server/telemetry.hpp"
-
 namespace oregami::server {
 
 ResultCache::ResultCache(std::size_t capacity, int shards) {
@@ -36,51 +34,35 @@ const ResultCache::Shard& ResultCache::shard_of(std::uint64_t digest) const {
 std::shared_ptr<const CachedOutcome> ResultCache::lookup(
     std::uint64_t digest) {
   Shard& shard = shard_of(digest);
-  std::shared_ptr<const CachedOutcome> found;
-  {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.map.find(digest);
-    if (it != shard.map.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
-      found = it->second.outcome;
-    }
+  const std::lock_guard<std::mutex> lock(shard.mutex);
+  const auto it = shard.map.find(digest);
+  if (it == shard.map.end()) {
+    return nullptr;
   }
-  if (found != nullptr) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return found;
+  shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
+  return it->second.outcome;
 }
 
-void ResultCache::insert(std::uint64_t digest,
-                         std::shared_ptr<const CachedOutcome> outcome) {
+std::int64_t ResultCache::insert(std::uint64_t digest,
+                                 std::shared_ptr<const CachedOutcome> outcome) {
   Shard& shard = shard_of(digest);
+  const std::lock_guard<std::mutex> lock(shard.mutex);
+  const auto it = shard.map.find(digest);
+  if (it != shard.map.end()) {
+    it->second.outcome = std::move(outcome);
+    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
+    return 0;
+  }
+  shard.lru.push_front(digest);
+  shard.map.emplace(digest, Shard::Slot{std::move(outcome), shard.lru.begin()});
   std::int64_t evicted = 0;
-  {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.map.find(digest);
-    if (it != shard.map.end()) {
-      it->second.outcome = std::move(outcome);
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
-    } else {
-      shard.lru.push_front(digest);
-      shard.map.emplace(digest,
-                        Shard::Slot{std::move(outcome), shard.lru.begin()});
-      while (shard.map.size() > per_shard_capacity_) {
-        const std::uint64_t victim = shard.lru.back();
-        shard.lru.pop_back();
-        shard.map.erase(victim);
-        ++evicted;
-      }
-    }
+  while (shard.map.size() > per_shard_capacity_) {
+    const std::uint64_t victim = shard.lru.back();
+    shard.lru.pop_back();
+    shard.map.erase(victim);
+    ++evicted;
   }
-  if (evicted > 0) {
-    evictions_.fetch_add(evicted, std::memory_order_relaxed);
-    if (metrics::enabled()) {
-      server_metrics().cache_evictions.add(evicted);
-    }
-  }
+  return evicted;
 }
 
 bool ResultCache::contains(std::uint64_t digest) const {
@@ -141,9 +123,6 @@ ResultCache::snapshot_entries() const {
 
 ResultCache::Stats ResultCache::stats() const {
   Stats s;
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.evictions = evictions_.load(std::memory_order_relaxed);
   for (const auto& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard->mutex);
     s.size += static_cast<std::int64_t>(shard->map.size());

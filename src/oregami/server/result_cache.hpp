@@ -13,9 +13,9 @@
 //   * values are shared_ptr<const Outcome>: a hit hands back a
 //     refcount, never a copy, and an entry evicted mid-use stays alive
 //     until its last reader drops it;
-//   * hit/miss/eviction counters are relaxed atomics, exported through
-//     the trace/counter machinery (support/trace.hpp) by the server
-//     loop;
+//   * the cache counts nothing: insert() returns how many entries it
+//     evicted, and the server books hits, misses and evictions
+//     (server.cpp);
 //   * an alias index maps a job's request key (server/digest.hpp) to
 //     its digest, so a job spelled as before skips compiling. Aliases
 //     shard by key hash into the same stripes, are LRU-bounded to at
@@ -23,7 +23,6 @@
 //     key's full bytes. The digest stays the only cache key.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -58,9 +57,6 @@ struct CachedOutcome {
 class ResultCache {
  public:
   struct Stats {
-    std::int64_t hits = 0;
-    std::int64_t misses = 0;
-    std::int64_t evictions = 0;
     std::int64_t size = 0;     ///< current resident entries
     std::int64_t aliases = 0;  ///< current resident aliases
   };
@@ -73,24 +69,24 @@ class ResultCache {
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
-  /// Looks up `digest`, refreshing its LRU position. Counts a hit or a
-  /// miss. nullptr on miss.
+  /// Looks up `digest`, refreshing its LRU position. nullptr on miss.
   [[nodiscard]] std::shared_ptr<const CachedOutcome> lookup(
       std::uint64_t digest);
 
   /// Inserts (or refreshes) `digest`; evicts the shard's LRU tail when
-  /// the shard is over its bound. Re-inserting an existing digest
-  /// replaces the value without counting an eviction.
-  void insert(std::uint64_t digest,
-              std::shared_ptr<const CachedOutcome> outcome);
+  /// the shard is over its bound. Returns the number of entries
+  /// evicted: re-inserting an existing digest replaces the value and
+  /// evicts nothing.
+  std::int64_t insert(std::uint64_t digest,
+                      std::shared_ptr<const CachedOutcome> outcome);
 
-  /// True when `digest` is resident (no LRU refresh, no counter).
+  /// True when `digest` is resident (no LRU refresh).
   [[nodiscard]] bool contains(std::uint64_t digest) const;
 
   /// The digest aliased by request key `key`, refreshing the alias's
-  /// LRU position; nullopt when there is none. Counts nothing: the
-  /// caller's lookup() of the digest stays the job's one lookup, and
-  /// finds nothing when that digest has since been evicted.
+  /// LRU position; nullopt when there is none. The caller's lookup() of
+  /// the digest stays the job's one lookup, and finds nothing when that
+  /// digest has since been evicted.
   [[nodiscard]] std::optional<std::uint64_t> find_alias(std::string_view key);
 
   /// Records (or refreshes) `key` -> `digest`; evicts the stripe's
@@ -140,9 +136,6 @@ class ResultCache {
   /// floor(capacity / shards) >= 1, so aliases never exceed capacity.
   std::size_t per_shard_aliases_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<std::int64_t> hits_{0};
-  std::atomic<std::int64_t> misses_{0};
-  std::atomic<std::int64_t> evictions_{0};
 };
 
 }  // namespace oregami::server

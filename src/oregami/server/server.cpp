@@ -1,6 +1,7 @@
 #include "oregami/server/server.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <condition_variable>
 #include <fstream>
@@ -157,9 +158,25 @@ class StageClock {
   std::chrono::steady_clock::time_point last_;
 };
 
+/// The events one serve() call counts, each booked once by
+/// ServeState::book(). The first six are the outcome partition
+/// (telemetry.hpp).
+enum Event : std::size_t {
+  kSubmitted,  ///< a non-blank input line
+  kHit,        ///< an ok result line served without computing
+  kMiss,       ///< an ok result line that computed its outcome
+  kError,      ///< a parse error or a worker's error line
+  kRejected,   ///< an admission rejection (code 5)
+  kAbandoned,  ///< a watchdog abandonment (code 6)
+  kCacheHit,   ///< a job that found its outcome cached or in flight
+  kCacheMiss,  ///< a job that computed (and cached) its outcome
+  kEviction,   ///< a cache entry evicted by a computed job's insert
+  kDedupJoin,  ///< a job that joined an identical in-flight job
+  kEventCount
+};
+
 /// Shared mutable state of one serve() call. Workers only touch the
-/// thread-safe members; the scalar tallies are owned by the writer
-/// side (updated under `done_mutex`).
+/// thread-safe members.
 struct ServeState {
   explicit ServeState(const ServerOptions& opts)
       : results(256),
@@ -169,12 +186,23 @@ struct ServeState {
                         : nullptr),
         cache(opts.cache != nullptr ? opts.cache : owned_cache.get()) {}
 
+  /// Start of the call, for ServerStats::uptime_ms.
+  const std::chrono::steady_clock::time_point started =
+      std::chrono::steady_clock::now();
   ThreadSafeQueue<std::string> results;
   std::unique_ptr<ResultCache> owned_cache;
   ResultCache* cache;
   /// Telemetry handles (registered once per process; recording is a
   /// no-op while metrics are disabled).
   ServerMetrics& sm = server_metrics();
+  /// This call's count of each event, and the registry series that
+  /// counts it across the process, both in Event order.
+  std::array<std::atomic<std::int64_t>, kEventCount> tally{};
+  const std::array<metrics::Counter*, kEventCount> series{
+      &sm.jobs_submitted, &sm.jobs_hit,       &sm.jobs_miss,
+      &sm.jobs_error,     &sm.jobs_rejected,  &sm.jobs_abandoned,
+      &sm.cache_hits,     &sm.cache_misses,   &sm.cache_evictions,
+      &sm.dedup_joins};
 
   /// Single-flight: digest -> the future of the first (and only)
   /// computation in flight for it. Concurrent identical jobs join the
@@ -182,13 +210,6 @@ struct ServeState {
   /// schedule-independent.
   std::mutex inflight_mutex;
   std::unordered_map<std::uint64_t, std::shared_future<OutcomePtr>> inflight;
-
-  std::atomic<std::int64_t> ok{0};
-  std::atomic<std::int64_t> errors{0};
-  std::atomic<std::int64_t> abandoned{0};
-  std::atomic<std::int64_t> cache_hits{0};
-  std::atomic<std::int64_t> cache_misses{0};
-  std::atomic<std::int64_t> deduped{0};
 
   /// Drain accounting: submitted jobs not yet fully emitted.
   std::mutex done_mutex;
@@ -209,6 +230,38 @@ struct ServeState {
   std::condition_variable watch_cv;
   std::vector<Ticket> watch;
   bool watch_closed = false;
+
+  /// Counts `n` occurrences of `event`: the one place an event is
+  /// counted.
+  void book(Event event, std::int64_t n = 1) {
+    tally[event].fetch_add(n, std::memory_order_relaxed);
+    series[event]->add(n);
+  }
+
+  /// The call's ServerStats, read off the tally. Dedup joins and
+  /// uptime depend on the schedule, so deterministic mode reports 0 for
+  /// both, as the registry does for its Volatile series.
+  ServerStats stats(bool deterministic) const {
+    const auto n = [this](Event event) {
+      return tally[event].load(std::memory_order_relaxed);
+    };
+    ServerStats s;
+    s.lines = n(kSubmitted);
+    s.ok = n(kHit) + n(kMiss);
+    s.errors = n(kError) + n(kRejected) + n(kAbandoned);
+    s.rejected = n(kRejected);
+    s.abandoned = n(kAbandoned);
+    s.cache_hits = n(kCacheHit);
+    s.cache_misses = n(kCacheMiss);
+    s.cache_evictions = n(kEviction);
+    if (!deterministic) {
+      s.deduped = n(kDedupJoin);
+      s.uptime_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                        std::chrono::steady_clock::now() - started)
+                        .count();
+    }
+    return s;
+  }
 
   /// Retires `digest`'s in-flight entry once its promise is settled.
   void end_flight(std::uint64_t digest) {
@@ -261,13 +314,11 @@ void run_watchdog(ServeState& state, const ServerOptions& opts) {
     state.watch.erase(it);
     lock.unlock();
     if (!ticket.claimed->exchange(true)) {
+      state.book(kAbandoned);
+      state.sm.watchdog_fired.increment();
       state.results.push(format_error_result(
           ticket.id, ticket.line, kJobDeadline,
           "job " + ticket.id + ": deadline expired; result abandoned"));
-      state.errors.fetch_add(1, std::memory_order_relaxed);
-      state.abandoned.fetch_add(1, std::memory_order_relaxed);
-      state.sm.watchdog_fired.increment();
-      state.sm.jobs_abandoned.increment();
       if (opts.log != nullptr) {
         opts.log->event(
             EventLog::Level::kWarn,
@@ -381,7 +432,8 @@ void run_job(ServeState& state, const WireJob& job,
         state.end_flight(digest);
         throw;
       }
-      state.cache->insert(digest, outcome);
+      const std::int64_t evicted = state.cache->insert(digest, outcome);
+      if (evicted > 0) state.book(kEviction, evicted);
       if (opts.journal != nullptr) {
         // Best-effort: a failed append degrades persistence, never
         // the job (the outcome lives on in memory).
@@ -394,16 +446,9 @@ void run_job(ServeState& state, const WireJob& job,
       outcome = wait_on.get();  // join the identical in-flight job
       clock.restart();
       hit = true;
-      state.deduped.fetch_add(1, std::memory_order_relaxed);
-      state.sm.dedup_joins.increment();
+      state.book(kDedupJoin);
     }
-    if (hit) {
-      state.cache_hits.fetch_add(1, std::memory_order_relaxed);
-      state.sm.cache_hits.increment();
-    } else {
-      state.cache_misses.fetch_add(1, std::memory_order_relaxed);
-      state.sm.cache_misses.increment();
-    }
+    state.book(hit ? kCacheHit : kCacheMiss);
 
     const double wall_ms =
         opts.deterministic
@@ -432,31 +477,21 @@ void run_job(ServeState& state, const WireJob& job,
   if (claimed != nullptr && claimed->exchange(true)) {
     return;  // the watchdog already emitted this job's code-6 line
   }
-  if (is_ok) {
-    state.ok.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    state.errors.fetch_add(1, std::memory_order_relaxed);
-  }
+  // Outcome partition (telemetry.hpp): booked exactly where the job's
+  // single result line is emitted, so abandoned jobs (claimed above)
+  // never double-book.
+  const Event line_outcome = !is_ok ? kError : (hit ? kHit : kMiss);
+  state.book(line_outcome);
   if (telemetry) {
-    // Outcome partition (telemetry.hpp): tallied exactly where the
-    // job's single result line is emitted, so abandoned jobs (claimed
-    // above) never double-book.
-    const auto write_start = std::chrono::steady_clock::now();
-    if (!is_ok) {
-      state.sm.jobs_error.increment();
-      state.sm.wall_us_error.record(elapsed_us(admitted));
-    } else if (hit) {
-      state.sm.jobs_hit.increment();
-      state.sm.wall_us_hit.record(elapsed_us(admitted));
-    } else {
-      state.sm.jobs_miss.increment();
-      state.sm.wall_us_miss.record(elapsed_us(admitted));
-    }
-    state.results.push(std::move(line));
-    state.sm.write_us.record(elapsed_us(write_start));
-  } else {
-    state.results.push(std::move(line));
+    metrics::Histogram& wall =
+        line_outcome == kError ? state.sm.wall_us_error
+        : line_outcome == kHit ? state.sm.wall_us_hit
+                               : state.sm.wall_us_miss;
+    wall.record(elapsed_us(admitted));
   }
+  StageClock write_clock(telemetry);
+  state.results.push(std::move(line));
+  write_clock.book(state.sm.write_us);
   if (opts.log != nullptr) {
     std::string fields = "\"id\":\"" + json_escape(job.id) +
                          "\",\"line\":" + std::to_string(job.line);
@@ -494,6 +529,8 @@ std::string ServerStats::to_json() const {
   out += ",\"cache_hits\":" + std::to_string(cache_hits);
   out += ",\"cache_misses\":" + std::to_string(cache_misses);
   out += ",\"cache_evictions\":" + std::to_string(cache_evictions);
+  out += ",\"deduped\":" + std::to_string(deduped);
+  out += ",\"uptime_ms\":" + std::to_string(uptime_ms);
   out += "}";
   return out;
 }
@@ -502,9 +539,7 @@ ServerStats serve(std::istream& in, std::ostream& out,
                   const ServerOptions& options,
                   const std::atomic<bool>* stop) {
   const trace::Span span("server/serve");
-  ServerStats stats;
   ServeState state(options);
-  const ResultCache::Stats cache_before = state.cache->stats();
 
   // The writer is the only thread that touches `out`: workers push
   // finished lines into the bounded queue and the writer emits them in
@@ -532,8 +567,7 @@ ServerStats serve(std::istream& in, std::ostream& out,
       if (raw.find_first_not_of(" \t\r") == std::string::npos) {
         continue;
       }
-      ++stats.lines;
-      state.sm.jobs_submitted.increment();
+      state.book(kSubmitted);
 
       StageClock parse_clock(metrics::enabled());
       WireJob job;
@@ -541,10 +575,9 @@ ServerStats serve(std::istream& in, std::ostream& out,
         job = parse_job(raw, line_number);
         parse_clock.book(state.sm.parse_us);
       } catch (const WireError& e) {
+        state.book(kError);
         state.results.push(
             format_error_result("", line_number, e.code(), e.what()));
-        ++stats.errors;
-        state.sm.jobs_error.increment();
         if (options.log != nullptr) {
           options.log->event(EventLog::Level::kInfo,
                              static_cast<std::int64_t>(line_number),
@@ -570,15 +603,13 @@ ServerStats serve(std::istream& in, std::ostream& out,
         // (~5 ms of drain headroom per pending job), so a replayed
         // stream rejects with identical hints.
         const std::int64_t retry_after_ms = 5 * (depth > 0 ? depth : 1);
+        state.book(kRejected);
         state.results.push(format_error_result(
             job.id, job.line, kJobRejected,
             "job " + job.id + ": rejected: queue full (" +
                 std::to_string(depth) + " jobs pending, capacity " +
                 std::to_string(capacity) + ")",
             retry_after_ms));
-        ++stats.rejected;
-        ++stats.errors;
-        state.sm.jobs_rejected.increment();
         if (options.log != nullptr) {
           options.log->event(EventLog::Level::kInfo,
                              static_cast<std::int64_t>(job.line),
@@ -639,17 +670,7 @@ ServerStats serve(std::istream& in, std::ostream& out,
   state.results.close();
   writer.join();
 
-  stats.ok = state.ok.load();
-  stats.errors += state.errors.load();
-  stats.abandoned = state.abandoned.load();
-  stats.cache_hits = state.cache_hits.load();
-  stats.cache_misses = state.cache_misses.load();
-  stats.deduped = state.deduped.load();
-  const ResultCache::Stats cache_after = state.cache->stats();
-  stats.cache_evictions = cache_after.evictions - cache_before.evictions;
-  trace::counter("server/cache_hits", stats.cache_hits);
-  trace::counter("server/cache_misses", stats.cache_misses);
-  trace::counter("server/cache_evictions", stats.cache_evictions);
+  const ServerStats stats = state.stats(options.deterministic);
   if (options.log != nullptr && stats.cache_evictions > 0) {
     options.log->event(EventLog::Level::kWarn, EventLog::kServerStop,
                        "cache_evictions",

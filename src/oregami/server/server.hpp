@@ -24,7 +24,10 @@
 //     computed outcome is still cached);
 //   * shutdown: EOF (or the stop flag, wired to SIGINT/SIGTERM by
 //     oregami_serve) stops admission, drains every submitted job,
-//     flushes the writer, and returns the final stats.
+//     flushes the writer, and returns the final stats;
+//   * every event the call counts is booked once, into the returned
+//     ServerStats and, while metrics are enabled, into its registry
+//     series (telemetry.hpp).
 #pragma once
 
 #include <atomic>
@@ -49,8 +52,9 @@ struct ServerOptions {
   /// Applied to jobs that do not carry their own "deadline_ms".
   /// 0 = none; negative = already expired (deterministic, for tests).
   std::int64_t default_deadline_ms = 0;
-  /// Print wall_ms as 0.000 so the full result stream is byte-stable
-  /// (used by the determinism tests and CI diffs).
+  /// Print wall_ms as 0.000, and report ServerStats::deduped and
+  /// uptime_ms as 0, so the full result stream and the stats line are
+  /// byte-stable (used by the determinism tests and CI diffs).
   bool deterministic = false;
   /// External cache to use instead of a private one (not owned; must
   /// outlive the call). Lets a caller keep the cache warm across
@@ -87,12 +91,15 @@ struct ServerStats {
   /// Subset of cache_hits: jobs that joined an identical in-flight
   /// computation instead of hitting the resident cache. The total is
   /// schedule-dependent (more workers, more overlap), so the metrics
-  /// registry marks its series Volatile.
+  /// registry marks its series Volatile and deterministic mode
+  /// reports 0.
   std::int64_t deduped = 0;
+  /// Wall time of the serve() call; 0 in deterministic mode.
+  std::int64_t uptime_ms = 0;
 
-  /// One-line JSON rendering (the daemon's exit summary on stderr).
-  /// Field set is frozen (scripts grep it); the extended `stats{...}`
-  /// line lives in telemetry.hpp.
+  /// One-line JSON rendering of every field, in declaration order (the
+  /// daemon's exit summary on stderr). Field set is frozen: scripts
+  /// grep it and tools/check_server.py --stats validates it.
   [[nodiscard]] std::string to_json() const;
 };
 

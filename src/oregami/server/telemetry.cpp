@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <utility>
 
-#include "oregami/server/server.hpp"
-
 namespace oregami::server {
 
 ServerMetrics& server_metrics() {
@@ -157,22 +155,6 @@ void EventLog::close() {
   std::fflush(file_);
   std::fclose(file_);
   file_ = nullptr;
-}
-
-std::string render_stats_line(const ServerStats& stats,
-                              std::int64_t uptime_ms) {
-  std::string out = "stats{\"lines\":" + std::to_string(stats.lines);
-  out += ",\"ok\":" + std::to_string(stats.ok);
-  out += ",\"errors\":" + std::to_string(stats.errors);
-  out += ",\"rejected\":" + std::to_string(stats.rejected);
-  out += ",\"abandoned\":" + std::to_string(stats.abandoned);
-  out += ",\"cache_hits\":" + std::to_string(stats.cache_hits);
-  out += ",\"cache_misses\":" + std::to_string(stats.cache_misses);
-  out += ",\"cache_evictions\":" + std::to_string(stats.cache_evictions);
-  out += ",\"deduped\":" + std::to_string(stats.deduped);
-  out += ",\"uptime_ms\":" + std::to_string(uptime_ms);
-  out += "}";
-  return out;
 }
 
 }  // namespace oregami::server

@@ -1,7 +1,7 @@
 #pragma once
 // Server-side telemetry: the named metric handles every server layer
-// records into (support/metrics.hpp registry), the structured NDJSON
-// event log, and the machine-readable `stats{...}` shutdown line.
+// records into (support/metrics.hpp registry) and the structured NDJSON
+// event log.
 //
 // All server series are registered once, eagerly, by server_metrics().
 // Handles are plain references into the process-wide registry, so a
@@ -17,6 +17,11 @@
 // (worker emission, watchdog claim, admission rejection, parse error),
 // NOT at cache-lookup time -- a watchdog-abandoned job still touches
 // the cache counters but contributes only `abandoned` to the identity.
+//
+// Each counted event has one booking site, which adds to its owner's
+// own tally and to the series here: serve()'s per-call tally
+// (ServerStats) for job and cache events, CacheJournal's PersistStats
+// for journal events.
 
 #include <chrono>
 #include <cstdint>
@@ -31,8 +36,6 @@
 
 namespace oregami::server {
 
-struct ServerStats;
-
 struct ServerMetrics {
   // Outcome partition (see header comment).
   metrics::Counter& jobs_submitted;
@@ -41,7 +44,7 @@ struct ServerMetrics {
   metrics::Counter& jobs_error;
   metrics::Counter& jobs_rejected;
   metrics::Counter& jobs_abandoned;
-  // Cache traffic, counted at lookup time (matches ServerStats).
+  // Cache traffic, booked with the matching ServerStats field.
   metrics::Counter& cache_hits;
   metrics::Counter& cache_misses;
   metrics::Counter& cache_evictions;
@@ -49,7 +52,9 @@ struct ServerMetrics {
   metrics::Counter& dedup_joins;
   metrics::Counter& watchdog_fired;
   metrics::Counter& failpoint_fired;
-  // Persistence (persist.cpp).
+  // Persistence (persist.cpp): appends, compactions and I/O errors are
+  // booked with the matching PersistStats field; the recovery counts
+  // copy the RecoveryStats of open_and_recover().
   metrics::Counter& persist_appends;
   metrics::Counter& persist_compactions;
   metrics::Counter& persist_io_errors;
@@ -149,12 +154,5 @@ class EventLog {
   std::mutex mutex_;
   std::vector<Buffered> buffer_;
 };
-
-/// The machine-readable shutdown line: `stats{...}` with every
-/// ServerStats field plus `deduped` and `uptime_ms` (0 when
-/// deterministic). Kept behind `oregami_serve --stats-json`; the
-/// default remains ServerStats::to_json().
-[[nodiscard]] std::string render_stats_line(const ServerStats& stats,
-                                            std::int64_t uptime_ms);
 
 }  // namespace oregami::server

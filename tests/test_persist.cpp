@@ -15,7 +15,9 @@
 
 #include "oregami/server/persist.hpp"
 #include "oregami/server/result_cache.hpp"
+#include "oregami/server/telemetry.hpp"
 #include "oregami/support/failpoint.hpp"
+#include "oregami/support/metrics.hpp"
 #include "oregami/support/rng.hpp"
 
 namespace oregami::server {
@@ -361,6 +363,11 @@ TEST(Persist, KillDuringSnapshotLeavesThePreviousFileIntact) {
   FailpointGuard guard;
   const std::string path = temp_path("persist_kill_snapshot.bin");
   std::remove(path.c_str());
+  // With metrics on, every journal event must reach its registry
+  // series, the public compact() path included.
+  ServerMetrics& sm = server_metrics();
+  metrics::reset_values();
+  metrics::enable();
   ResultCache cache(64, 4);
   CacheJournal journal(path, cache);
   (void)journal.open_and_recover();
@@ -386,8 +393,13 @@ TEST(Persist, KillDuringSnapshotLeavesThePreviousFileIntact) {
   EXPECT_FALSE(journal.compact());
   failpoint::clear();
 
-  EXPECT_GE(journal.stats().io_errors, 3);
-  EXPECT_FALSE(journal.stats().degraded);  // appends still work
+  metrics::disable();
+  const PersistStats persisted = journal.stats();
+  EXPECT_GE(persisted.io_errors, 3);
+  EXPECT_FALSE(persisted.degraded);  // appends still work
+  EXPECT_EQ(sm.persist_io_errors.value(), persisted.io_errors);
+  EXPECT_EQ(sm.persist_appends.value(), persisted.appended);
+  EXPECT_EQ(sm.persist_compactions.value(), persisted.compactions);
 
   ResultCache recovered(64, 4);
   const RecoveryStats stats = recover_cache_file(path, recovered);

@@ -153,18 +153,14 @@ TEST(ResultCache, MissThenHit) {
   const auto hit = cache.lookup(42);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->completion, 7);
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.hits, 1);
-  EXPECT_EQ(stats.misses, 1);
-  EXPECT_EQ(stats.size, 1);
+  EXPECT_EQ(cache.stats().size, 1);
 }
 
 TEST(ResultCache, ReinsertReplacesWithoutEviction) {
   ResultCache cache(8, 1);
-  cache.insert(1, outcome_with(10));
-  cache.insert(1, outcome_with(20));
+  EXPECT_EQ(cache.insert(1, outcome_with(10)), 0);
+  EXPECT_EQ(cache.insert(1, outcome_with(20)), 0);
   EXPECT_EQ(cache.lookup(1)->completion, 20);
-  EXPECT_EQ(cache.stats().evictions, 0);
   EXPECT_EQ(cache.stats().size, 1);
 }
 
@@ -175,12 +171,11 @@ TEST(ResultCache, EvictsLeastRecentlyUsedFirst) {
   cache.insert(2, outcome_with(2));
   cache.insert(3, outcome_with(3));
   ASSERT_NE(cache.lookup(1), nullptr);  // refresh 1; LRU tail is now 2
-  cache.insert(4, outcome_with(4));
+  EXPECT_EQ(cache.insert(4, outcome_with(4)), 1);
   EXPECT_FALSE(cache.contains(2));
   EXPECT_TRUE(cache.contains(1));
   EXPECT_TRUE(cache.contains(3));
   EXPECT_TRUE(cache.contains(4));
-  EXPECT_EQ(cache.stats().evictions, 1);
 }
 
 TEST(ResultCache, BoundHoldsUnderChurn) {
@@ -191,12 +186,15 @@ TEST(ResultCache, BoundHoldsUnderChurn) {
       static_cast<std::size_t>(cache.num_shards()) *
       ((cache.capacity() + cache.num_shards() - 1) /
        static_cast<std::size_t>(cache.num_shards()));
+  std::int64_t evicted = 0;
   for (std::uint64_t i = 0; i < 500; ++i) {
-    // Spread across shards: shard index comes from the top bits.
-    cache.insert(i * 0x9e3779b97f4a7c15ULL, outcome_with(1));
+    // Spread across shards: shard index comes from the top bits. The
+    // odd multiplier keeps the 500 digests distinct.
+    evicted += cache.insert(i * 0x9e3779b97f4a7c15ULL, outcome_with(1));
     EXPECT_LE(static_cast<std::size_t>(cache.stats().size), slack_bound);
   }
-  EXPECT_GT(cache.stats().evictions, 0);
+  // Every digest is resident or was evicted exactly once.
+  EXPECT_EQ(evicted + cache.stats().size, 500);
 }
 
 TEST(ResultCache, EvictedEntryStaysAliveForExistingReaders) {
@@ -219,15 +217,16 @@ TEST(ResultCache, ShardCountClampedToCapacity) {
 TEST(ResultCache, ConcurrentHammerIsRaceFreeAndConsistent) {
   // TSan-checked in CI: 8 threads mixing hits, misses, inserts and
   // evictions on a small cache. The assertions are deliberately weak
-  // (totals add up, bound holds) -- the real check is no data race.
+  // (evictions add up, bound holds) -- the real check is no data race.
   ResultCache cache(32, 4);
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 2000;
   std::atomic<int> ready{0};
+  std::atomic<std::int64_t> evicted{0};
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&cache, &ready, t] {
+    threads.emplace_back([&cache, &ready, &evicted, t] {
       ready.fetch_add(1);
       while (ready.load() < kThreads) {
       }
@@ -236,15 +235,16 @@ TEST(ResultCache, ConcurrentHammerIsRaceFreeAndConsistent) {
             static_cast<std::uint64_t>((t * kOpsPerThread + i) % 64) *
             0x9e3779b97f4a7c15ULL;
         if (cache.lookup(digest) == nullptr) {
-          cache.insert(digest, outcome_with(i));
+          evicted.fetch_add(cache.insert(digest, outcome_with(i)));
         }
       }
     });
   }
   for (auto& th : threads) th.join();
   const auto stats = cache.stats();
-  EXPECT_EQ(stats.hits + stats.misses, kThreads * kOpsPerThread);
   EXPECT_LE(stats.size, 32 + 4);  // capacity + one-per-shard slack
+  // All 64 digests were inserted; each one not resident was evicted.
+  EXPECT_GE(evicted.load() + stats.size, 64);
 }
 
 // ---------------------------------------------------------- aliases
@@ -280,7 +280,7 @@ TEST(ResultCache, AliasesEvictLeastRecentlyUsedAndCountNothing) {
   EXPECT_EQ(cache.find_alias(std::string("c\0", 2)), std::nullopt);
   const auto stats = cache.stats();
   EXPECT_EQ(stats.aliases, 2);
-  EXPECT_EQ(stats.hits + stats.misses, 0);
+  EXPECT_EQ(stats.size, 0);  // an alias is not an entry
 }
 
 TEST(ResultCache, AliasesNeverExceedCapacity) {
@@ -304,10 +304,11 @@ TEST(ResultCache, AliasHammerIsRaceFreeUnderEviction) {
   constexpr int kOpsPerThread = 2000;
   std::atomic<int> ready{0};
   std::atomic<int> wrong{0};
+  std::atomic<std::int64_t> evicted{0};
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&cache, &ready, &wrong, t] {
+    threads.emplace_back([&cache, &ready, &wrong, &evicted, t] {
       ready.fetch_add(1);
       while (ready.load() < kThreads) {
       }
@@ -320,7 +321,7 @@ TEST(ResultCache, AliasHammerIsRaceFreeUnderEviction) {
           wrong.fetch_add(1);
         }
         if (cache.lookup(digest) == nullptr) {
-          cache.insert(digest, outcome_with(i));
+          evicted.fetch_add(cache.insert(digest, outcome_with(i)));
         }
         if (!aliased.has_value()) {
           cache.insert_alias(key, digest);
@@ -331,9 +332,9 @@ TEST(ResultCache, AliasHammerIsRaceFreeUnderEviction) {
   for (auto& th : threads) th.join();
   EXPECT_EQ(wrong.load(), 0);
   const auto stats = cache.stats();
-  EXPECT_EQ(stats.hits + stats.misses, kThreads * kOpsPerThread);
   EXPECT_LE(stats.aliases, 4);
   EXPECT_LE(stats.size, 4 + 2);  // capacity + one-per-shard slack
+  EXPECT_GE(evicted.load() + stats.size, 16);  // 16 digests inserted
 }
 
 // ---------------------------------------------------- ThreadSafeQueue

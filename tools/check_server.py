@@ -12,10 +12,9 @@ across runs and --jobs values: lines sorted by id, the volatile
 one schedule-dependent bit; the totals are deterministic), and the
 depth-derived "retry_after_ms" hint stripped.
 
-Also validates the shutdown stats line (--stats FILE) in both wire
-formats: the default bare ServerStats::to_json() object and the
-extended "stats{...}"-prefixed line emitted under --stats-json (which
-additionally carries "deduped" and "uptime_ms").
+Also validates the shutdown stats line (--stats FILE): the
+ServerStats::to_json() object with its ten non-negative integer fields,
+whose ok and errors add up to lines.
 
 Usage:
     check_server.py RESULTS.txt              # validate, exit 0/1
@@ -26,7 +25,6 @@ Usage:
                                  # schedule deliberately perturbed)
     check_server.py RESULTS.txt --stats STATS.json
                                  # also validate the shutdown stats line
-                                 # (either format, auto-detected)
 """
 
 import argparse
@@ -42,13 +40,11 @@ OK_FIELDS = {
 ERROR_FIELDS = {"id", "line", "status", "error", "code"}
 # Optional on code-5 rejections only: the admission backoff hint.
 ERROR_OPTIONAL_FIELDS = {"retry_after_ms"}
-# The shutdown stats line: the bare to_json() field set, and the two
-# extra fields the extended `stats{...}` format appends.
+# The shutdown stats line: ServerStats::to_json()'s field set.
 STATS_FIELDS = {
     "lines", "ok", "errors", "rejected", "abandoned",
-    "cache_hits", "cache_misses", "cache_evictions",
+    "cache_hits", "cache_misses", "cache_evictions", "deduped", "uptime_ms",
 }
-STATS_EXTENDED_FIELDS = STATS_FIELDS | {"deduped", "uptime_ms"}
 
 
 def check_line(obj, index, errors):
@@ -110,31 +106,23 @@ def check_line(obj, index, errors):
 
 
 def check_stats(path, errors):
-    """Validates the shutdown stats line, auto-detecting the format.
+    """Validates the shutdown stats line.
 
-    Accepts both the bare ServerStats::to_json() object and the
-    extended "stats{...}"-prefixed line from --stats-json. The file may
-    carry other stderr noise (recovery banners, failpoint reports); the
-    stats line is the first line that parses as one of the two shapes.
+    The file may carry other stderr noise (recovery banners, failpoint
+    reports); the stats line is the first JSON object line with exactly
+    the stats field set.
     """
     def fail(message):
         errors.append(f"{path}: {message}")
 
-    candidates = []
     with open(path, encoding="utf-8") as handle:
-        for raw in handle:
-            line = raw.strip()
-            if line.startswith("stats{"):
-                candidates.append((line[len("stats"):], True))
-            elif line.startswith("{"):
-                candidates.append((line, False))
-    for text, extended in candidates:
+        candidates = [raw.strip() for raw in handle if raw.startswith("{")]
+    for text in candidates:
         try:
             obj = json.loads(text)
         except json.JSONDecodeError:
             continue
-        expected = STATS_EXTENDED_FIELDS if extended else STATS_FIELDS
-        if obj.keys() != expected:
+        if not isinstance(obj, dict) or obj.keys() != STATS_FIELDS:
             continue
         bad = {
             key: value for key, value in obj.items()
@@ -143,10 +131,7 @@ def check_stats(path, errors):
         if bad:
             fail(f"stats fields must be non-negative ints: {bad}")
             return
-        booked = (
-            obj["ok"] + obj["errors"]
-        )
-        if booked != obj["lines"]:
+        if obj["ok"] + obj["errors"] != obj["lines"]:
             fail(
                 f"stats identity broken: ok {obj['ok']} + errors "
                 f"{obj['errors']} != lines {obj['lines']}"
@@ -155,7 +140,7 @@ def check_stats(path, errors):
             if obj[subset] > obj["errors"]:
                 fail(f"stats: {subset} {obj[subset]} exceeds errors")
         return
-    fail("no stats line found in either format")
+    fail(f"no stats line with fields {sorted(STATS_FIELDS)}")
 
 
 def normalised(results, exclude_ids=()):
@@ -194,8 +179,7 @@ def main():
     )
     parser.add_argument(
         "--stats", metavar="FILE",
-        help="also validate the shutdown stats line in FILE "
-             "(bare to_json() or stats{...} format, auto-detected)",
+        help="also validate the shutdown stats line in FILE",
     )
     args = parser.parse_args()
 

@@ -5,14 +5,14 @@
 //                 [--cache-file PATH] [--failpoints SCHED]
 //                 [--trace FILE] [--trace-summary]
 //                 [--metrics-file PATH] [--metrics-interval SEC]
-//                 [--log FILE] [--log-level LVL] [--stats-json]
+//                 [--log FILE] [--log-level LVL]
 //
 // Reads newline-delimited JSON jobs from stdin (protocol in
 // src/oregami/server/wire.hpp), emits one JSON result line per job on
 // stdout in completion order, and prints a one-line JSON stats summary
-// on stderr at shutdown. Bad jobs produce structured error lines, not
-// process exits; the daemon drains every admitted job on EOF, SIGINT
-// or SIGTERM before exiting.
+// (ServerStats::to_json) on stderr at shutdown. Bad jobs produce
+// structured error lines, not process exits; the daemon drains every
+// admitted job on EOF, SIGINT or SIGTERM before exiting.
 //
 // --cache-file makes the result cache crash-safe (server/persist.hpp):
 // boot recovers every valid record of PATH into the cache (a warm
@@ -111,8 +111,6 @@ int usage() {
       << "  --log FILE          structured NDJSON event log\n"
       << "  --log-level LVL     debug|info|warn (default info; needs "
          "--log)\n"
-      << "  --stats-json        print the extended stats{...} shutdown "
-         "line\n"
       << "exit codes: 0 clean drain, 1 internal error, 2 usage\n";
   return 2;
 }
@@ -131,7 +129,6 @@ int main(int argc, char** argv) {
     auto log_level = oregami::server::EventLog::Level::kInfo;
     bool log_level_set = false;
     bool trace_summary = false;
-    bool stats_json = false;
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       auto next_int = [&](long long lo, long long hi,
@@ -225,8 +222,6 @@ int main(int argc, char** argv) {
         }
         log_level = *lvl;
         log_level_set = true;
-      } else if (arg == "--stats-json") {
-        stats_json = true;
       } else {
         std::cerr << "unknown option '" << arg << "'\n";
         return usage();
@@ -270,9 +265,9 @@ int main(int argc, char** argv) {
     // one place: serve() borrows both.
     oregami::server::ResultCache cache(options.cache_capacity,
                                        options.cache_shards);
+    options.cache = &cache;
     std::optional<oregami::server::CacheJournal> journal;
     if (cache_file) {
-      options.cache = &cache;
       journal.emplace(*cache_file, cache);
       const auto recovery = journal->open_and_recover();
       std::cerr << "cache-file " << *cache_file << ": "
@@ -338,15 +333,8 @@ int main(int argc, char** argv) {
       });
     }
 
-    const auto serve_start = std::chrono::steady_clock::now();
     const oregami::server::ServerStats stats =
         oregami::server::serve(std::cin, std::cout, options, &g_stop);
-    const std::int64_t uptime_ms =
-        options.deterministic
-            ? 0
-            : std::chrono::duration_cast<std::chrono::milliseconds>(
-                  std::chrono::steady_clock::now() - serve_start)
-                  .count();
     if (metrics_thread.joinable()) {
       metrics_thread_stop.store(true, std::memory_order_relaxed);
       metrics_thread.join();
@@ -394,10 +382,7 @@ int main(int argc, char** argv) {
       std::cerr << "warning: cannot write metrics to '" << *metrics_file
                 << "'\n";
     }
-    std::cerr << (stats_json
-                      ? oregami::server::render_stats_line(stats, uptime_ms)
-                      : stats.to_json())
-              << "\n";
+    std::cerr << stats.to_json() << "\n";
 
     if (trace_file || trace_summary) {
       oregami::trace::disable();
