@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "oregami/arch/routes.hpp"
+#include "oregami/metrics/incremental.hpp"
 #include "oregami/metrics/metrics.hpp"
+#include "oregami/sim/network_sim.hpp"
 
 namespace oregami {
 namespace {
@@ -73,6 +75,83 @@ TEST(CompletionModel, IdleFallbackSumsEverythingOnce) {
   f.graph.set_phase_expr(PhaseTree::idle());
   EXPECT_EQ(completion_time(f.graph, f.procs, f.routing, f.topo, {}),
             40 + 4);
+}
+
+/// Every scorer composes per-phase costs through the phase expression
+/// the same way. Comm phase "a" and exec phase "w" each appear twice,
+/// in a Seq and in a Par under a Repeat; comm phase "b" and exec phase
+/// "x" are left out (multiplicity 0). Every route is one uncontended
+/// hop, so the simulator's makespans equal the analytic phase costs.
+TEST(CompletionModel, EveryScorerComposesPhasesAlike) {
+  TaskGraph graph;
+  for (int i = 0; i < 4; ++i) {
+    graph.add_task("t" + std::to_string(i));
+  }
+  const int a = graph.add_comm_phase("a");
+  const int b = graph.add_comm_phase("b");
+  for (int i = 0; i < 4; ++i) {
+    graph.add_comm_edge(a, i, (i + 1) % 4, 3);
+    graph.add_comm_edge(b, (i + 1) % 4, i, 1);
+  }
+  const int w = graph.add_exec_phase("w", {1, 2, 3, 4});
+  graph.add_exec_phase("x", {5, 6, 7, 8});
+  graph.set_phase_expr(PhaseTree::repeat(
+      PhaseTree::seq({PhaseTree::comm(a), PhaseTree::exec(w),
+                      PhaseTree::par({PhaseTree::comm(a),
+                                      PhaseTree::exec(w)})}),
+      3));
+
+  const Topology topo = Topology::ring(4);
+  const std::vector<int> procs{0, 1, 2, 3};
+  std::vector<PhaseRouting> routing(2);
+  for (std::size_t k = 0; k < 2; ++k) {
+    for (const auto& e : graph.comm_phases()[k].edges) {
+      routing[k].route_of_edge.push_back(
+          greedy_shortest_route(topo, e.src, e.dst));
+    }
+  }
+  CostModel model;
+  model.hop_latency = 5;
+  model.per_unit_cost = 2;
+  SimConfig sim;
+  sim.hop_latency = 5;
+  sim.cycles_per_unit = 2;
+  const FaultedTopology healthy(topo, FaultSpec{});
+
+  // Phase costs: a = 3*2 + 5 = 11, b = 1*2 + 5 = 7, w = 4, x = 8.
+  const auto expect_every_scorer = [&](std::int64_t expected) {
+    EXPECT_EQ(completion_time(graph, procs, routing, topo, model),
+              expected);
+    EXPECT_EQ(compute_metrics(graph, procs, routing, topo, model).completion,
+              expected);
+    EXPECT_EQ(
+        IncrementalCompletion(graph, topo, procs, routing, model).completion(),
+        expected);
+    EXPECT_EQ(simulate(graph, procs, routing, topo, sim).total_cycles,
+              expected);
+    EXPECT_EQ(degraded_completion_time(graph, procs, routing, healthy, model),
+              expected);
+  };
+  // (a; w; (a || w))^3 = 3 * (11 + 4 + max(11, 4)).
+  expect_every_scorer(78);
+
+  // Slow the link under a's first message by 3: a = 3*3*2 + 5 = 23.
+  const int link = routing[0].route_of_edge[0].links.front();
+  const FaultedTopology slowed(
+      topo, FaultSpec::parse("s" + std::to_string(link) + ":3", topo));
+  std::vector<std::int64_t> factors;
+  for (int l = 0; l < topo.num_links(); ++l) {
+    factors.push_back(slowed.link_slowdown(l));
+  }
+  EXPECT_EQ(degraded_completion_time(graph, procs, routing, slowed, model),
+            3 * (23 + 4 + 23));
+  EXPECT_EQ(IncrementalCompletion(graph, topo, procs, routing, model, factors)
+                .completion(),
+            3 * (23 + 4 + 23));
+
+  // An Idle expression runs every phase once, the unused ones included.
+  graph.set_phase_expr(PhaseTree::idle());
+  expect_every_scorer(11 + 7 + 4 + 8);
 }
 
 TEST(Metrics, LoadSide) {
