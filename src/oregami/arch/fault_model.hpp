@@ -127,6 +127,11 @@ class FaultedTopology {
   [[nodiscard]] std::int64_t link_slowdown(int base_link) const {
     return slowdown_[static_cast<std::size_t>(base_link)];
   }
+  /// link_slowdown() of every base link (index = base link id; a dead
+  /// link reads 1), ready to pass as a `link_factor`.
+  [[nodiscard]] const std::vector<std::int64_t>& link_slowdowns() const {
+    return slowdown_;
+  }
 
   [[nodiscard]] int num_alive_procs() const { return num_alive_procs_; }
   [[nodiscard]] int num_alive_links() const {

@@ -234,6 +234,22 @@ std::vector<long> TaskGraph::exec_phase_multiplicity() const {
   return exec;
 }
 
+std::vector<std::int64_t> TaskGraph::exec_weights() const {
+  std::vector<std::int64_t> weight(static_cast<std::size_t>(num_tasks()),
+                                   0);
+  const std::vector<long> mult = exec_phase_multiplicity();
+  for (std::size_t k = 0; k < exec_phases_.size(); ++k) {
+    const auto& cost = exec_phases_[k].cost;
+    if (mult[k] == 0 || cost.empty()) {
+      continue;
+    }
+    for (std::size_t t = 0; t < weight.size(); ++t) {
+      weight[t] += mult[k] * cost[t];
+    }
+  }
+  return weight;
+}
+
 namespace {
 
 void validate_phase_tree(const PhaseTree& node, int num_comm,

@@ -125,6 +125,10 @@ class TaskGraph {
   [[nodiscard]] std::vector<long> comm_phase_multiplicity() const;
   [[nodiscard]] std::vector<long> exec_phase_multiplicity() const;
 
+  /// Multiplicity-weighted execution cost of each task:
+  /// w(t) = sum_k exec_phase_multiplicity()[k] * cost_k[t].
+  [[nodiscard]] std::vector<std::int64_t> exec_weights() const;
+
   /// Structural checks (edge endpoints in range, cost vector sizes,
   /// phase indices in the expression valid); throws MappingError.
   void validate() const;

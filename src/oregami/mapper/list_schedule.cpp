@@ -60,26 +60,6 @@ CommVolumes weighted_volumes(const TaskGraph& graph) {
   return vols;
 }
 
-/// Mult-weighted execution weight per task: w(t) = sum_k mult_k *
-/// cost_k[t].
-std::vector<std::int64_t> exec_weights(const TaskGraph& graph) {
-  const int n = graph.num_tasks();
-  std::vector<std::int64_t> w(static_cast<std::size_t>(n), 0);
-  const std::vector<long> mult = graph.exec_phase_multiplicity();
-  const auto& phases = graph.exec_phases();
-  for (std::size_t k = 0; k < phases.size(); ++k) {
-    const std::int64_t m = k < mult.size() ? mult[k] : 1;
-    if (m <= 0 || phases[k].cost.empty()) {
-      continue;
-    }
-    for (int t = 0; t < n; ++t) {
-      w[static_cast<std::size_t>(t)] +=
-          m * phases[k].cost[static_cast<std::size_t>(t)];
-    }
-  }
-  return w;
-}
-
 /// Iterative Kosaraju. Returns the SCC id of every task; ids are
 /// assigned so that every cross-SCC edge u -> v has comp[u] < comp[v]
 /// (the condensation is emitted in topological order), which is what
@@ -148,10 +128,10 @@ std::vector<std::int64_t> heft_upward_ranks(const TaskGraph& graph,
     return rank;
   }
   const CommVolumes vols = weighted_volumes(graph);
-  const std::vector<std::int64_t> w = exec_weights(graph);
+  const std::vector<std::int64_t> w = graph.exec_weights();
   // Ranking charges one nominal hop per message (machine-independent).
   const auto comm_cost = [&model](std::int64_t vol) {
-    return vol * model.per_unit_cost + model.hop_latency;
+    return model.comm_time(vol, 1);
   };
 
   int num_comps = 0;
@@ -223,7 +203,7 @@ ListScheduleResult list_schedule(const TaskGraph& graph, const Topology& topo,
     return result;
   }
 
-  const std::vector<std::int64_t> w = exec_weights(graph);
+  const std::vector<std::int64_t> w = graph.exec_weights();
 
   // Placement order: descending rank, ties descending exec weight,
   // then ascending id -- fully deterministic.
@@ -306,8 +286,7 @@ ListScheduleResult list_schedule(const TaskGraph& graph, const Topology& topo,
               est = kInfeasible;
               break;
             }
-            comm = vol * options.model.per_unit_cost +
-                   options.model.hop_latency * hops;
+            comm = options.model.comm_time(vol, hops);
           }
           est = std::max(est,
                          result.finish[static_cast<std::size_t>(u)] + comm);

@@ -283,26 +283,14 @@ PortfolioReport run_portfolio(const TaskGraph& graph, const Topology& topo,
     if (!candidate.ok) {
       continue;
     }
-    const auto procs = candidate.mapping.proc_of_task();
-    const PlacementObjectives objectives = extract_objectives(
-        graph, procs, candidate.mapping.routing, topo, options.model);
+    PlacementObjectives objectives = extract_objectives(
+        graph, candidate.mapping.proc_of_task(), candidate.mapping.routing,
+        topo, options.model);
     candidate.completion = objectives.completion;
     candidate.external_ipc = objectives.external_ipc;
     candidate.max_load = objectives.max_load;
-    // Per-phase decomposition of the modelled score (what --explain
-    // prints; the sum re-composed through the phase expression is the
-    // completion above).
-    candidate.comm_cost.reserve(graph.comm_phases().size());
-    for (std::size_t k = 0; k < graph.comm_phases().size(); ++k) {
-      candidate.comm_cost.push_back(comm_phase_time(
-          graph, static_cast<int>(k),
-          candidate.mapping.routing[k], topo, options.model));
-    }
-    candidate.exec_cost.reserve(graph.exec_phases().size());
-    for (std::size_t k = 0; k < graph.exec_phases().size(); ++k) {
-      candidate.exec_cost.push_back(exec_phase_time(
-          graph, static_cast<int>(k), procs, topo.num_procs()));
-    }
+    candidate.comm_cost = std::move(objectives.comm_times);
+    candidate.exec_cost = std::move(objectives.exec_times);
     if (trace::enabled()) {
       const std::string prefix = "cand#" + std::to_string(candidate.id);
       trace::counter(prefix + "/completion", candidate.completion);

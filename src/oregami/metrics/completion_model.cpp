@@ -1,6 +1,7 @@
 #include "oregami/metrics/completion_model.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <string>
 
 #include "oregami/support/error.hpp"
@@ -9,11 +10,16 @@ namespace oregami {
 
 std::int64_t comm_phase_time(const TaskGraph& graph, int phase_index,
                              const PhaseRouting& routing,
-                             const Topology& topo, const CostModel& model) {
+                             const Topology& topo, const CostModel& model,
+                             const std::vector<std::int64_t>& link_factor) {
   const auto& phase =
       graph.comm_phases()[static_cast<std::size_t>(phase_index)];
   OREGAMI_ASSERT(routing.route_of_edge.size() == phase.edges.size(),
                  "routing must cover the phase");
+  OREGAMI_ASSERT(link_factor.empty() ||
+                     static_cast<int>(link_factor.size()) ==
+                         topo.num_links(),
+                 "link factors must cover every link");
   // Scratch reused across calls (per thread): refinement sweeps and
   // portfolio scoring call this in a tight loop, and the per-call
   // vector allocation dominated the profile.
@@ -23,8 +29,9 @@ std::int64_t comm_phase_time(const TaskGraph& graph, int phase_index,
   for (std::size_t i = 0; i < phase.edges.size(); ++i) {
     const auto& route = routing.route_of_edge[i];
     for (const int link : route.links) {
-      volume_on_link[static_cast<std::size_t>(link)] +=
-          phase.edges[i].volume;
+      const auto l = static_cast<std::size_t>(link);
+      volume_on_link[l] +=
+          phase.edges[i].volume * (link_factor.empty() ? 1 : link_factor[l]);
     }
     max_hops = std::max(max_hops, route.hops());
   }
@@ -32,8 +39,7 @@ std::int64_t comm_phase_time(const TaskGraph& graph, int phase_index,
       volume_on_link.empty()
           ? 0
           : *std::max_element(volume_on_link.begin(), volume_on_link.end());
-  return max_volume * model.per_unit_cost +
-         static_cast<std::int64_t>(max_hops) * model.hop_latency;
+  return model.comm_time(max_volume, max_hops);
 }
 
 std::int64_t exec_phase_time(const TaskGraph& graph, int phase_index,
@@ -52,66 +58,83 @@ std::int64_t exec_phase_time(const TaskGraph& graph, int phase_index,
 
 namespace {
 
-std::int64_t walk(const PhaseTree& node, const TaskGraph& graph,
-                  const std::vector<int>& proc_of_task,
-                  const std::vector<PhaseRouting>& routing,
-                  const Topology& topo, const CostModel& model) {
+std::int64_t compose(const PhaseTree& node,
+                     const std::vector<std::int64_t>& comm_times,
+                     const std::vector<std::int64_t>& exec_times) {
   switch (node.kind) {
     case PhaseTree::Kind::Idle:
       return 0;
     case PhaseTree::Kind::Comm:
-      return comm_phase_time(
-          graph, node.phase_index,
-          routing[static_cast<std::size_t>(node.phase_index)], topo, model);
+      return comm_times[static_cast<std::size_t>(node.phase_index)];
     case PhaseTree::Kind::Exec:
-      return exec_phase_time(graph, node.phase_index, proc_of_task,
-                             topo.num_procs());
+      return exec_times[static_cast<std::size_t>(node.phase_index)];
     case PhaseTree::Kind::Seq: {
       std::int64_t total = 0;
       for (const auto& child : node.children) {
-        total += walk(child, graph, proc_of_task, routing, topo, model);
+        total += compose(child, comm_times, exec_times);
       }
       return total;
     }
     case PhaseTree::Kind::Par: {
       std::int64_t best = 0;
       for (const auto& child : node.children) {
-        best = std::max(best,
-                        walk(child, graph, proc_of_task, routing, topo,
-                             model));
+        best = std::max(best, compose(child, comm_times, exec_times));
       }
       return best;
     }
     case PhaseTree::Kind::Repeat:
-      return node.count * walk(node.children.front(), graph, proc_of_task,
-                               routing, topo, model);
+      return node.count *
+             compose(node.children.front(), comm_times, exec_times);
   }
   return 0;
 }
 
+/// Scores each phase once into `comm_times` and `exec_times` and
+/// returns their composition.
+std::int64_t score_phases(const TaskGraph& graph,
+                          const std::vector<int>& proc_of_task,
+                          const std::vector<PhaseRouting>& routing,
+                          const Topology& topo, const CostModel& model,
+                          const std::vector<std::int64_t>& link_factor,
+                          std::vector<std::int64_t>& comm_times,
+                          std::vector<std::int64_t>& exec_times) {
+  OREGAMI_ASSERT(routing.size() == graph.comm_phases().size(),
+                 "routing must cover every phase");
+  comm_times.resize(graph.comm_phases().size());
+  for (std::size_t k = 0; k < comm_times.size(); ++k) {
+    comm_times[k] = comm_phase_time(graph, static_cast<int>(k), routing[k],
+                                    topo, model, link_factor);
+  }
+  exec_times.resize(graph.exec_phases().size());
+  for (std::size_t k = 0; k < exec_times.size(); ++k) {
+    exec_times[k] = exec_phase_time(graph, static_cast<int>(k),
+                                    proc_of_task, topo.num_procs());
+  }
+  return compose_phase_times(graph, comm_times, exec_times);
+}
+
 }  // namespace
+
+std::int64_t compose_phase_times(const TaskGraph& graph,
+                                 const std::vector<std::int64_t>& comm_times,
+                                 const std::vector<std::int64_t>& exec_times) {
+  if (graph.phase_expr().kind == PhaseTree::Kind::Idle) {
+    return std::accumulate(comm_times.begin(), comm_times.end(),
+                           std::accumulate(exec_times.begin(),
+                                           exec_times.end(),
+                                           std::int64_t{0}));
+  }
+  return compose(graph.phase_expr(), comm_times, exec_times);
+}
 
 std::int64_t completion_time(const TaskGraph& graph,
                              const std::vector<int>& proc_of_task,
                              const std::vector<PhaseRouting>& routing,
                              const Topology& topo, const CostModel& model) {
-  OREGAMI_ASSERT(routing.size() == graph.comm_phases().size(),
-                 "routing must cover every phase");
-  if (graph.phase_expr().kind == PhaseTree::Kind::Idle) {
-    // Static fallback: every phase once, sequentially.
-    std::int64_t total = 0;
-    for (std::size_t k = 0; k < graph.comm_phases().size(); ++k) {
-      total += comm_phase_time(graph, static_cast<int>(k), routing[k],
-                               topo, model);
-    }
-    for (std::size_t k = 0; k < graph.exec_phases().size(); ++k) {
-      total += exec_phase_time(graph, static_cast<int>(k), proc_of_task,
-                               topo.num_procs());
-    }
-    return total;
-  }
-  return walk(graph.phase_expr(), graph, proc_of_task, routing, topo,
-              model);
+  std::vector<std::int64_t> comm_times;
+  std::vector<std::int64_t> exec_times;
+  return score_phases(graph, proc_of_task, routing, topo, model, {},
+                      comm_times, exec_times);
 }
 
 PlacementObjectives extract_objectives(
@@ -119,8 +142,8 @@ PlacementObjectives extract_objectives(
     const std::vector<PhaseRouting>& routing, const Topology& topo,
     const CostModel& model) {
   PlacementObjectives obj;
-  obj.completion =
-      completion_time(graph, proc_of_task, routing, topo, model);
+  obj.completion = score_phases(graph, proc_of_task, routing, topo, model,
+                                {}, obj.comm_times, obj.exec_times);
 
   const auto comm_mult = graph.comm_phase_multiplicity();
   for (std::size_t k = 0; k < graph.comm_phases().size(); ++k) {
@@ -134,98 +157,16 @@ PlacementObjectives extract_objectives(
     obj.external_ipc += phase_volume * comm_mult[k];
   }
 
-  const auto exec_mult = graph.exec_phase_multiplicity();
+  const std::vector<std::int64_t> weight = graph.exec_weights();
   std::vector<std::int64_t> load(static_cast<std::size_t>(topo.num_procs()),
                                  0);
-  for (std::size_t k = 0; k < graph.exec_phases().size(); ++k) {
-    const auto& phase = graph.exec_phases()[k];
-    if (exec_mult[k] <= 0 || phase.cost.empty()) {
-      continue;
-    }
-    for (int t = 0; t < graph.num_tasks(); ++t) {
-      load[static_cast<std::size_t>(
-          proc_of_task[static_cast<std::size_t>(t)])] +=
-          exec_mult[k] * phase.cost[static_cast<std::size_t>(t)];
-    }
+  for (std::size_t t = 0; t < weight.size(); ++t) {
+    load[static_cast<std::size_t>(proc_of_task[t])] += weight[t];
   }
   obj.max_load =
       load.empty() ? 0 : *std::max_element(load.begin(), load.end());
   return obj;
 }
-
-namespace {
-
-/// comm_phase_time with each link's volume weighted by its slowdown.
-std::int64_t degraded_comm_phase_time(const TaskGraph& graph,
-                                      int phase_index,
-                                      const PhaseRouting& routing,
-                                      const FaultedTopology& faults,
-                                      const CostModel& model) {
-  const auto& phase =
-      graph.comm_phases()[static_cast<std::size_t>(phase_index)];
-  OREGAMI_ASSERT(routing.route_of_edge.size() == phase.edges.size(),
-                 "routing must cover the phase");
-  const Topology& topo = faults.base();
-  thread_local std::vector<std::int64_t> volume_on_link;
-  volume_on_link.assign(static_cast<std::size_t>(topo.num_links()), 0);
-  int max_hops = 0;
-  for (std::size_t i = 0; i < phase.edges.size(); ++i) {
-    const auto& route = routing.route_of_edge[i];
-    for (const int link : route.links) {
-      volume_on_link[static_cast<std::size_t>(link)] +=
-          phase.edges[i].volume * faults.link_slowdown(link);
-    }
-    max_hops = std::max(max_hops, route.hops());
-  }
-  const std::int64_t max_volume =
-      volume_on_link.empty()
-          ? 0
-          : *std::max_element(volume_on_link.begin(), volume_on_link.end());
-  return max_volume * model.per_unit_cost +
-         static_cast<std::int64_t>(max_hops) * model.hop_latency;
-}
-
-std::int64_t degraded_walk(const PhaseTree& node, const TaskGraph& graph,
-                           const std::vector<int>& proc_of_task,
-                           const std::vector<PhaseRouting>& routing,
-                           const FaultedTopology& faults,
-                           const CostModel& model) {
-  switch (node.kind) {
-    case PhaseTree::Kind::Idle:
-      return 0;
-    case PhaseTree::Kind::Comm:
-      return degraded_comm_phase_time(
-          graph, node.phase_index,
-          routing[static_cast<std::size_t>(node.phase_index)], faults,
-          model);
-    case PhaseTree::Kind::Exec:
-      return exec_phase_time(graph, node.phase_index, proc_of_task,
-                             faults.base().num_procs());
-    case PhaseTree::Kind::Seq: {
-      std::int64_t total = 0;
-      for (const auto& child : node.children) {
-        total += degraded_walk(child, graph, proc_of_task, routing, faults,
-                               model);
-      }
-      return total;
-    }
-    case PhaseTree::Kind::Par: {
-      std::int64_t best = 0;
-      for (const auto& child : node.children) {
-        best = std::max(best, degraded_walk(child, graph, proc_of_task,
-                                            routing, faults, model));
-      }
-      return best;
-    }
-    case PhaseTree::Kind::Repeat:
-      return node.count * degraded_walk(node.children.front(), graph,
-                                        proc_of_task, routing, faults,
-                                        model);
-  }
-  return 0;
-}
-
-}  // namespace
 
 std::int64_t degraded_completion_time(
     const TaskGraph& graph, const std::vector<int>& proc_of_task,
@@ -250,20 +191,10 @@ std::int64_t degraded_completion_time(
       }
     }
   }
-  if (graph.phase_expr().kind == PhaseTree::Kind::Idle) {
-    std::int64_t total = 0;
-    for (std::size_t k = 0; k < graph.comm_phases().size(); ++k) {
-      total += degraded_comm_phase_time(graph, static_cast<int>(k),
-                                        routing[k], faults, model);
-    }
-    for (std::size_t k = 0; k < graph.exec_phases().size(); ++k) {
-      total += exec_phase_time(graph, static_cast<int>(k), proc_of_task,
-                               faults.base().num_procs());
-    }
-    return total;
-  }
-  return degraded_walk(graph.phase_expr(), graph, proc_of_task, routing,
-                       faults, model);
+  std::vector<std::int64_t> comm_times;
+  std::vector<std::int64_t> exec_times;
+  return score_phases(graph, proc_of_task, routing, faults.base(), model,
+                      faults.link_slowdowns(), comm_times, exec_times);
 }
 
 }  // namespace oregami

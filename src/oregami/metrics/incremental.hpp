@@ -70,9 +70,10 @@ class IncrementalCompletion {
   /// `link_factor` (optional) is a per-link serialisation multiplier
   /// (index = link id in `topo`, every entry >= 1; empty means all 1):
   /// a link's volume contribution is weighted by its factor, so the
-  /// phase bottleneck is max over links of (volume * factor). This is
-  /// how degraded-mode scoring charges slowed links their real cost
-  /// (see FaultedTopology::faulted_link_factors()).
+  /// phase bottleneck is max over links of (volume * factor), the same
+  /// convention as comm_phase_time(). This is how degraded-mode scoring
+  /// charges slowed links their real cost (see
+  /// FaultedTopology::faulted_link_factors() and link_slowdowns()).
   IncrementalCompletion(const TaskGraph& graph, const Topology& topo,
                         std::vector<int> proc_of_task,
                         std::vector<PhaseRouting> routing,
@@ -151,13 +152,6 @@ class IncrementalCompletion {
   void rebuild_exec_tracker(ExecState& state) const;
   void rebuild_comm_maxima(CommState& state) const;
   [[nodiscard]] Route route_for(int phase, int edge) const;
-  [[nodiscard]] std::int64_t comm_time_of(const CommState& state) const;
-  [[nodiscard]] std::int64_t combine(
-      const std::vector<std::int64_t>& comm_times,
-      const std::vector<std::int64_t>& exec_times) const;
-  [[nodiscard]] std::int64_t walk(
-      const PhaseTree& node, const std::vector<std::int64_t>& comm_times,
-      const std::vector<std::int64_t>& exec_times) const;
   void place_task(int task, int to_proc,
                   const std::vector<Route>* forced_routes);
 

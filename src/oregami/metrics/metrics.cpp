@@ -27,14 +27,10 @@ MappingMetrics compute_metrics(const TaskGraph& graph,
           .tasks_per_proc[static_cast<std::size_t>(
               proc_of_task[static_cast<std::size_t>(t)])];
   }
-  const auto exec_mult = graph.exec_phase_multiplicity();
-  for (std::size_t k = 0; k < graph.exec_phases().size(); ++k) {
-    const auto& phase = graph.exec_phases()[k];
-    for (int t = 0; t < graph.num_tasks(); ++t) {
-      out.load.exec_per_proc[static_cast<std::size_t>(
-          proc_of_task[static_cast<std::size_t>(t)])] +=
-          exec_mult[k] * phase.cost[static_cast<std::size_t>(t)];
-    }
+  const std::vector<std::int64_t> weight = graph.exec_weights();
+  for (std::size_t t = 0; t < weight.size(); ++t) {
+    out.load.exec_per_proc[static_cast<std::size_t>(proc_of_task[t])] +=
+        weight[t];
   }
   out.load.max_tasks = *std::max_element(out.load.tasks_per_proc.begin(),
                                          out.load.tasks_per_proc.end());
@@ -53,6 +49,7 @@ MappingMetrics compute_metrics(const TaskGraph& graph,
 
   // --- link metrics per phase.
   const auto comm_mult = graph.comm_phase_multiplicity();
+  std::vector<std::int64_t> comm_times;
   long total_edges = 0;
   long total_dilation = 0;
   for (std::size_t k = 0; k < graph.comm_phases().size(); ++k) {
@@ -95,8 +92,13 @@ MappingMetrics compute_metrics(const TaskGraph& graph,
         links_used == 0 ? 0.0
                         : static_cast<double>(contention_sum) /
                               static_cast<double>(links_used);
-    pm.phase_time = comm_phase_time(graph, static_cast<int>(k), routing[k],
-                                    topo, model);
+    pm.phase_time = model.comm_time(
+        pm.volume_per_link.empty()
+            ? 0
+            : *std::max_element(pm.volume_per_link.begin(),
+                                pm.volume_per_link.end()),
+        pm.max_dilation);
+    comm_times.push_back(pm.phase_time);
     out.max_dilation = std::max(out.max_dilation, pm.max_dilation);
     total_edges += static_cast<long>(phase.edges.size());
     total_dilation += phase_dilation;
@@ -107,8 +109,12 @@ MappingMetrics compute_metrics(const TaskGraph& graph,
                          : static_cast<double>(total_dilation) /
                                static_cast<double>(total_edges);
 
-  out.completion =
-      completion_time(graph, proc_of_task, routing, topo, model);
+  std::vector<std::int64_t> exec_times;
+  for (std::size_t k = 0; k < graph.exec_phases().size(); ++k) {
+    exec_times.push_back(
+        exec_phase_time(graph, static_cast<int>(k), proc_of_task, p));
+  }
+  out.completion = compose_phase_times(graph, comm_times, exec_times);
   return out;
 }
 

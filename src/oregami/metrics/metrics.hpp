@@ -22,7 +22,8 @@ struct LoadMetrics {
   int max_tasks = 0;
   double avg_tasks = 0.0;
   std::int64_t max_exec = 0;
-  /// max/avg over non-idle processors; 1.0 = perfectly balanced.
+  /// max_exec over the mean exec load of all P processors, idle ones
+  /// included; 1.0 = perfectly balanced.
   double exec_imbalance = 0.0;
 };
 
@@ -46,7 +47,9 @@ struct MappingMetrics {
   std::int64_t total_ipc = 0;
   double avg_dilation = 0.0;  ///< over all comm edges of all phases
   int max_dilation = 0;
-  std::int64_t completion = 0;  ///< completion_time() under `model`
+  /// completion_time() under `model`: the phase times composed by
+  /// compose_phase_times().
+  std::int64_t completion = 0;
 };
 
 /// Computes the full metric suite for a task-level placement +

@@ -32,7 +32,7 @@ std::string render_assignment_table(const TaskGraph& graph,
                                     const Topology& topo) {
   const auto by_proc =
       tasks_by_proc(graph, proc_of_task, topo.num_procs());
-  const auto exec_mult = graph.exec_phase_multiplicity();
+  const std::vector<std::int64_t> weight = graph.exec_weights();
   TextTable table({"proc", "label", "#tasks", "tasks", "exec load"});
   for (int p = 0; p < topo.num_procs(); ++p) {
     const auto& tasks = by_proc[static_cast<std::size_t>(p)];
@@ -44,11 +44,8 @@ std::string render_assignment_table(const TaskGraph& graph,
       names += graph.task_name(tasks[i]);
     }
     std::int64_t load = 0;
-    for (std::size_t k = 0; k < graph.exec_phases().size(); ++k) {
-      for (const int t : tasks) {
-        load += exec_mult[k] *
-                graph.exec_phases()[k].cost[static_cast<std::size_t>(t)];
-      }
+    for (const int t : tasks) {
+      load += weight[static_cast<std::size_t>(t)];
     }
     table.add_row({std::to_string(p), topo.proc_label(p),
                    std::to_string(tasks.size()), names,

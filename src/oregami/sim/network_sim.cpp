@@ -110,82 +110,6 @@ PhaseSimResult simulate_comm_phase(const TaskGraph& graph, int phase_index,
   return result;
 }
 
-namespace {
-
-std::int64_t exec_cycles(const TaskGraph& graph, int phase_index,
-                         const std::vector<int>& proc_of_task,
-                         int num_procs) {
-  const auto& phase =
-      graph.exec_phases()[static_cast<std::size_t>(phase_index)];
-  std::vector<std::int64_t> load(static_cast<std::size_t>(num_procs), 0);
-  for (int t = 0; t < graph.num_tasks(); ++t) {
-    load[static_cast<std::size_t>(
-        proc_of_task[static_cast<std::size_t>(t)])] +=
-        phase.cost[static_cast<std::size_t>(t)];
-  }
-  return load.empty() ? 0 : *std::max_element(load.begin(), load.end());
-}
-
-struct Walker {
-  const TaskGraph& graph;
-  const std::vector<int>& proc_of_task;
-  const std::vector<PhaseRouting>& routing;
-  const Topology& topo;
-  const SimConfig& config;
-  // Memoised single-pass phase costs.
-  std::vector<std::int64_t> comm_cost;
-  std::vector<std::int64_t> exec_cost;
-
-  std::int64_t comm(int k) {
-    auto& cached = comm_cost[static_cast<std::size_t>(k)];
-    if (cached < 0) {
-      cached = simulate_comm_phase(graph, k,
-                                   routing[static_cast<std::size_t>(k)],
-                                   topo, config)
-                   .makespan;
-    }
-    return cached;
-  }
-
-  std::int64_t exec(int k) {
-    auto& cached = exec_cost[static_cast<std::size_t>(k)];
-    if (cached < 0) {
-      cached = exec_cycles(graph, k, proc_of_task, topo.num_procs());
-    }
-    return cached;
-  }
-
-  std::int64_t walk(const PhaseTree& node) {
-    switch (node.kind) {
-      case PhaseTree::Kind::Idle:
-        return 0;
-      case PhaseTree::Kind::Comm:
-        return comm(node.phase_index);
-      case PhaseTree::Kind::Exec:
-        return exec(node.phase_index);
-      case PhaseTree::Kind::Seq: {
-        std::int64_t total = 0;
-        for (const auto& child : node.children) {
-          total += walk(child);
-        }
-        return total;
-      }
-      case PhaseTree::Kind::Par: {
-        std::int64_t best = 0;
-        for (const auto& child : node.children) {
-          best = std::max(best, walk(child));
-        }
-        return best;
-      }
-      case PhaseTree::Kind::Repeat:
-        return node.count * walk(node.children.front());
-    }
-    return 0;
-  }
-};
-
-}  // namespace
-
 SimResult simulate(const TaskGraph& graph,
                    const std::vector<int>& proc_of_task,
                    const std::vector<PhaseRouting>& routing,
@@ -204,30 +128,19 @@ SimResult simulate(const TaskGraph& graph,
       }
     }
   }
-  Walker walker{graph,
-                proc_of_task,
-                routing,
-                topo,
-                config,
-                std::vector<std::int64_t>(graph.comm_phases().size(), -1),
-                std::vector<std::int64_t>(graph.exec_phases().size(), -1)};
   SimResult result;
-  if (graph.phase_expr().kind == PhaseTree::Kind::Idle) {
-    for (std::size_t k = 0; k < graph.comm_phases().size(); ++k) {
-      result.total_cycles += walker.comm(static_cast<int>(k));
-    }
-    for (std::size_t k = 0; k < graph.exec_phases().size(); ++k) {
-      result.total_cycles += walker.exec(static_cast<int>(k));
-    }
-  } else {
-    result.total_cycles = walker.walk(graph.phase_expr());
-  }
   for (std::size_t k = 0; k < graph.comm_phases().size(); ++k) {
-    result.comm_phase_cycles.push_back(walker.comm(static_cast<int>(k)));
+    result.comm_phase_cycles.push_back(
+        simulate_comm_phase(graph, static_cast<int>(k), routing[k], topo,
+                            config)
+            .makespan);
   }
   for (std::size_t k = 0; k < graph.exec_phases().size(); ++k) {
-    result.exec_phase_cycles.push_back(walker.exec(static_cast<int>(k)));
+    result.exec_phase_cycles.push_back(exec_phase_time(
+        graph, static_cast<int>(k), proc_of_task, topo.num_procs()));
   }
+  result.total_cycles = compose_phase_times(graph, result.comm_phase_cycles,
+                                            result.exec_phase_cycles);
   if (trace::enabled()) {
     trace::counter("total_cycles", result.total_cycles);
     for (std::size_t k = 0; k < graph.comm_phases().size(); ++k) {

@@ -59,8 +59,9 @@ struct PhaseSimResult {
     const TaskGraph& graph, int phase_index, const PhaseRouting& routing,
     const Topology& topo, const SimConfig& config = {});
 
-/// Full simulation following the phase expression; returns total cycles
-/// (Idle expression falls back to every phase once, sequentially).
+/// Full simulation: simulates each phase once and composes the
+/// per-phase cycles through the phase expression
+/// (compose_phase_times()); returns total cycles.
 struct SimResult {
   std::int64_t total_cycles = 0;
   std::vector<std::int64_t> comm_phase_cycles;  ///< per comm phase (one pass)
