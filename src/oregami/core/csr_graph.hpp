@@ -15,6 +15,7 @@
 // sweeps affordable.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -44,8 +45,15 @@ struct CsrTaskGraph {
   [[nodiscard]] int num_edges() const {
     return static_cast<int>(neighbors.size()) / 2;
   }
+  /// Vertex v's half-edges are [edge_begin(v), edge_end(v)).
+  [[nodiscard]] std::size_t edge_begin(int v) const {
+    return static_cast<std::size_t>(offsets[static_cast<std::size_t>(v)]);
+  }
+  [[nodiscard]] std::size_t edge_end(int v) const {
+    return edge_begin(v + 1);
+  }
   [[nodiscard]] int degree(int v) const {
-    return static_cast<int>(offsets[v + 1] - offsets[v]);
+    return static_cast<int>(edge_end(v) - edge_begin(v));
   }
 
   /// Builds the CSR aggregate of `graph`: volumes are weighted by each

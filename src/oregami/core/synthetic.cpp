@@ -21,8 +21,8 @@ TaskGraph finish_graph(int n, const char* phase_name,
   for (int i = 0; i < n; ++i) g.add_task("t" + std::to_string(i));
   const int comm = g.add_comm_phase(phase_name);
   for (const CommEdge& e : edges) g.add_comm_edge(comm, e.src, e.dst, e.volume);
-  std::vector<std::int64_t> cost(n);
-  for (int i = 0; i < n; ++i) cost[i] = rng.next_in(1, 32);
+  std::vector<std::int64_t> cost(static_cast<std::size_t>(n));
+  for (std::int64_t& c : cost) c = rng.next_in(1, 32);
   g.add_exec_phase("work", std::move(cost));
   return g;
 }
@@ -33,7 +33,8 @@ TaskGraph make_stencil2d(int rows, int cols, std::uint64_t seed) {
   OREGAMI_ASSERT(rows > 0 && cols > 0, "stencil2d shape must be positive");
   SplitMix64 rng(seed);
   std::vector<CommEdge> edges;
-  edges.reserve(static_cast<std::size_t>(rows) * cols * 2);
+  edges.reserve(static_cast<std::size_t>(rows) *
+                static_cast<std::size_t>(cols) * 2);
   for (int r = 0; r < rows; ++r) {
     for (int c = 0; c < cols; ++c) {
       const int v = r * cols + c;
@@ -49,7 +50,8 @@ TaskGraph make_stencil3d(int nx, int ny, int nz, std::uint64_t seed) {
                  "stencil3d shape must be positive");
   SplitMix64 rng(seed);
   std::vector<CommEdge> edges;
-  edges.reserve(static_cast<std::size_t>(nx) * ny * nz * 3);
+  edges.reserve(static_cast<std::size_t>(nx) * static_cast<std::size_t>(ny) *
+                static_cast<std::size_t>(nz) * 3);
   for (int z = 0; z < nz; ++z) {
     for (int y = 0; y < ny; ++y) {
       for (int x = 0; x < nx; ++x) {
@@ -66,8 +68,9 @@ TaskGraph make_stencil3d(int nx, int ny, int nz, std::uint64_t seed) {
 TaskGraph make_random_geometric(int n, double radius, std::uint64_t seed) {
   OREGAMI_ASSERT(n > 0 && radius > 0.0, "geometric graph needs n>0, r>0");
   SplitMix64 rng(seed);
-  std::vector<double> px(n), py(n);
-  for (int i = 0; i < n; ++i) {
+  std::vector<double> px(static_cast<std::size_t>(n));
+  std::vector<double> py(px.size());
+  for (std::size_t i = 0; i < px.size(); ++i) {
     px[i] = rng.next_double();
     py[i] = rng.next_double();
   }
@@ -77,30 +80,36 @@ TaskGraph make_random_geometric(int n, double radius, std::uint64_t seed) {
   // only scans a 3x3 cell block — O(n + edges) overall.
   const int cells = std::max(1, static_cast<int>(1.0 / radius));
   const double cell_size = 1.0 / cells;
-  std::vector<std::vector<int>> bucket(
-      static_cast<std::size_t>(cells) * cells);
+  const auto side = static_cast<std::size_t>(cells);
+  std::vector<std::vector<int>> bucket(side * side);
   auto cell_of = [&](double x) {
     return std::min(cells - 1, static_cast<int>(x / cell_size));
   };
+  auto bucket_of = [&](int bx, int by) -> std::vector<int>& {
+    return bucket[static_cast<std::size_t>(by) * side +
+                  static_cast<std::size_t>(bx)];
+  };
   for (int i = 0; i < n; ++i) {
-    bucket[static_cast<std::size_t>(cell_of(py[i])) * cells + cell_of(px[i])]
-        .push_back(i);
+    const auto ui = static_cast<std::size_t>(i);
+    bucket_of(cell_of(px[ui]), cell_of(py[ui])).push_back(i);
   }
 
   const double r2 = radius * radius;
   std::vector<CommEdge> edges;
   for (int i = 0; i < n; ++i) {
-    const int cx = cell_of(px[i]);
-    const int cy = cell_of(py[i]);
+    const double xi = px[static_cast<std::size_t>(i)];
+    const double yi = py[static_cast<std::size_t>(i)];
+    const int cx = cell_of(xi);
+    const int cy = cell_of(yi);
     for (int dy = -1; dy <= 1; ++dy) {
       for (int dx = -1; dx <= 1; ++dx) {
         const int bx = cx + dx;
         const int by = cy + dy;
         if (bx < 0 || bx >= cells || by < 0 || by >= cells) continue;
-        for (int j : bucket[static_cast<std::size_t>(by) * cells + bx]) {
+        for (int j : bucket_of(bx, by)) {
           if (j <= i) continue;  // each pair once
-          const double ddx = px[i] - px[j];
-          const double ddy = py[i] - py[j];
+          const double ddx = xi - px[static_cast<std::size_t>(j)];
+          const double ddy = yi - py[static_cast<std::size_t>(j)];
           if (ddx * ddx + ddy * ddy <= r2) {
             edges.push_back({i, j, 0});
           }
@@ -125,7 +134,8 @@ TaskGraph make_power_law(int n, int edges_per_vertex, std::uint64_t seed) {
   // appears once per incident edge, so sampling the list uniformly is
   // degree-proportional sampling.
   std::vector<int> endpoints;
-  endpoints.reserve(static_cast<std::size_t>(n) * edges_per_vertex * 2);
+  endpoints.reserve(static_cast<std::size_t>(n) *
+                    static_cast<std::size_t>(edges_per_vertex) * 2);
   std::vector<CommEdge> edges;
   std::vector<int> targets;
   for (int v = 1; v < n; ++v) {

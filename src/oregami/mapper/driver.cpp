@@ -278,6 +278,10 @@ std::optional<MapperReport> try_strategy(MapStrategy strategy,
       return std::nullopt;  // needs the LaRCS program; see try_systolic
     case MapStrategy::General:
       return do_general(graph, topo, options);
+    case MapStrategy::Anneal:
+    case MapStrategy::ListSchedule:
+    case MapStrategy::Multilevel:
+      return std::nullopt;  // not Fig-3 strategies; own entry points
   }
   return std::nullopt;
 }

@@ -110,8 +110,9 @@ struct MapperReport {
 /// Attempts exactly one strategy from the Fig-3 decision tree, without
 /// falling through to the next. Canned/GroupTheoretic return nullopt
 /// when inadmissible; General always succeeds; Systolic always returns
-/// nullopt here (it needs the LaRCS program -- use try_systolic).
-/// `options.portfolio` is ignored. Used by the portfolio mapper to run
+/// nullopt here (it needs the LaRCS program -- use try_systolic), and
+/// so do Anneal, ListSchedule and Multilevel, which are not Fig-3
+/// strategies. `options.portfolio` is ignored. Used by the portfolio mapper to run
 /// the strategies as independent candidates.
 [[nodiscard]] std::optional<MapperReport> try_strategy(
     MapStrategy strategy, const TaskGraph& graph, const Topology& topo,

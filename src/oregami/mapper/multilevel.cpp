@@ -36,7 +36,7 @@ int propose_move(const CsrTaskGraph& csr, const Topology& topo,
                  std::vector<int>& candidates) {
   const int p = placement[static_cast<std::size_t>(v)];
   candidates.clear();
-  for (std::int32_t i = csr.offsets[v]; i < csr.offsets[v + 1]; ++i) {
+  for (std::size_t i = csr.edge_begin(v); i < csr.edge_end(v); ++i) {
     const int q = placement[static_cast<std::size_t>(csr.neighbors[i])];
     if (q != p) candidates.push_back(q);
   }
@@ -46,7 +46,7 @@ int propose_move(const CsrTaskGraph& csr, const Topology& topo,
 
   const DistanceRow row_p = topo.distance_row(p);
   std::int64_t base = 0;
-  for (std::int32_t i = csr.offsets[v]; i < csr.offsets[v + 1]; ++i) {
+  for (std::size_t i = csr.edge_begin(v); i < csr.edge_end(v); ++i) {
     base += csr.edge_weight[i] *
             row_p[placement[static_cast<std::size_t>(csr.neighbors[i])]];
   }
@@ -57,7 +57,7 @@ int propose_move(const CsrTaskGraph& csr, const Topology& topo,
     if (q == p) continue;
     const DistanceRow row_q = topo.distance_row(q);
     std::int64_t cost = 0;
-    for (std::int32_t i = csr.offsets[v]; i < csr.offsets[v + 1]; ++i) {
+    for (std::size_t i = csr.edge_begin(v); i < csr.edge_end(v); ++i) {
       cost += csr.edge_weight[i] *
               row_q[placement[static_cast<std::size_t>(csr.neighbors[i])]];
     }
@@ -98,7 +98,7 @@ long refine_level(const CsrTaskGraph& csr, IncrementalCompletion& inc,
       for (int v = 0; v < n; ++v) {
         const int p = placement[static_cast<std::size_t>(v)];
         bool on_boundary = false;
-        for (std::int32_t i = csr.offsets[v]; i < csr.offsets[v + 1]; ++i) {
+        for (std::size_t i = csr.edge_begin(v); i < csr.edge_end(v); ++i) {
           if (placement[static_cast<std::size_t>(csr.neighbors[i])] != p) {
             on_boundary = true;
             break;
@@ -229,8 +229,7 @@ MapperReport map_multilevel(const TaskGraph& graph, const Topology& topo,
       }
       const std::vector<std::int32_t>& projection =
           levels[static_cast<std::size_t>(k - 1)].coarse_of_fine;
-      std::vector<int> fine(levels[static_cast<std::size_t>(k - 1)]
-                                .csr.num_vertices());
+      std::vector<int> fine(projection.size());
       for (std::size_t v = 0; v < fine.size(); ++v) {
         fine[v] = inc.proc_of_task()[static_cast<std::size_t>(projection[v])];
       }

@@ -20,7 +20,7 @@ int ThreadPool::resolve_workers(int jobs) {
   if (jobs > 0) {
     return jobs;
   }
-  return std::max(1u, std::thread::hardware_concurrency());
+  return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
 }
 
 int ThreadPool::current_worker_index() { return tl_worker_index; }

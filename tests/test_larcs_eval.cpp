@@ -61,7 +61,7 @@ TEST(Eval, Variables) {
 TEST(Eval, UnknownVariableThrows) {
   EXPECT_THROW(eval_str("x + 1"), LarcsError);
   Env env;
-  EXPECT_THROW(env.get("missing"), LarcsError);
+  EXPECT_THROW((void)env.get("missing"), LarcsError);
 }
 
 TEST(Eval, EnvBindUnbind) {

@@ -100,7 +100,7 @@ TEST(Lexer, TracksLineAndColumn) {
 
 TEST(Lexer, RejectsUnknownCharacter) {
   try {
-    lex("a @ b");
+    (void)lex("a @ b");
     FAIL() << "expected LarcsError";
   } catch (const LarcsError& e) {
     EXPECT_EQ(e.loc().line, 1);

@@ -28,9 +28,8 @@
 // (server/telemetry.hpp). An unwritable metrics/log path degrades
 // telemetry with a stderr warning; the daemon keeps serving.
 //
-//   $ printf '%s\n' \
-//       '{"id":1,"program":"jacobi","bind":{"n":8,"iters":10},"topology":"mesh:4x4"}' \
-//     | oregami_serve
+//   $ echo '{"id":1,"program":"jacobi","bind":{"n":8,"iters":10},"topology":"mesh:4x4"}' |
+//       oregami_serve
 //
 // Exit codes: 0 clean drain (even if every job failed), 2 usage error,
 // 1 internal error.
