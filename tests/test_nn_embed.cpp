@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <utility>
+
+#include "oregami/core/csr_graph.hpp"
+#include "oregami/core/synthetic.hpp"
 #include "oregami/mapper/baselines.hpp"
 #include "oregami/mapper/nn_embed.hpp"
 #include "oregami/support/error.hpp"
+#include "oregami/support/hash.hpp"
 #include "oregami/support/rng.hpp"
 
 namespace oregami {
@@ -96,6 +103,111 @@ TEST(WeightedDilation, ComputesSum) {
   e.proc_of_cluster = {0, 2, 4};  // on a 5-ring: distances 2 and 2
   const auto topo = Topology::ring(5);
   EXPECT_EQ(weighted_dilation(g, e, topo), 2 * 2 + 3 * 2);
+}
+
+// --- exact-output pins ----------------------------------------------------
+//
+// FNV-1a of the embeddings themselves, one family per test, at C = P
+// (every processor taken, the V-cycle's coarsest case). Each pins the
+// lowest-id rule and two seeded tie-breaks, so a faster scan that
+// visits clusters or processors in another order, or scores a
+// candidate differently, shows up here.
+
+/// A 2-D stencil coarsened by heavy-edge matching down to exactly
+/// `clusters` super-tasks: the graph shape the V-cycle hands NN-Embed.
+Graph coarsened_stencil(int clusters) {
+  const int side = static_cast<int>(std::ceil(std::sqrt(3.0 * clusters)));
+  CsrTaskGraph g =
+      CsrTaskGraph::from_task_graph(make_stencil2d(side, side, 0x5EEDULL));
+  for (std::uint64_t seed = 1; g.num_vertices() > clusters; ++seed) {
+    CoarsenResult step = coarsen_heavy_edge(g, seed, clusters);
+    if (step.coarse.num_vertices() == g.num_vertices()) {
+      break;
+    }
+    g = std::move(step.coarse);
+  }
+  return g.to_graph();
+}
+
+std::uint64_t embedding_digest(const Embedding& embedding) {
+  Fnv1a h;
+  for (const int proc : embedding.proc_of_cluster) {
+    h.i32(proc);
+  }
+  return h.digest();
+}
+
+void expect_embed_pins(const Topology& topo, std::uint64_t lowest_id,
+                       std::uint64_t seed_7, std::uint64_t seed_1234) {
+  SCOPED_TRACE(topo.name());
+  const Graph g = coarsened_stencil(topo.num_procs());
+  ASSERT_EQ(g.num_vertices(), topo.num_procs());
+  EXPECT_EQ(embedding_digest(nn_embed(g, topo)), lowest_id);
+  EXPECT_EQ(embedding_digest(nn_embed_seeded(g, topo, 7)), seed_7);
+  EXPECT_EQ(embedding_digest(nn_embed_seeded(g, topo, 1234)), seed_1234);
+}
+
+TEST(NNEmbedPins, Torus) {
+  expect_embed_pins(Topology::torus(8, 8), 0xd125d3afcfeb6285ULL,
+                    0xa9495d276950dfe5ULL, 0x42815711dca8caa5ULL);
+}
+
+TEST(NNEmbedPins, Mesh) {
+  expect_embed_pins(Topology::mesh(6, 7), 0x781d032390ee0644ULL,
+                    0xeec1a56dcd0697a4ULL, 0xcbfc9fe1068cf224ULL);
+}
+
+TEST(NNEmbedPins, Hypercube) {
+  expect_embed_pins(Topology::hypercube(6), 0x51d208e518a3d2a5ULL,
+                    0xa91c6582dcfb30a5ULL, 0x3d2177d272b82be5ULL);
+}
+
+TEST(NNEmbedPins, Ring) {
+  expect_embed_pins(Topology::ring(40), 0xb1c0b8381e82b2c5ULL,
+                    0x2962f8a66b74e4a5ULL, 0x33f2e4dd41d53f85ULL);
+}
+
+TEST(NNEmbedPins, Chain) {
+  expect_embed_pins(Topology::chain(30), 0x90aefc4b6867be64ULL,
+                    0xf4925aa6b2375964ULL, 0x153ee3d66e4a2604ULL);
+}
+
+TEST(NNEmbedPins, Butterfly) {
+  expect_embed_pins(Topology::butterfly(3), 0x1a3f0fc97d511dc5ULL,
+                    0xb4529c0ab7023585ULL, 0x525ceb21b025e205ULL);
+}
+
+TEST(NNEmbedPins, CompleteBinaryTree) {
+  expect_embed_pins(Topology::complete_binary_tree(5), 0xe0731ffd4b7b183aULL,
+                    0x2a489e82b78606daULL, 0x85e57a955d69259aULL);
+}
+
+TEST(NNEmbedPins, Star) {
+  expect_embed_pins(Topology::star(24), 0x50019d4c4370c185ULL,
+                    0xcefbf4937e386b45ULL, 0x0358a5c3a9431025ULL);
+}
+
+TEST(NNEmbedPins, Complete) {
+  expect_embed_pins(Topology::complete(16), 0xffd42c13c811ae45ULL,
+                    0x1a1441053ba8b805ULL, 0xf1f729f44186f6e5ULL);
+}
+
+TEST(NNEmbedPins, Mesh3D) {
+  expect_embed_pins(Topology::mesh3d(3, 3, 4), 0xcad251ded5873325ULL,
+                    0x59d287412e8693c5ULL, 0xb77b794ee7d435e5ULL);
+}
+
+TEST(NNEmbedPins, Custom) {
+  // A chordal ring: irregular enough that distances come from the BFS
+  // table, not a closed form.
+  Graph links(48);
+  for (int i = 0; i < 48; ++i) {
+    links.add_edge(i, (i + 1) % 48);
+    links.add_edge(i, (i + 7) % 48);
+  }
+  expect_embed_pins(Topology::custom("chordal48", std::move(links)),
+                    0xadbf56e86a531cc5ULL, 0x2fe4f0672d830aa5ULL,
+                    0xf43292883eeecd65ULL);
 }
 
 // --- baselines used by the benches ----------------------------------------

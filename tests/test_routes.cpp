@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "oregami/arch/routes.hpp"
 #include "oregami/support/error.hpp"
 
@@ -60,6 +63,56 @@ TEST(GreedyRoute, IsShortest) {
     for (int v = 0; v < 16; ++v) {
       const auto r = greedy_shortest_route(t, u, v);
       EXPECT_TRUE(is_shortest_route(t, r, u, v));
+    }
+  }
+}
+
+/// The greedy rule spelled out the long way: at each step take the
+/// first (lowest-numbered) of next_hop_choices, then resolve the links
+/// with route_from_nodes.
+Route reference_greedy_route(const Topology& topo, int src, int dst) {
+  std::vector<int> nodes{src};
+  int current = src;
+  while (current != dst) {
+    current = next_hop_choices(topo, current, dst).front();
+    nodes.push_back(current);
+  }
+  return route_from_nodes(topo, std::move(nodes));
+}
+
+TEST(GreedyRoute, MatchesNextHopReference) {
+  std::vector<Topology> topos = {
+      Topology::ring(5),         Topology::ring(12),
+      Topology::chain(4),        Topology::chain(9),
+      Topology::mesh(3, 4),      Topology::mesh(5, 5),
+      Topology::torus(3, 5),     Topology::torus(6, 4),
+      Topology::hypercube(3),    Topology::hypercube(5),
+      Topology::complete_binary_tree(3),
+      Topology::complete_binary_tree(5),
+      Topology::star(5),         Topology::star(11),
+      Topology::complete(4),     Topology::complete(9),
+      Topology::butterfly(2),    Topology::butterfly(3),
+      Topology::mesh3d(2, 3, 2), Topology::mesh3d(3, 3, 3)};
+  // Adjacency lists in insertion order, not ascending (neighbors(0) is
+  // 6, 3, 1, 4), with several shortest paths between most pairs, so the
+  // lowest-id rule is what picks the hop.
+  Graph g(8);
+  for (const auto [u, v] : std::vector<std::pair<int, int>>{
+           {0, 6}, {0, 3}, {0, 1}, {6, 7}, {3, 7}, {1, 7}, {7, 5},
+           {7, 2}, {5, 4}, {2, 4}, {4, 0}, {6, 5}, {3, 2}}) {
+    g.add_edge(u, v);
+  }
+  topos.push_back(Topology::custom("unsorted8", std::move(g)));
+
+  for (const Topology& t : topos) {
+    SCOPED_TRACE(t.name());
+    for (int u = 0; u < t.num_procs(); ++u) {
+      for (int v = 0; v < t.num_procs(); ++v) {
+        const Route got = greedy_shortest_route(t, u, v);
+        const Route want = reference_greedy_route(t, u, v);
+        ASSERT_EQ(got.nodes, want.nodes) << u << " -> " << v;
+        ASSERT_EQ(got.links, want.links) << u << " -> " << v;
+      }
     }
   }
 }
