@@ -1,7 +1,6 @@
 #include "oregami/mapper/nn_embed.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "oregami/support/error.hpp"
 #include "oregami/support/rng.hpp"
@@ -67,6 +66,9 @@ Embedding nn_embed_impl(const Graph& cluster_graph, const Topology& topo,
   }
   std::vector<bool> proc_used(static_cast<std::size_t>(p), false);
   std::vector<bool> placed(static_cast<std::size_t>(c), false);
+  // Communication of each cluster with the placed set, kept current as
+  // clusters are placed (read only for unplaced clusters).
+  std::vector<std::int64_t> weight_to_placed(static_cast<std::size_t>(c), 0);
   int placed_count = 0;
 
   auto place = [&](int cluster, int proc) {
@@ -74,6 +76,9 @@ Embedding nn_embed_impl(const Graph& cluster_graph, const Topology& topo,
     proc_used[static_cast<std::size_t>(proc)] = true;
     placed[static_cast<std::size_t>(cluster)] = true;
     ++placed_count;
+    for (const auto& a : cluster_graph.neighbors(cluster)) {
+      weight_to_placed[static_cast<std::size_t>(a.neighbor)] += a.weight;
+    }
   };
 
   // Seed: heaviest cluster edge onto a max-degree link.
@@ -120,8 +125,7 @@ Embedding nn_embed_impl(const Graph& cluster_graph, const Topology& topo,
     place(e.v, seed_v);
   }
 
-  std::vector<std::int64_t> weight_to_placed(static_cast<std::size_t>(c));
-  std::vector<std::pair<int, std::int64_t>> placed_neighbors;
+  std::vector<std::int64_t> cost(static_cast<std::size_t>(p));
   while (placed_count < c) {
     // Next cluster: max communication to the placed set.
     Pick next_pick(rng);
@@ -130,13 +134,7 @@ Embedding nn_embed_impl(const Graph& cluster_graph, const Topology& topo,
       if (placed[static_cast<std::size_t>(cl)]) {
         continue;
       }
-      std::int64_t w = 0;
-      for (const auto& a : cluster_graph.neighbors(cl)) {
-        if (placed[static_cast<std::size_t>(a.neighbor)]) {
-          w += a.weight;
-        }
-      }
-      weight_to_placed[static_cast<std::size_t>(cl)] = w;
+      const std::int64_t w = weight_to_placed[static_cast<std::size_t>(cl)];
       next_pick.offer(cl, w > next_weight, w == next_weight);
       next_weight =
           weight_to_placed[static_cast<std::size_t>(next_pick.chosen())];
@@ -147,15 +145,14 @@ Embedding nn_embed_impl(const Graph& cluster_graph, const Topology& topo,
     // Best free processor: minimise weighted distance to placed
     // neighbours. With the lowest-id rule, clusters with no placed
     // neighbours land on the lowest free processor; seeded runs spread
-    // them uniformly over the free set. The placed neighbours are
-    // gathered once (same order as the adjacency walk, so the cost sum
-    // is bit-identical) instead of being re-filtered per processor.
-    placed_neighbors.clear();
+    // them uniformly over the free set. cost[proc] is filled one
+    // distance row per placed neighbour.
+    std::fill(cost.begin(), cost.end(), 0);
     for (const auto& a : cluster_graph.neighbors(next)) {
       if (placed[static_cast<std::size_t>(a.neighbor)]) {
-        placed_neighbors.emplace_back(
+        topo.accumulate_distance_row(
             embedding.proc_of_cluster[static_cast<std::size_t>(a.neighbor)],
-            a.weight);
+            a.weight, cost);
       }
     }
     Pick proc_pick(rng);
@@ -164,15 +161,12 @@ Embedding nn_embed_impl(const Graph& cluster_graph, const Topology& topo,
       if (proc_used[static_cast<std::size_t>(proc)]) {
         continue;
       }
-      std::int64_t cost = 0;
-      for (const auto& [other, weight] : placed_neighbors) {
-        cost += weight * topo.distance(proc, other);
-      }
+      const std::int64_t here = cost[static_cast<std::size_t>(proc)];
       const bool first = proc_pick.chosen() == -1;
-      proc_pick.offer(proc, !first && cost < best_cost,
-                      !first && cost == best_cost);
-      if (first || cost < best_cost) {
-        best_cost = cost;
+      proc_pick.offer(proc, !first && here < best_cost,
+                      !first && here == best_cost);
+      if (first || here < best_cost) {
+        best_cost = here;
       }
     }
     place(next, proc_pick.chosen());

@@ -13,6 +13,15 @@
 // lowest-id rule with a uniform choice among the tied candidates, drawn
 // from a caller-seeded SplitMix64. Same seed -> same embedding, which
 // is what the portfolio mapper's determinism contract builds on.
+//
+// Cost of one growth step (C clusters, P processors): one id-order scan
+// of the clusters, reading each one's communication to the placed set
+// (kept current as clusters are placed, so O(1) per cluster); one
+// weighted distance row per placed neighbour of the chosen cluster
+// (Topology::accumulate_distance_row, O(P) each, no per-pair oracle
+// call); and one id-order scan of the processors over that cost
+// vector. So O(C + P * k) per step for k placed neighbours, and
+// O(C * (C + P * k)) for a whole embedding.
 #pragma once
 
 #include <cstdint>
