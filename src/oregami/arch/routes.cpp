@@ -91,15 +91,17 @@ std::uint64_t count_shortest_routes(const Topology& topo, int src,
 }
 
 Route greedy_shortest_route(const Topology& topo, int src, int dst) {
-  std::vector<int> nodes{src};
-  int current = src;
-  while (current != dst) {
-    const auto choices = next_hop_choices(topo, current, dst);
-    OREGAMI_ASSERT(!choices.empty(), "destination must be reachable");
-    current = choices.front();
-    nodes.push_back(current);
-  }
-  return route_from_nodes(topo, std::move(nodes));
+  const auto hops = static_cast<std::size_t>(
+      std::max(0, topo.distance(src, dst)));
+  Route route;
+  route.nodes.reserve(hops + 1);
+  route.links.reserve(hops);
+  route.nodes.push_back(src);
+  walk_greedy_route(topo, src, dst, [&route](int next, int link) {
+    route.nodes.push_back(next);
+    route.links.push_back(link);
+  });
+  return route;
 }
 
 Route dimension_order_route(const Topology& topo, int src, int dst) {

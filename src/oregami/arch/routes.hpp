@@ -8,6 +8,7 @@
 
 #include "oregami/arch/topology.hpp"
 #include "oregami/core/mapping.hpp"
+#include "oregami/support/error.hpp"
 
 namespace oregami {
 
@@ -28,8 +29,34 @@ namespace oregami {
 [[nodiscard]] std::uint64_t count_shortest_routes(const Topology& topo,
                                                   int src, int dst);
 
-/// One canonical shortest route chosen greedily (lowest-numbered
-/// next hop at each step).
+/// Walks the canonical greedy shortest route from src to dst: at each
+/// step the lowest-numbered neighbour one hop closer to dst (the first
+/// of next_hop_choices), calling on_hop(next, link) with the link id
+/// read off the adjacency entry. Allocates nothing; returns the hop
+/// count (0 when src == dst). Asserts that dst is reachable.
+template <class OnHop>
+int walk_greedy_route(const Topology& topo, int src, int dst,
+                      OnHop&& on_hop) {
+  const DistanceRow dist = topo.distance_row(dst);
+  const int hops = dist[src];
+  int current = src;
+  for (int here = hops; current != dst; --here) {
+    int next = -1;
+    int next_link = -1;
+    for (const auto& a : topo.graph().neighbors(current)) {
+      if (dist[a.neighbor] == here - 1 && (next == -1 || a.neighbor < next)) {
+        next = a.neighbor;
+        next_link = a.edge_id;
+      }
+    }
+    OREGAMI_ASSERT(next != -1, "destination must be reachable");
+    on_hop(next, next_link);
+    current = next;
+  }
+  return hops;
+}
+
+/// The greedy route as a Route: the one-node route when src == dst.
 [[nodiscard]] Route greedy_shortest_route(const Topology& topo, int src,
                                           int dst);
 

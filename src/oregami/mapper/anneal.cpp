@@ -111,7 +111,7 @@ AnnealResult anneal_placement(const TaskGraph& graph, const Topology& topo,
   trace::counter("uphill", result.uphill);
   trace::counter("improvement", result.improvement());
   result.proc_of_task = inc.proc_of_task();
-  result.routing = inc.routing();
+  result.routing = std::move(inc).routing();
   return result;
 }
 

@@ -210,8 +210,8 @@ MapperReport map_multilevel(const TaskGraph& graph, const Topology& topo,
                                     options.refine_rounds, deadline);
       }
       trace::counter("completion", inc.completion());
-      mapping =
-          mapping_from_placement(inc.proc_of_task(), inc.routing(), num_procs);
+      mapping = mapping_from_placement(
+          inc.proc_of_task(), std::move(inc).routing(), num_procs);
     } else {
       // Intermediate levels score the coarse aggregate (single folded
       // comm + exec phase) — same bottleneck structure, far fewer

@@ -243,7 +243,7 @@ PlacementRefineResult refine_placement(const TaskGraph& graph,
   OREGAMI_ASSERT(result.completion_after <= result.completion_before,
                  "placement refinement must never worsen completion");
   result.proc_of_task = inc.proc_of_task();
-  result.routing = inc.routing();
+  result.routing = std::move(inc).routing();
   return result;
 }
 

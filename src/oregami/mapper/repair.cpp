@@ -155,7 +155,7 @@ RepairResult repair_mapping(const TaskGraph& graph,
     }
 
     std::vector<int> repaired_proc = inc.proc_of_task();
-    std::vector<PhaseRouting> repaired_routing = inc.routing();
+    std::vector<PhaseRouting> repaired_routing = std::move(inc).routing();
 
     // --- Rung 2: local refinement polish (healthy candidates only:
     // dead processors have no surviving links in the faulted graph).

@@ -188,12 +188,9 @@ void IncrementalCompletion::rebuild_comm_maxima(CommState& state) const {
 Route IncrementalCompletion::route_for(int phase, int edge) const {
   const auto& e = graph_.comm_phases()[static_cast<std::size_t>(phase)]
                       .edges[static_cast<std::size_t>(edge)];
-  const int src = proc_of_task_[static_cast<std::size_t>(e.src)];
-  const int dst = proc_of_task_[static_cast<std::size_t>(e.dst)];
-  if (src == dst) {
-    return Route{{src}, {}};
-  }
-  return greedy_shortest_route(topo_, src, dst);
+  return greedy_shortest_route(topo_,
+                               proc_of_task_[static_cast<std::size_t>(e.src)],
+                               proc_of_task_[static_cast<std::size_t>(e.dst)]);
 }
 
 std::int64_t IncrementalCompletion::delta_move(int task, int to_proc) const {
@@ -269,31 +266,11 @@ std::int64_t IncrementalCompletion::delta_move(int task, int to_proc) const {
           dst_task == task
               ? to_proc
               : proc_of_task_[static_cast<std::size_t>(dst_task)];
-      // Allocation-free replay of greedy_shortest_route: at each step
-      // the lowest-numbered neighbour one hop closer to dst (the same
-      // choice next_hop_choices' sort-then-front makes), with the link
-      // id read straight off the adjacency entry.
-      int new_hops = 0;
-      if (src != dst) {
-        const DistanceRow dist = topo_.distance_row(dst);
-        int current = src;
-        while (current != dst) {
-          const int here = dist[current];
-          int next = -1;
-          int next_link = -1;
-          for (const auto& a : topo_.graph().neighbors(current)) {
-            if (dist[a.neighbor] == here - 1 &&
-                (next == -1 || a.neighbor < next)) {
-              next = a.neighbor;
-              next_link = a.edge_id;
-            }
-          }
-          OREGAMI_ASSERT(next != -1, "destination must be reachable");
-          touch(next_link, edge.volume * link_weight(next_link));
-          ++new_hops;
-          current = next;
-        }
-      }
+      // The route apply_move would store, walked without building it.
+      const int new_hops =
+          walk_greedy_route(topo_, src, dst, [&](int /*next*/, int link) {
+            touch(link, edge.volume * link_weight(link));
+          });
       const int hb = hop_bucket(new_hops);
       if (static_cast<int>(hops_scratch_.size()) <= hb) {
         hops_scratch_.resize(static_cast<std::size_t>(hb) + 1, 0);

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "oregami/metrics/completion_model.hpp"
@@ -90,8 +91,13 @@ class IncrementalCompletion {
   [[nodiscard]] const std::vector<int>& proc_of_task() const {
     return proc_of_task_;
   }
-  [[nodiscard]] const std::vector<PhaseRouting>& routing() const {
+  [[nodiscard]] const std::vector<PhaseRouting>& routing() const& {
     return routing_;
+  }
+  /// Moves the routes out of an evaluator that is done with them:
+  /// `std::move(inc).routing()`. Only destruction may follow.
+  [[nodiscard]] std::vector<PhaseRouting> routing() && {
+    return std::move(routing_);
   }
 
   /// Completion-time change if `task` moved to `to_proc` (incident

@@ -30,8 +30,7 @@ void MetricsSession::reroute_task_edges(int task) {
       }
       const int src = proc_of_task_[static_cast<std::size_t>(e.src)];
       const int dst = proc_of_task_[static_cast<std::size_t>(e.dst)];
-      routing_[k].route_of_edge[i] =
-          src == dst ? Route{{src}, {}} : greedy_shortest_route(topo_, src, dst);
+      routing_[k].route_of_edge[i] = greedy_shortest_route(topo_, src, dst);
     }
   }
 }
