@@ -17,9 +17,9 @@
 #include <string>
 
 #include "bench_util.hpp"
-#include "oregami/arch/routes.hpp"
 #include "oregami/core/csr_graph.hpp"
 #include "oregami/core/synthetic.hpp"
+#include "oregami/mapper/baselines.hpp"
 #include "oregami/mapper/multilevel.hpp"
 #include "oregami/mapper/refine.hpp"
 #include "oregami/metrics/completion_model.hpp"
@@ -35,22 +35,6 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
-}
-
-std::vector<PhaseRouting> greedy_routing(const TaskGraph& graph,
-                                         const Topology& topo,
-                                         const std::vector<int>& procs) {
-  std::vector<PhaseRouting> routing(graph.comm_phases().size());
-  for (std::size_t k = 0; k < graph.comm_phases().size(); ++k) {
-    const auto& edges = graph.comm_phases()[k].edges;
-    routing[k].route_of_edge.reserve(edges.size());
-    for (const CommEdge& e : edges) {
-      routing[k].route_of_edge.push_back(greedy_shortest_route(
-          topo, procs[static_cast<std::size_t>(e.src)],
-          procs[static_cast<std::size_t>(e.dst)]));
-    }
-  }
-  return routing;
 }
 
 void run_size(const std::string& label, int rows, int cols,
@@ -77,7 +61,7 @@ void run_size(const std::string& label, int rows, int cols,
   }
   const auto t_flat = std::chrono::steady_clock::now();
   const PlacementRefineResult flat = refine_placement(
-      graph, topo, flat_procs, greedy_routing(graph, topo, flat_procs));
+      graph, topo, flat_procs, route_greedy_shortest(graph, flat_procs, topo));
   const double flat_s = seconds_since(t_flat);
 
   const double speedup = ml_s > 0.0 ? flat_s / ml_s : 0.0;
