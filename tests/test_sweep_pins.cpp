@@ -3,7 +3,8 @@
 // rung and the multilevel V-cycle's per-round commit. The other suites
 // check validity and invariance across --jobs; these pin the placements
 // themselves, as the FNV-1a of the serialised mapping plus each caller's
-// reported counts, so a rewrite of the shared loop cannot drift.
+// reported counts, so a rewrite of the shared loop cannot drift. The
+// driver's redirect onto a faulted machine is pinned the same way.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -119,12 +120,13 @@ TEST(RefinePlacementPins, SorOnRing8WithExplicitLoadBound) {
 
 // ------------------------------------------------------- repair_mapping
 
-/// The jacobi example mapped onto healthy mesh:4x4, then repaired onto
-/// the machine degraded by `faults`.
-RepairResult repair_jacobi(const std::string& faults,
+/// The jacobi example mapped onto the healthy `topology`, then
+/// repaired onto the machine degraded by `faults`.
+RepairResult repair_jacobi(const std::string& topology,
+                           const std::string& faults,
                            const RepairOptions& options) {
   const Compiled c = compile_example("jacobi");
-  const Topology topo = parse_topology_spec("mesh:4x4");
+  const Topology topo = parse_topology_spec(topology);
   const MapperReport healthy = map_program(c.ast, c.cp, topo);
   const FaultedTopology ft(topo, FaultSpec::parse(faults, topo));
   return repair_mapping(c.cp.graph, ft, healthy.mapping, options);
@@ -140,7 +142,7 @@ std::string migrations_of(const RepairResult& result) {
 }
 
 TEST(RepairPins, JacobiDeadProcessorAndLink) {
-  const RepairResult r = repair_jacobi("p5,l3", {});
+  const RepairResult r = repair_jacobi("mesh:4x4", "p5,l3", {});
   EXPECT_EQ(digest(r.mapping, 16), 0x73157559b0c5106cULL);
   EXPECT_EQ(to_string(r.rung), "migrate");
   EXPECT_EQ(r.attempts, 2);
@@ -150,7 +152,7 @@ TEST(RepairPins, JacobiDeadProcessorAndLink) {
 }
 
 TEST(RepairPins, JacobiWithSlowedLinkReachesRefineRung) {
-  const RepairResult r = repair_jacobi("p5,l3,s1:8", {});
+  const RepairResult r = repair_jacobi("mesh:4x4", "p5,l3,s1:8", {});
   EXPECT_EQ(digest(r.mapping, 16), 0xb6d3709ac393829dULL);
   EXPECT_EQ(to_string(r.rung), "refine");
   EXPECT_EQ(r.attempts, 4);
@@ -164,7 +166,7 @@ TEST(RepairPins, JacobiWithSlowedLinkReachesRefineRung) {
 TEST(RepairPins, JacobiWithExpiredBudget) {
   RepairOptions expired;
   expired.time_budget_ms = -1;
-  const RepairResult r = repair_jacobi("p5,l3", expired);
+  const RepairResult r = repair_jacobi("mesh:4x4", "p5,l3", expired);
   EXPECT_EQ(digest(r.mapping, 16), 0xac2eefe8ddaf11d8ULL);
   EXPECT_EQ(to_string(r.rung), "migrate");
   EXPECT_EQ(r.attempts, 0);
@@ -173,6 +175,75 @@ TEST(RepairPins, JacobiWithExpiredBudget) {
             "migrated 4 task(s) in 0 attempt(s); refinement skipped "
             "(deadline)");
   EXPECT_TRUE(r.deadline_hit);
+}
+
+TEST(RepairPins, JacobiOnSplitRingKeepsProcessorZerosHalf) {
+  // The halves {1..8} and {9..15, 0} tie at 8 processors; the tie goes
+  // to processor 0's half, so the 32 tasks on processors 1-8 move.
+  const RepairResult r = repair_jacobi("ring:16", "l0,l8", {});
+  EXPECT_EQ(digest(r.mapping, 16), 0x63f31cade1056ff3ULL);
+  EXPECT_EQ(to_string(r.rung), "migrate");
+  EXPECT_EQ(r.attempts, 1);
+  EXPECT_EQ(migrations_of(r),
+            "16:1->0 17:1->0 18:2->0 19:2->0 20:3->0 21:3->0 22:4->0 "
+            "23:4->0 24:1->0 25:1->0 26:2->0 27:2->0 28:3->0 29:3->0 "
+            "30:4->0 31:4->0 32:5->9 33:5->9 34:6->9 35:6->9 36:7->9 "
+            "37:7->9 38:8->9 39:8->9 40:5->9 41:5->9 42:6->9 43:6->9 "
+            "44:7->9 45:7->9 46:8->9 47:8->9 ");
+  EXPECT_EQ(r.details, "migrated 32 task(s) in 1 attempt(s)");
+  EXPECT_FALSE(r.deadline_hit);
+}
+
+TEST(RepairPins, JacobiWithAliveProcessorCutOff) {
+  // Processor 0 stays alive but loses both of its links.
+  const RepairResult r = repair_jacobi("mesh:4x4", "l0-1,l0-4", {});
+  EXPECT_EQ(digest(r.mapping, 16), 0xe9f88294420e70b9ULL);
+  EXPECT_EQ(to_string(r.rung), "migrate");
+  EXPECT_EQ(r.attempts, 2);
+  EXPECT_EQ(migrations_of(r), "0:0->2 1:0->2 8:0->1 9:0->1 ");
+  EXPECT_EQ(r.details, "migrated 4 task(s) in 2 attempt(s)");
+  EXPECT_FALSE(r.deadline_hit);
+}
+
+// ------------------------------------------ map_program on a faulted machine
+
+/// The jacobi example mapped straight onto `topology` degraded by
+/// `faults` (the driver's redirect to the healthy sub-machine).
+MapperReport degraded_jacobi(const std::string& topology,
+                             const std::string& faults) {
+  const Compiled c = compile_example("jacobi");
+  const Topology topo = parse_topology_spec(topology);
+  const FaultedTopology ft(topo, FaultSpec::parse(faults, topo));
+  MapperOptions options;
+  options.faults = &ft;
+  return map_program(c.ast, c.cp, topo, options);
+}
+
+TEST(DegradedMapPins, JacobiOnSplitRing) {
+  const MapperReport report = degraded_jacobi("ring:16", "l0,l8");
+  EXPECT_EQ(digest(report.mapping, 16), 0x799750960c067eebULL);
+  EXPECT_EQ(report.details,
+            "degraded machine (l0,l8; 8/16 processors healthy); greedy "
+            "pre-merge + maximum-weight matching pairing (blossom), IPC = "
+            "64; NN-Embed greedy placement");
+}
+
+TEST(DegradedMapPins, JacobiWithAliveProcessorCutOff) {
+  const MapperReport report = degraded_jacobi("mesh:4x4", "l0-1,l0-4");
+  EXPECT_EQ(digest(report.mapping, 16), 0x6287b187dc2f99edULL);
+  EXPECT_EQ(report.details,
+            "degraded machine (l0,l1; 15/16 processors healthy); greedy "
+            "pre-merge + maximum-weight matching pairing (blossom), IPC = "
+            "92; NN-Embed greedy placement");
+}
+
+TEST(DegradedMapPins, JacobiDeadProcessorAndLink) {
+  const MapperReport report = degraded_jacobi("mesh:4x4", "p5,l3");
+  EXPECT_EQ(digest(report.mapping, 16), 0xe239e227105fc052ULL);
+  EXPECT_EQ(report.details,
+            "degraded machine (p5,l3; 15/16 processors healthy); greedy "
+            "pre-merge + maximum-weight matching pairing (blossom), IPC = "
+            "92; NN-Embed greedy placement");
 }
 
 // ------------------------------------------------------- map_multilevel
