@@ -10,20 +10,20 @@
 //                      `factor` times slower). Specs can be written by
 //                      hand, parsed from the CLI grammar, or drawn
 //                      deterministically from a seed.
-//   * FaultedTopology -- the degraded machine: the base topology with
-//                      dead links removed and dead processors isolated.
-//                      Processor ids are STABLE (a mapping's processor
-//                      numbers mean the same thing before and after the
-//                      fault); only link ids are renumbered, and the
-//                      view carries the translation both ways. The
-//                      degraded link graph is a Custom-family Topology,
-//                      so distance queries fall back to the thread-safe
-//                      BFS table (closed-form oracles are wrong once
-//                      links are missing) and unreachable pairs report
-//                      -1.
+//   * FaultedTopology -- the degraded machine. It answers liveness
+//                      questions in base ids (alive processors and
+//                      links, slowdowns, the one check that a mapping
+//                      avoids every dead part) and holds the one
+//                      degraded Topology: the healthy sub-machine, the
+//                      largest surviving component compacted into a
+//                      Custom-family topology. Mapping and repair run
+//                      on that machine and translate back to base ids;
+//                      its distance queries use the thread-safe BFS
+//                      table (closed-form oracles are wrong once links
+//                      are missing).
 //
 // Every construction is deterministic: identical (FaultSpec, seed)
-// yields a byte-identical faulted topology, which the repair ladder
+// yields a byte-identical healthy machine, which the repair ladder
 // (mapper/repair.hpp) relies on for its reproducibility contract.
 #pragma once
 
@@ -93,12 +93,11 @@ struct FaultSpec {
   [[nodiscard]] static std::string grammar_help();
 };
 
-/// The degraded machine: base topology + FaultSpec, precomputed alive /
-/// healthy sets and the link-id translation between the base and the
-/// degraded link graphs.
+/// The degraded machine: base topology + FaultSpec, the alive sets and
+/// the healthy sub-machine, all built once at construction.
 ///
 /// "Alive" means not dead; "healthy" means alive AND a member of the
-/// largest connected component of the degraded link graph (ties broken
+/// largest connected component of the surviving links (ties broken
 /// toward the component containing the lowest processor id). Mapping
 /// repair places tasks only on healthy processors, because routes
 /// between distinct surviving components do not exist.
@@ -110,12 +109,6 @@ class FaultedTopology {
 
   [[nodiscard]] const Topology& base() const { return *base_; }
   [[nodiscard]] const FaultSpec& spec() const { return spec_; }
-
-  /// The degraded link graph as a Custom-family Topology: same
-  /// processor count as the base (dead processors are isolated
-  /// vertices), surviving links only, renumbered densely in base-id
-  /// order.
-  [[nodiscard]] const Topology& faulted() const { return faulted_; }
 
   [[nodiscard]] bool proc_alive(int p) const {
     return dead_proc_[static_cast<std::size_t>(p)] == 0;
@@ -134,57 +127,49 @@ class FaultedTopology {
   }
 
   [[nodiscard]] int num_alive_procs() const { return num_alive_procs_; }
-  [[nodiscard]] int num_alive_links() const {
-    return faulted_.num_links();
-  }
+  [[nodiscard]] int num_alive_links() const { return num_alive_links_; }
 
   /// True when every alive processor sits in one connected component
-  /// of the degraded graph.
-  [[nodiscard]] bool fully_connected() const { return fully_connected_; }
-
-  /// The healthy processors (largest surviving component), ascending.
-  [[nodiscard]] const std::vector<int>& healthy_procs() const {
-    return healthy_procs_;
-  }
-  [[nodiscard]] bool healthy(int p) const {
-    return healthy_[static_cast<std::size_t>(p)] != 0;
-  }
-
-  /// Link-id translation. faulted -> base is total; base -> faulted
-  /// returns -1 for a dead base link.
-  [[nodiscard]] int base_link_of(int faulted_link) const {
-    return fault_to_base_link_[static_cast<std::size_t>(faulted_link)];
-  }
-  [[nodiscard]] int faulted_link_of(int base_link) const {
-    return base_to_fault_link_[static_cast<std::size_t>(base_link)];
+  /// of the surviving links.
+  [[nodiscard]] bool fully_connected() const {
+    return static_cast<int>(healthy_procs().size()) == num_alive_procs_;
   }
 
   /// True when a route (base link ids) touches no dead processor or
   /// dead link.
   [[nodiscard]] bool route_alive(const Route& route) const;
 
-  /// Rewrites a route's link ids between the two numberings. The node
-  /// sequence is unchanged (processor ids are stable). to_faulted
-  /// throws MappingError when the route crosses a dead link or dead
+  /// The one check that a mapping (in base ids) is alive on this
+  /// machine, in two parts: the placement, and the routes of one comm
+  /// phase. Each throws MappingError naming the first task on a dead
+  /// processor, or the first message routed across a dead link or
   /// processor.
-  [[nodiscard]] Route to_base(Route faulted_route) const;
-  [[nodiscard]] Route to_faulted(Route base_route) const;
+  void check_placement(const std::vector<int>& proc_of_task) const;
+  void check_routes(int phase_index, const PhaseRouting& routing) const;
 
-  /// Per-link serialisation factors for the degraded link graph
-  /// (index = faulted link id), ready to hand to IncrementalCompletion
-  /// so repair scoring charges slowed links their real cost.
-  [[nodiscard]] std::vector<std::int64_t> faulted_link_factors() const;
-
-  /// The healthy component as a standalone compacted Custom topology
-  /// (processors renumbered 0..H-1), with translation tables back to
-  /// base ids. Used by the full-remap rung, which runs the regular
-  /// MAPPER pipeline on the shrunken machine.
+  /// The healthy component as a standalone compacted Custom topology.
+  /// Processors and links are numbered in ascending base-id order, so
+  /// every lowest-id tie-break on it resolves as on the base machine.
   struct HealthySub {
     Topology topo;
-    std::vector<int> to_base_proc;  ///< sub proc id -> base proc id
-    std::vector<int> to_base_link;  ///< sub link id -> base link id
+    std::vector<int> to_base_proc;    ///< sub proc id -> base proc id
+    std::vector<int> to_base_link;    ///< sub link id -> base link id
+    std::vector<int> from_base_proc;  ///< base proc id -> sub id, or -1
+    /// link_slowdown() of each sub link's base link, ready to pass as a
+    /// `link_factor` for scoring on `topo`.
+    std::vector<std::int64_t> link_factor;
   };
-  [[nodiscard]] HealthySub healthy_subtopology() const;
+  [[nodiscard]] const HealthySub& healthy_subtopology() const {
+    return sub_;
+  }
+
+  /// The healthy processors (base ids), ascending.
+  [[nodiscard]] const std::vector<int>& healthy_procs() const {
+    return sub_.to_base_proc;
+  }
+  [[nodiscard]] bool healthy(int p) const {
+    return sub_.from_base_proc[static_cast<std::size_t>(p)] >= 0;
+  }
 
  private:
   const Topology* base_;
@@ -192,13 +177,9 @@ class FaultedTopology {
   std::vector<char> dead_proc_;          ///< per base proc
   std::vector<char> dead_link_;          ///< per base link (incl. links at dead procs)
   std::vector<std::int64_t> slowdown_;   ///< per base link, >= 1
-  Topology faulted_;
-  std::vector<int> fault_to_base_link_;
-  std::vector<int> base_to_fault_link_;
-  std::vector<int> healthy_procs_;
-  std::vector<char> healthy_;
   int num_alive_procs_ = 0;
-  bool fully_connected_ = false;
+  int num_alive_links_ = 0;
+  HealthySub sub_;
 };
 
 /// Rewrites a mapping computed on `sub.topo` (the compacted healthy

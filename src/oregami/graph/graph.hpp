@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <numeric>
 #include <optional>
 #include <vector>
 
@@ -82,6 +83,31 @@ class Graph {
 
 /// Component id per vertex, ids dense from 0 in first-seen order.
 [[nodiscard]] std::vector<int> connected_components(const Graph& g);
+
+/// Union-find over ids [0, n), with path halving.
+class UnionFind {
+ public:
+  explicit UnionFind(int n) : parent_(static_cast<std::size_t>(n)) {
+    std::iota(parent_.begin(), parent_.end(), 0);
+  }
+
+  int find(int x) {
+    while (parent_[static_cast<std::size_t>(x)] != x) {
+      parent_[static_cast<std::size_t>(x)] =
+          parent_[static_cast<std::size_t>(
+              parent_[static_cast<std::size_t>(x)])];
+      x = parent_[static_cast<std::size_t>(x)];
+    }
+    return x;
+  }
+
+  void unite(int a, int b) {
+    parent_[static_cast<std::size_t>(find(a))] = find(b);
+  }
+
+ private:
+  std::vector<int> parent_;
+};
 
 /// Degree histogram: result[d] = number of vertices with degree d.
 [[nodiscard]] std::vector<int> degree_histogram(const Graph& g);

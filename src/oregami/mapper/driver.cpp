@@ -341,7 +341,7 @@ MapperReport map_degraded(const TaskGraph& graph,
         "remain (spec: " + faults.spec().to_string() + ")");
   }
   const trace::Span span("degraded_map");
-  const FaultedTopology::HealthySub sub = faults.healthy_subtopology();
+  const FaultedTopology::HealthySub& sub = faults.healthy_subtopology();
   options.faults = nullptr;
   MapperReport report =
       program != nullptr

@@ -1,39 +1,14 @@
 #include "oregami/mapper/mwm_contract.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "oregami/graph/blossom.hpp"
+#include "oregami/graph/graph.hpp"
 #include "oregami/support/error.hpp"
 
 namespace oregami {
 
 namespace {
-
-/// Union-find over task ids.
-class UnionFind {
- public:
-  explicit UnionFind(int n) : parent_(static_cast<std::size_t>(n)) {
-    std::iota(parent_.begin(), parent_.end(), 0);
-  }
-
-  int find(int x) {
-    while (parent_[static_cast<std::size_t>(x)] != x) {
-      parent_[static_cast<std::size_t>(x)] =
-          parent_[static_cast<std::size_t>(
-              parent_[static_cast<std::size_t>(x)])];
-      x = parent_[static_cast<std::size_t>(x)];
-    }
-    return x;
-  }
-
-  void unite(int a, int b) {
-    parent_[static_cast<std::size_t>(find(a))] = find(b);
-  }
-
- private:
-  std::vector<int> parent_;
-};
 
 /// Dense cluster ids from union-find roots, in first-task order.
 Contraction contraction_from_roots(UnionFind& uf, int n) {

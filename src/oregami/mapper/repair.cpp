@@ -48,17 +48,6 @@ int nearest_healthy(const FaultedTopology& faults, int from) {
   return best;
 }
 
-/// Translates faulted-link-id routing back into base link ids.
-std::vector<PhaseRouting> routing_to_base(
-    const FaultedTopology& faults, std::vector<PhaseRouting> routing) {
-  for (auto& phase : routing) {
-    for (auto& route : phase.route_of_edge) {
-      route = faults.to_base(std::move(route));
-    }
-  }
-  return routing;
-}
-
 }  // namespace
 
 RepairResult repair_mapping(const TaskGraph& graph,
@@ -95,41 +84,41 @@ RepairResult repair_mapping(const TaskGraph& graph,
         faults.spec().to_string() + ")");
   }
 
-  const Topology& ftopo = faults.faulted();
+  // Migrate and refine run on the healthy machine, in its ids.
+  const FaultedTopology::HealthySub& sub = faults.healthy_subtopology();
 
   if (options.allow_migrate) {
     // --- Rung 1: migrate displaced tasks, re-route everything. ---
     const trace::Span rung_span("migrate");
     std::vector<int> displaced;
     for (int t = 0; t < graph.num_tasks(); ++t) {
-      const int p = proc[static_cast<std::size_t>(t)];
+      int& p = proc[static_cast<std::size_t>(t)];
       if (!faults.healthy(p)) {
         const int to = nearest_healthy(faults, p);
         result.migrations.push_back({t, p, to});
         displaced.push_back(t);
-        proc[static_cast<std::size_t>(t)] = to;
+        p = to;
       }
+      p = sub.from_base_proc[static_cast<std::size_t>(p)];
     }
     std::vector<PhaseRouting> routing =
-        route_greedy_shortest(graph, proc, ftopo);
+        route_greedy_shortest(graph, proc, sub.topo);
 
-    IncrementalCompletion inc(graph, ftopo, std::move(proc),
+    IncrementalCompletion inc(graph, sub.topo, std::move(proc),
                               std::move(routing), options.model,
-                              faults.faulted_link_factors());
+                              sub.link_factor);
 
-    // Improve the displaced tasks only. Sweep k probes the healthy
-    // processors within 2^k hops (faulted-topology distance) of the
-    // task's current processor.
+    // Improve the displaced tasks only. Sweep k probes the processors
+    // within 2^k hops of the task's current processor.
     const SweepResult sweep = greedy_sweep(
         inc, displaced,
         [&](int t, int pass, std::vector<int>& out) {
           const int radius = pass < 30 ? (1 << pass)
                                        : std::numeric_limits<int>::max() / 2;
-          const DistanceRow row = ftopo.distance_row(
+          const DistanceRow row = sub.topo.distance_row(
               inc.proc_of_task()[static_cast<std::size_t>(t)]);
-          for (const int q : faults.healthy_procs()) {
-            const int d = row[q];
-            if (d >= 0 && d <= radius) {
+          for (int q = 0; q < sub.topo.num_procs(); ++q) {
+            if (row[q] <= radius) {
               out.push_back(q);
             }
           }
@@ -139,8 +128,8 @@ RepairResult repair_mapping(const TaskGraph& graph,
     result.deadline_hit = sweep.deadline_hit;
     // Record where each displaced task actually landed.
     for (RepairMove& move : result.migrations) {
-      move.to_proc =
-          inc.proc_of_task()[static_cast<std::size_t>(move.task)];
+      move.to_proc = sub.to_base_proc[static_cast<std::size_t>(
+          inc.proc_of_task()[static_cast<std::size_t>(move.task)])];
     }
 
     result.rung = RepairRung::Migrate;
@@ -157,14 +146,13 @@ RepairResult repair_mapping(const TaskGraph& graph,
     std::vector<int> repaired_proc = inc.proc_of_task();
     std::vector<PhaseRouting> repaired_routing = std::move(inc).routing();
 
-    // --- Rung 2: local refinement polish (healthy candidates only:
-    // dead processors have no surviving links in the faulted graph).
+    // --- Rung 2: local refinement polish. ---
     if (options.allow_refine && !deadline.passed()) {
       const trace::Span refine_span("refine");
       PlacementRefineResult refined = refine_placement(
-          graph, ftopo, std::move(repaired_proc),
+          graph, sub.topo, std::move(repaired_proc),
           std::move(repaired_routing), options.model, /*load_bound_B=*/0,
-          /*max_passes=*/4, faults.faulted_link_factors());
+          /*max_passes=*/4, sub.link_factor);
       if (refined.moves > 0) {
         result.rung = RepairRung::Refine;
         result.details += "; refinement -" +
@@ -182,14 +170,13 @@ RepairResult repair_mapping(const TaskGraph& graph,
       trace::instant("deadline_hit", "refine rung skipped");
     }
 
-    result.mapping = mapping_from_placement(
-        repaired_proc,
-        routing_to_base(faults, std::move(repaired_routing)),
-        base.num_procs());
+    result.mapping = map_to_base(
+        sub, mapping_from_placement(repaired_proc,
+                                    std::move(repaired_routing),
+                                    sub.topo.num_procs()));
   } else if (options.allow_remap) {
-    // --- Rung 3: full remap on the compacted healthy machine. ---
+    // --- Rung 3: full remap on the healthy machine. ---
     const trace::Span rung_span("remap");
-    const FaultedTopology::HealthySub sub = faults.healthy_subtopology();
     MapperOptions remap_options = options.remap_options;
     remap_options.portfolio_seed = options.seed != 0
                                        ? options.seed

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <string>
 
 #include "oregami/support/error.hpp"
 
@@ -174,22 +173,9 @@ std::int64_t degraded_completion_time(
     const CostModel& model) {
   OREGAMI_ASSERT(routing.size() == graph.comm_phases().size(),
                  "routing must cover every phase");
-  for (int t = 0; t < graph.num_tasks(); ++t) {
-    const int p = proc_of_task[static_cast<std::size_t>(t)];
-    if (!faults.proc_alive(p)) {
-      throw MappingError("task " + std::to_string(t) +
-                         " is placed on dead processor " +
-                         std::to_string(p));
-    }
-  }
+  faults.check_placement(proc_of_task);
   for (std::size_t k = 0; k < routing.size(); ++k) {
-    for (std::size_t m = 0; m < routing[k].route_of_edge.size(); ++m) {
-      if (!faults.route_alive(routing[k].route_of_edge[m])) {
-        throw MappingError("comm phase " + std::to_string(k) +
-                           " message " + std::to_string(m) +
-                           " is routed across a dead link or processor");
-      }
-    }
+    faults.check_routes(static_cast<int>(k), routing[k]);
   }
   std::vector<std::int64_t> comm_times;
   std::vector<std::int64_t> exec_times;

@@ -99,11 +99,11 @@ struct PlacementObjectives {
 /// volume is multiplied by its slowdown factor
 /// (FaultedTopology::link_slowdowns() as comm_phase_time()'s
 /// `link_factor`), so the phase bottleneck is max over links of
-/// (volume * factor). Routes and placement are in BASE ids; throws
-/// MappingError when a task sits on a dead processor or a route crosses
-/// a dead link/processor (the mapping is invalid on the faulted machine
-/// -- repair it first). With an empty FaultSpec this equals
-/// completion_time() exactly.
+/// (volume * factor). Routes and placement are in BASE ids; the
+/// FaultedTopology liveness check throws MappingError when a task sits
+/// on a dead processor or a route crosses a dead link/processor (the
+/// mapping is invalid on the faulted machine -- repair it first). With
+/// an empty FaultSpec this equals completion_time() exactly.
 [[nodiscard]] std::int64_t degraded_completion_time(
     const TaskGraph& graph, const std::vector<int>& proc_of_task,
     const std::vector<PhaseRouting>& routing, const FaultedTopology& faults,

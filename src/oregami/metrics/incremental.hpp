@@ -73,8 +73,9 @@ class IncrementalCompletion {
   /// a link's volume contribution is weighted by its factor, so the
   /// phase bottleneck is max over links of (volume * factor), the same
   /// convention as comm_phase_time(). This is how degraded-mode scoring
-  /// charges slowed links their real cost (see
-  /// FaultedTopology::faulted_link_factors() and link_slowdowns()).
+  /// charges slowed links their real cost: pass HealthySub::link_factor
+  /// on the healthy machine, FaultedTopology::link_slowdowns() on the
+  /// base one.
   IncrementalCompletion(const TaskGraph& graph, const Topology& topo,
                         std::vector<int> proc_of_task,
                         std::vector<PhaseRouting> routing,

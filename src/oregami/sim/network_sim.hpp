@@ -35,12 +35,13 @@ namespace oregami {
 struct SimConfig {
   std::int64_t hop_latency = 1;      ///< per-hop fixed cost (cycles)
   std::int64_t cycles_per_unit = 1;  ///< serialisation per volume unit
-  /// Optional degraded machine (not owned; must outlive the call).
-  /// When set, every route is re-validated against the faulted
-  /// topology before injection -- a route over a dead link or dead
-  /// processor, or a task placed on a dead processor, raises a clean
-  /// MappingError (never a hang or assert) -- and serialisation
-  /// through a slowed link is multiplied by its degradation factor.
+  /// Optional degraded machine of `topo` (not owned; must outlive the
+  /// call). When set, the placement and every route pass the
+  /// FaultedTopology liveness check before injection -- a route over a
+  /// dead link or dead processor, or a task placed on a dead processor,
+  /// raises a clean MappingError (never a hang or assert) -- and
+  /// serialisation through a slowed link is multiplied by its
+  /// degradation factor.
   const FaultedTopology* faults = nullptr;
 };
 

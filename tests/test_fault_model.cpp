@@ -1,16 +1,22 @@
 // FaultSpec / FaultedTopology unit tests: parsing grammar, normalise /
-// validate behaviour, deterministic random specs, and the structural
-// invariants of the degraded view (stable processor ids, exact link-id
-// bijection, largest-component healthy set, route translation).
+// validate behaviour, deterministic random specs, the structural
+// invariants of the healthy machine (stable base ids, base order kept,
+// exact link-id bijection, largest-component healthy set, route
+// translation) and the one liveness check the scorer and the simulator
+// share.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "oregami/arch/fault_model.hpp"
 #include "oregami/arch/routes.hpp"
 #include "oregami/arch/topology_spec.hpp"
+#include "oregami/metrics/completion_model.hpp"
+#include "oregami/sim/network_sim.hpp"
 #include "oregami/support/error.hpp"
 #include "oregami/support/rng.hpp"
 
@@ -102,13 +108,17 @@ TEST(FaultSpec, RandomSpecClampsToMachineSize) {
 TEST(FaultedTopology, ProcessorIdsAreStable) {
   const Topology topo = Topology::mesh(4, 4);
   const FaultedTopology ft(topo, FaultSpec::parse("p5,p10", topo));
-  EXPECT_EQ(ft.faulted().num_procs(), topo.num_procs());
   EXPECT_FALSE(ft.proc_alive(5));
   EXPECT_FALSE(ft.proc_alive(10));
   EXPECT_EQ(ft.num_alive_procs(), 14);
-  // Dead processors are isolated in the degraded graph.
-  for (int l = 0; l < ft.faulted().num_links(); ++l) {
-    const auto [u, v] = ft.faulted().link_endpoints(l);
+  // Base ids keep their meaning; the healthy machine leaves out the
+  // dead processors and every link at them.
+  const auto& sub = ft.healthy_subtopology();
+  EXPECT_EQ(sub.topo.num_procs(), 14);
+  EXPECT_EQ(sub.from_base_proc[5], -1);
+  EXPECT_EQ(sub.from_base_proc[10], -1);
+  for (const int l : sub.to_base_link) {
+    const auto [u, v] = topo.link_endpoints(l);
     EXPECT_NE(u, 5);
     EXPECT_NE(v, 5);
     EXPECT_NE(u, 10);
@@ -121,18 +131,25 @@ TEST(FaultedTopology, LinkBijectionIsExact) {
   const FaultedTopology ft(topo, FaultSpec::parse("l0,l7,p3", topo));
   int surviving = 0;
   for (int l = 0; l < topo.num_links(); ++l) {
-    const int f = ft.faulted_link_of(l);
-    if (ft.link_alive(l)) {
-      ASSERT_GE(f, 0);
-      EXPECT_EQ(ft.base_link_of(f), l);
-      // Same endpoints in both numberings (processor ids are stable).
-      EXPECT_EQ(ft.faulted().link_endpoints(f), topo.link_endpoints(l));
-      ++surviving;
-    } else {
-      EXPECT_EQ(f, -1);
-    }
+    surviving += ft.link_alive(l) ? 1 : 0;
   }
   EXPECT_EQ(surviving, ft.num_alive_links());
+  // The survivors stay connected, so the healthy machine holds every
+  // surviving link, each joining the images of its base endpoints.
+  ASSERT_TRUE(ft.fully_connected());
+  const auto& sub = ft.healthy_subtopology();
+  ASSERT_EQ(sub.topo.num_links(), surviving);
+  std::set<int> images;
+  for (int i = 0; i < sub.topo.num_links(); ++i) {
+    const int l = sub.to_base_link[static_cast<std::size_t>(i)];
+    EXPECT_TRUE(ft.link_alive(l));
+    images.insert(l);
+    const auto [u, v] = sub.topo.link_endpoints(i);
+    EXPECT_EQ(topo.link_between(sub.to_base_proc[static_cast<std::size_t>(u)],
+                                sub.to_base_proc[static_cast<std::size_t>(v)]),
+              l);
+  }
+  EXPECT_EQ(static_cast<int>(images.size()), surviving);
 }
 
 TEST(FaultedTopology, HealthyIsLargestComponent) {
@@ -167,31 +184,40 @@ TEST(FaultedTopology, RouteTranslationAndLiveness) {
   // A route through the dead centre is not alive; the perimeter is.
   const Route through = greedy_shortest_route(topo, 3, 5);  // 3-4-5
   EXPECT_FALSE(ft.route_alive(through));
-  EXPECT_THROW((void)ft.to_faulted(through), MappingError);
-  const Route around = greedy_shortest_route(ft.faulted(), 3, 5);
-  const Route base_route = ft.to_base(around);
-  EXPECT_TRUE(ft.route_alive(base_route));
-  EXPECT_EQ(base_route.nodes, around.nodes);  // node ids are stable
-  // And translating back is the identity.
-  EXPECT_EQ(ft.to_faulted(base_route).links, around.links);
+  PhaseRouting phase;
+  phase.route_of_edge.push_back(through);
+  EXPECT_THROW(ft.check_routes(0, phase), MappingError);
+  // A route on the healthy machine leaves through map_to_base alive.
+  const auto& sub = ft.healthy_subtopology();
+  Mapping on_sub;
+  on_sub.routing.resize(1);
+  on_sub.routing[0].route_of_edge.push_back(greedy_shortest_route(
+      sub.topo, sub.from_base_proc[3], sub.from_base_proc[5]));
+  const Route around = map_to_base(sub, on_sub).routing[0].route_of_edge[0];
+  EXPECT_EQ(around.nodes, (std::vector<int>{3, 0, 1, 2, 5}));
+  EXPECT_TRUE(is_valid_route(topo, around, 3, 5));
+  EXPECT_TRUE(ft.route_alive(around));
+  phase.route_of_edge[0] = around;
+  EXPECT_NO_THROW(ft.check_routes(0, phase));
 }
 
 TEST(FaultedTopology, SlowdownFactorsExposedPerFaultedLink) {
   const Topology topo = Topology::ring(5);
   const FaultedTopology ft(topo, FaultSpec::parse("s0:3,l1", topo));
-  const auto factors = ft.faulted_link_factors();
-  ASSERT_EQ(static_cast<int>(factors.size()), ft.num_alive_links());
-  for (int f = 0; f < ft.num_alive_links(); ++f) {
-    EXPECT_EQ(factors[static_cast<std::size_t>(f)],
-              ft.link_slowdown(ft.base_link_of(f)));
+  const auto& sub = ft.healthy_subtopology();
+  ASSERT_EQ(sub.topo.num_links(), ft.num_alive_links());
+  ASSERT_EQ(static_cast<int>(sub.link_factor.size()), sub.topo.num_links());
+  for (std::size_t i = 0; i < sub.link_factor.size(); ++i) {
+    EXPECT_EQ(sub.link_factor[i], ft.link_slowdown(sub.to_base_link[i]));
   }
   EXPECT_EQ(ft.link_slowdown(0), 3);
+  EXPECT_EQ(sub.link_factor.front(), 3);  // base link 0 is sub link 0
 }
 
 TEST(FaultedTopology, HealthySubtopologyIsCompactAndConsistent) {
   const Topology topo = Topology::mesh(4, 4);
   const FaultedTopology ft(topo, FaultSpec::parse("p0,p6,l10", topo));
-  const auto sub = ft.healthy_subtopology();
+  const auto& sub = ft.healthy_subtopology();
   EXPECT_EQ(sub.topo.num_procs(),
             static_cast<int>(ft.healthy_procs().size()));
   EXPECT_EQ(static_cast<int>(sub.to_base_proc.size()),
@@ -221,9 +247,114 @@ TEST(FaultedTopology, DeterministicAcrossConstructions) {
   const FaultedTopology a(topo, spec);
   const FaultedTopology b(topo, spec);
   EXPECT_EQ(a.healthy_procs(), b.healthy_procs());
-  EXPECT_EQ(a.faulted_link_factors(), b.faulted_link_factors());
+  EXPECT_EQ(a.healthy_subtopology().to_base_link,
+            b.healthy_subtopology().to_base_link);
+  EXPECT_EQ(a.healthy_subtopology().link_factor,
+            b.healthy_subtopology().link_factor);
   EXPECT_EQ(a.spec().to_string(), b.spec().to_string());
-  EXPECT_EQ(a.faulted().num_links(), b.faulted().num_links());
+  EXPECT_EQ(a.num_alive_links(), b.num_alive_links());
+}
+
+/// The invariant that keeps every degraded output byte-identical to the
+/// base machine's: the healthy machine numbers processors and links in
+/// ascending base-id order, so every lowest-id tie-break on it resolves
+/// as on the base machine.
+TEST(FaultedTopology, HealthySubKeepsBaseOrder) {
+  std::vector<Topology> machines;
+  for (const char* spec :
+       {"ring:12", "chain:9", "mesh:4x5", "torus:4x4", "hypercube:4",
+        "cbt:4", "star:8", "complete:7", "butterfly:2", "mesh3d:3x3x2"}) {
+    machines.push_back(parse_topology_spec(spec));
+  }
+  Graph custom(10);
+  for (const auto& [u, v] :
+       std::vector<std::pair<int, int>>{{0, 1}, {1, 2}, {2, 0}, {2, 3},
+                                        {3, 4}, {4, 5}, {5, 3}, {5, 6},
+                                        {6, 7}, {7, 8}, {8, 9}, {9, 6},
+                                        {1, 7}}) {
+    custom.add_edge(u, v);
+  }
+  machines.push_back(Topology::custom("custom", std::move(custom)));
+
+  const auto strictly_ascends = [](const std::vector<int>& ids) {
+    return std::adjacent_find(ids.begin(), ids.end(),
+                              std::greater_equal<>()) == ids.end();
+  };
+  for (const Topology& topo : machines) {
+    for (int seed = 1; seed <= 8; ++seed) {
+      const FaultedTopology ft(
+          topo, FaultSpec::random_spec(topo, seed % 3, 1 + seed % 4, 2,
+                                       static_cast<std::uint64_t>(seed)));
+      SCOPED_TRACE(topo.name() + " " + ft.spec().to_string());
+      const auto& sub = ft.healthy_subtopology();
+      EXPECT_TRUE(strictly_ascends(sub.to_base_proc));
+      EXPECT_TRUE(strictly_ascends(sub.to_base_link));
+      for (std::size_t i = 0; i < sub.to_base_proc.size(); ++i) {
+        EXPECT_EQ(sub.from_base_proc[static_cast<std::size_t>(
+                      sub.to_base_proc[i])],
+                  static_cast<int>(i));
+      }
+      ASSERT_EQ(sub.link_factor.size(), sub.to_base_link.size());
+      ASSERT_EQ(static_cast<int>(sub.to_base_link.size()),
+                sub.topo.num_links());
+      for (int i = 0; i < sub.topo.num_links(); ++i) {
+        const int l = sub.to_base_link[static_cast<std::size_t>(i)];
+        EXPECT_EQ(sub.link_factor[static_cast<std::size_t>(i)],
+                  ft.link_slowdown(l));
+        const auto [su, sv] = sub.topo.link_endpoints(i);
+        EXPECT_EQ(std::make_pair(sub.to_base_proc[static_cast<std::size_t>(su)],
+                                 sub.to_base_proc[static_cast<std::size_t>(sv)]),
+                  topo.link_endpoints(l));
+      }
+      // Every surviving base link between two healthy processors
+      // appears exactly once; no other link appears.
+      for (int l = 0; l < topo.num_links(); ++l) {
+        const auto [u, v] = topo.link_endpoints(l);
+        const bool inside = ft.link_alive(l) && ft.healthy(u) && ft.healthy(v);
+        EXPECT_EQ(std::count(sub.to_base_link.begin(), sub.to_base_link.end(),
+                             l),
+                  inside ? 1 : 0);
+      }
+    }
+  }
+}
+
+/// The scorer and the simulator reach a dead placement and a dead route
+/// only through the one FaultedTopology check, so they reject alike.
+TEST(FaultedTopology, ScorerAndSimulatorRejectAlike) {
+  TaskGraph graph;
+  graph.add_task("a");
+  graph.add_task("b");
+  graph.add_comm_edge(graph.add_comm_phase("send"), 0, 1, 4);
+  // ring:4 links: l0 = 0-1, l1 = 1-2, l2 = 2-3, l3 = 3-0.
+  const Topology topo = Topology::ring(4);
+  const FaultedTopology ft(topo, FaultSpec::parse("p3,l1", topo));
+  SimConfig config;
+  config.faults = &ft;
+
+  const auto rejections = [&](const std::vector<int>& procs) {
+    const std::vector<PhaseRouting> routing{{{greedy_shortest_route(
+        topo, procs[0], procs[1])}}};
+    std::string scorer;
+    std::string simulator;
+    try {
+      (void)degraded_completion_time(graph, procs, routing, ft);
+    } catch (const MappingError& e) {
+      scorer = e.what();
+    }
+    try {
+      (void)simulate(graph, procs, routing, topo, config);
+    } catch (const MappingError& e) {
+      simulator = e.what();
+    }
+    EXPECT_EQ(scorer, simulator);
+    return scorer;
+  };
+  EXPECT_EQ(rejections({3, 0}),
+            "task 0 is placed on dead processor 3 (spec: p3,l1)");
+  EXPECT_EQ(rejections({1, 2}),
+            "comm phase 0 message 0 is routed across a dead link or "
+            "processor (spec: p3,l1)");
 }
 
 TEST(FaultedTopology, ValidateRejectsOverlapAndBadFactors) {
