@@ -31,6 +31,7 @@
 #include "oregami/support/deadline.hpp"
 #include "oregami/support/failpoint.hpp"
 #include "oregami/support/error.hpp"
+#include "oregami/support/json.hpp"
 #include "oregami/support/thread_pool.hpp"
 #include "oregami/support/thread_safe_queue.hpp"
 #include "oregami/support/trace.hpp"

@@ -41,6 +41,7 @@
 
 #include "oregami/mapper/driver.hpp"
 #include "oregami/server/result_cache.hpp"
+#include "oregami/support/json.hpp"
 
 namespace oregami::server {
 
@@ -104,8 +105,8 @@ struct WireJob {
     const std::string& id, std::size_t line_number, int code,
     const std::string& message, std::int64_t retry_after_ms = -1);
 
-/// JSON string escaping (shared with the formatters; exposed for
-/// tests and tools).
-[[nodiscard]] std::string json_escape(const std::string& s);
+/// JSON string escaping (support/json.hpp), under the server
+/// namespace for the formatters, tests and tools.
+using oregami::json_escape;
 
 }  // namespace oregami::server

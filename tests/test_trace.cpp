@@ -240,6 +240,7 @@ TEST(Trace, ChromeJsonIsWellFormed) {
     const trace::Span span("phase", "detail \"quoted\"\nline");
     trace::counter("value", -3);
     trace::instant("tick");
+    trace::instant("control", "a\rb\x01" "c");
   }
   trace::disable();
 
@@ -256,6 +257,9 @@ TEST(Trace, ChromeJsonIsWellFormed) {
   EXPECT_NE(json.find("\"value\": -3"), std::string::npos);
   EXPECT_NE(json.find("\\\"quoted\\\""), std::string::npos);
   EXPECT_NE(json.find("\\n"), std::string::npos);
+  // Control bytes escape as in the wire format: \r by name, the rest
+  // as \u00XX.
+  EXPECT_NE(json.find("\"detail\": \"a\\rb\\u0001c\""), std::string::npos);
 }
 
 // --------------------------------------------------------- provenance
