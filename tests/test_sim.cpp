@@ -6,6 +6,7 @@
 #include "oregami/mapper/driver.hpp"
 #include "oregami/metrics/metrics.hpp"
 #include "oregami/sim/network_sim.hpp"
+#include "oregami/support/trace.hpp"
 
 namespace oregami {
 namespace {
@@ -196,6 +197,35 @@ TEST(Sim, SimAtLeastModelUnderEqualUnitCosts) {
   EXPECT_GE(sim.total_cycles, metrics.completion);
   // ... and stays within a small factor (no pathological blow-up).
   EXPECT_LE(sim.total_cycles, 3 * metrics.completion);
+}
+
+TEST(Sim, FaultedRunTracesLinkVolumeWithSlowdownCharged) {
+  // chain:3 with processor 2 dead and link 0 (0-1) slowed by 3.
+  const Topology topo = Topology::chain(3);
+  const FaultedTopology faults(topo, FaultSpec::parse("p2,s0:3", topo));
+  TaskGraph graph;
+  graph.add_task("a");
+  graph.add_task("b");
+  graph.add_comm_edge(graph.add_comm_phase("send"), 0, 1, 10);
+  const std::vector<PhaseRouting> routing{
+      {{greedy_shortest_route(topo, 0, 1)}}};
+  SimConfig config;
+  config.faults = &faults;
+
+  trace::clear();
+  trace::enable();
+  const SimResult sim = simulate(graph, {0, 1}, routing, topo, config);
+  trace::disable();
+  std::int64_t max_link_volume = -1;
+  for (const trace::Event& e : trace::snapshot()) {
+    if (e.kind == trace::Event::Kind::Counter &&
+        e.path == "sim/send/max_link_volume") {
+      max_link_volume = e.value;
+    }
+  }
+  trace::clear();
+  EXPECT_EQ(sim.total_cycles, 10 * 3 + 1);
+  EXPECT_EQ(max_link_volume, 10 * 3);
 }
 
 }  // namespace
