@@ -5,22 +5,21 @@
 // When processors or links die under a running mapping, recomputing the
 // whole mapping from scratch throws away all the placement work that is
 // still valid. repair_mapping() instead climbs a graceful-degradation
-// ladder:
+// ladder. Every rung works on the healthy sub-machine
+// (FaultedTopology::healthy_subtopology()) and translates its result
+// back to base ids with map_to_base:
 //
 //   1. Migrate -- move ONLY the displaced tasks (those on dead or
 //      disconnected processors) to nearby healthy processors, re-route
-//      every communication edge around the dead links, then improve the
-//      displaced tasks' placement with the shared greedy sweep
+//      every communication edge on the healthy machine, then improve
+//      the displaced tasks' placement with the shared greedy sweep
 //      (refine.hpp): sweep k probes the healthy processors within 2^k
 //      hops (1, 2, 4, ...), capped by `max_attempts` sweeps and the
 //      wall-clock deadline.
 //   2. Refine -- polish the migrated placement with refine_placement on
-//      the faulted topology (its candidate sets only ever contain
-//      healthy processors, because dead processors have no surviving
-//      links), weighted by the slow-link factors.
+//      the healthy machine, weighted by the slow-link factors.
 //   3. Remap -- last resort (or forced via the rung switches): run the
-//      full MAPPER pipeline on the compacted healthy sub-topology and
-//      translate the result back to base processor ids.
+//      full MAPPER pipeline on the healthy machine.
 //
 // Determinism: with `time_budget_ms` <= 0 the outcome is a pure
 // function of (graph, mapping, FaultSpec, options) -- no wall clock, no
