@@ -83,6 +83,14 @@ TEST(Synchrony, DirectiveExpandsExecPhases) {
   EXPECT_NE(directive.find("^2"), std::string::npos);  // outer repeat s=2
 }
 
+TEST(Synchrony, DirectivePinnedForOneProcessor) {
+  const Fixture f;
+  const auto schedule =
+      derive_synchrony_sets(f.cp.graph, f.procs, f.topo.num_procs());
+  EXPECT_EQ(local_directive(f.cp.graph, schedule, 0),
+            "((ring; (body(0); body(8)))^8; chordal; (body(0); body(8)))^2");
+}
+
 TEST(Synchrony, DirectiveForIdleProcessorSaysIdle) {
   TaskGraph g;
   g.add_task("only");

@@ -4,7 +4,8 @@
 // check validity and invariance across --jobs; these pin the placements
 // themselves, as the FNV-1a of the serialised mapping plus each caller's
 // reported counts, so a rewrite of the shared loop cannot drift. The
-// driver's redirect onto a faulted machine is pinned the same way.
+// driver's redirect onto a faulted machine is pinned the same way, and
+// so is every entry point of the strategy dispatch over the catalog.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,8 +20,10 @@
 #include "oregami/larcs/programs.hpp"
 #include "oregami/mapper/driver.hpp"
 #include "oregami/mapper/multilevel.hpp"
+#include "oregami/mapper/portfolio.hpp"
 #include "oregami/mapper/refine.hpp"
 #include "oregami/mapper/repair.hpp"
+#include "oregami/support/error.hpp"
 #include "oregami/support/hash.hpp"
 
 namespace oregami {
@@ -271,6 +274,146 @@ TEST(MultilevelPins, TorusStencilLevelCap) {
   EXPECT_EQ(report.details,
             "multilevel V-cycle: 3 level(s), 4096 -> 1214 super-tasks; "
             "coarsest map round-robin; 191 refining moves");
+}
+
+// ------------------------------------------------------ the map dispatch
+
+/// Folds a mapper outcome: strategy, details, placement and the links
+/// of every route.
+void fold_report(Fnv1a& h, const MapperReport& report) {
+  h.str(to_string(report.strategy));
+  h.str(report.details);
+  for (const int p : report.mapping.proc_of_task()) {
+    h.i32(p);
+  }
+  for (const PhaseRouting& phase : report.mapping.routing) {
+    for (const Route& route : phase.route_of_edge) {
+      h.u64(route.links.size());
+      for (const int link : route.links) {
+        h.i32(link);
+      }
+    }
+  }
+}
+
+/// One FNV-1a over the catalog programs at their example bindings, each
+/// mapped by `map_one` onto five targets. An infeasible map folds its
+/// error text instead.
+template <class MapOne>
+std::uint64_t fold_catalog(MapOne map_one) {
+  Fnv1a h;
+  for (const auto& entry : larcs::programs::catalog()) {
+    const Compiled c = compile_example(entry.name);
+    for (const char* spec :
+         {"mesh:4x4", "ring:16", "hypercube:4", "torus:4x4", "cbt:4"}) {
+      const Topology topo = parse_topology_spec(spec);
+      try {
+        map_one(h, c, topo);
+      } catch (const MappingError& e) {
+        h.str(e.what());
+      }
+    }
+  }
+  return h.digest();
+}
+
+std::uint64_t pin_map_program(const MapperOptions& options) {
+  return fold_catalog([&](Fnv1a& h, const Compiled& c, const Topology& topo) {
+    fold_report(h, map_program(c.ast, c.cp, topo, options));
+  });
+}
+
+std::uint64_t pin_map_computation(const MapperOptions& options) {
+  return fold_catalog([&](Fnv1a& h, const Compiled& c, const Topology& topo) {
+    fold_report(h, map_computation(c.cp.graph, topo, options));
+  });
+}
+
+MapperOptions without_systolic() {
+  MapperOptions options;
+  options.allow_systolic = false;
+  return options;
+}
+
+MapperOptions general_only() {
+  MapperOptions options;
+  options.allow_canned = false;
+  options.allow_group = false;
+  return options;
+}
+
+MapperOptions with_refine() {
+  MapperOptions options;
+  options.refine = true;
+  return options;
+}
+
+/// Folds a portfolio search: its table, its Pareto front and the
+/// winner's placement.
+void fold_portfolio(Fnv1a& h, const PortfolioReport& report) {
+  h.str(report.table());
+  h.str(report.pareto());
+  for (const int p : report.best.mapping.proc_of_task()) {
+    h.i32(p);
+  }
+}
+
+PortfolioOptions pinned_portfolio() {
+  PortfolioOptions options;
+  options.num_seeded = 4;
+  options.heft = true;
+  options.num_anneal = 1;
+  return options;
+}
+
+TEST(DispatchPins, MapProgramDefaults) {
+  EXPECT_EQ(pin_map_program({}), 0xe220839fac2eb7d2ULL);
+}
+
+TEST(DispatchPins, MapProgramWithoutSystolic) {
+  EXPECT_EQ(pin_map_program(without_systolic()), 0xfc4b46ef368675c1ULL);
+}
+
+TEST(DispatchPins, MapProgramGeneralOnly) {
+  EXPECT_EQ(pin_map_program(general_only()), 0x3525c94d00bf049dULL);
+}
+
+TEST(DispatchPins, MapProgramWithRefine) {
+  EXPECT_EQ(pin_map_program(with_refine()), 0xa6614330d4ed5daaULL);
+}
+
+TEST(DispatchPins, MapComputationDefaults) {
+  EXPECT_EQ(pin_map_computation({}), 0x45444bb2cb5c7754ULL);
+}
+
+TEST(DispatchPins, MapComputationWithoutSystolic) {
+  EXPECT_EQ(pin_map_computation(without_systolic()), 0x45444bb2cb5c7754ULL);
+}
+
+TEST(DispatchPins, MapComputationGeneralOnly) {
+  EXPECT_EQ(pin_map_computation(general_only()), 0x59b83448051d9220ULL);
+}
+
+TEST(DispatchPins, MapComputationWithRefine) {
+  EXPECT_EQ(pin_map_computation(with_refine()), 0x71f1042ec30796e4ULL);
+}
+
+TEST(DispatchPins, PortfolioMapProgram) {
+  const std::uint64_t pin =
+      fold_catalog([](Fnv1a& h, const Compiled& c, const Topology& topo) {
+        fold_portfolio(h, portfolio_map_program(c.ast, c.cp, topo, {},
+                                                pinned_portfolio()));
+      });
+  EXPECT_EQ(pin, 0x5bbb03d377e2bd26ULL);
+}
+
+TEST(DispatchPins, PortfolioMapComputation) {
+  const std::uint64_t pin =
+      fold_catalog([](Fnv1a& h, const Compiled& c, const Topology& topo) {
+        fold_portfolio(h, portfolio_map_computation(c.cp.graph, topo, {},
+                                                    pinned_portfolio()));
+      });
+  EXPECT_EQ(pin, 0x8d84d52f55f02ea1ULL);
 }
 
 }  // namespace
