@@ -94,6 +94,18 @@ bool is_connected(const Graph& g) {
                      [](int c) { return c == 0; });
 }
 
+std::int64_t cut_weight(const Graph& g,
+                        const std::vector<int>& part_of_vertex) {
+  std::int64_t cut = 0;
+  for (const auto& e : g.edges()) {
+    if (part_of_vertex[static_cast<std::size_t>(e.u)] !=
+        part_of_vertex[static_cast<std::size_t>(e.v)]) {
+      cut += e.weight;
+    }
+  }
+  return cut;
+}
+
 std::vector<int> degree_histogram(const Graph& g) {
   int max_deg = 0;
   for (int v = 0; v < g.num_vertices(); ++v) {

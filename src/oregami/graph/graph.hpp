@@ -109,6 +109,11 @@ class UnionFind {
   std::vector<int> parent_;
 };
 
+/// Total weight of the edges whose endpoints lie in different parts
+/// (`part_of_vertex` holds one part id per vertex).
+[[nodiscard]] std::int64_t cut_weight(const Graph& g,
+                                      const std::vector<int>& part_of_vertex);
+
 /// Degree histogram: result[d] = number of vertices with degree d.
 [[nodiscard]] std::vector<int> degree_histogram(const Graph& g);
 

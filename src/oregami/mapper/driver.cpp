@@ -6,6 +6,7 @@
 #include "oregami/core/recognize.hpp"
 #include "oregami/mapper/canned.hpp"
 #include "oregami/mapper/group_contract.hpp"
+#include "oregami/mapper/mm_route.hpp"
 #include "oregami/mapper/multilevel.hpp"
 #include "oregami/mapper/mwm_contract.hpp"
 #include "oregami/mapper/nn_embed.hpp"
@@ -36,18 +37,6 @@ std::string to_string(MapStrategy strategy) {
   }
   return "?";
 }
-
-namespace {
-
-MultilevelOptions multilevel_options_from(const MapperOptions& options) {
-  MultilevelOptions ml;
-  ml.max_levels = options.multilevel > 0 ? options.multilevel : 0;
-  ml.seed = options.portfolio_seed;
-  ml.time_budget_ms = options.multilevel_budget_ms;
-  return ml;
-}
-
-}  // namespace
 
 Mapping mapping_from_placement(const std::vector<int>& proc_of_task,
                                std::vector<PhaseRouting> routing,
@@ -149,8 +138,8 @@ MapperReport finish(MapStrategy strategy, std::string details,
   report.mapping.embedding = std::move(embedding);
   {
     const trace::Span span("route");
-    report.mapping.routing = mm_route(
-        graph, report.mapping.proc_of_task(), topo, options.routing);
+    report.mapping.routing =
+        mm_route(graph, report.mapping.proc_of_task(), topo);
   }
   if (options.refine_placement) {
     const trace::Span span("refine_placement");
@@ -178,6 +167,43 @@ MapperReport finish(MapStrategy strategy, std::string details,
   validate_mapping(report.mapping, graph, topo);
   return report;
 }
+
+MapperReport do_general(const TaskGraph& graph, const Topology& topo,
+                        const MapperOptions& options,
+                        std::uint64_t nn_seed = 0) {
+  const Graph aggregate = graph.aggregate_graph();
+  Contraction contraction;
+  std::string description;
+  {
+    const trace::Span span("contract");
+    MwmContractResult contract =
+        mwm_contract(aggregate, topo.num_procs(), options.load_bound_B);
+    description = std::move(contract.description);
+    contraction = std::move(contract.contraction);
+    trace::counter("clusters", contraction.num_clusters);
+    if (options.refine) {
+      const trace::Span refine_span("kl_refine");
+      RefineResult refined =
+          refine_contraction(aggregate, std::move(contraction),
+                             contract.load_bound);
+      description += "; KL refinement -" +
+                     std::to_string(refined.improvement()) + " IPC";
+      trace::counter("ipc_improvement", refined.improvement());
+      contraction = std::move(refined.contraction);
+    }
+  }
+  std::string how;
+  Embedding embedding;
+  {
+    const trace::Span span("embed");
+    embedding = embed_clusters(graph, contraction, topo, &how, nn_seed);
+  }
+  return finish(MapStrategy::General, description + "; " + how,
+                std::move(contraction), std::move(embedding), graph, topo,
+                options);
+}
+
+}  // namespace
 
 std::optional<MapperReport> try_canned(const TaskGraph& graph,
                                        const Topology& topo,
@@ -224,68 +250,6 @@ std::optional<MapperReport> try_group(const TaskGraph& graph,
                 graph, topo, options);
 }
 
-MapperReport do_general(const TaskGraph& graph, const Topology& topo,
-                        const MapperOptions& options,
-                        std::uint64_t nn_seed = 0) {
-  const Graph aggregate = graph.aggregate_graph();
-  Contraction contraction;
-  std::string description;
-  {
-    const trace::Span span("contract");
-    MwmContractResult contract =
-        mwm_contract(aggregate, topo.num_procs(), options.load_bound_B);
-    description = std::move(contract.description);
-    contraction = std::move(contract.contraction);
-    trace::counter("clusters", contraction.num_clusters);
-    if (options.refine) {
-      const trace::Span refine_span("kl_refine");
-      RefineResult refined =
-          refine_contraction(aggregate, std::move(contraction),
-                             contract.load_bound);
-      description += "; KL refinement -" +
-                     std::to_string(refined.improvement()) + " IPC";
-      trace::counter("ipc_improvement", refined.improvement());
-      contraction = std::move(refined.contraction);
-    }
-  }
-  std::string how;
-  Embedding embedding;
-  {
-    const trace::Span span("embed");
-    embedding = embed_clusters(graph, contraction, topo, &how, nn_seed);
-  }
-  return finish(MapStrategy::General, description + "; " + how,
-                std::move(contraction), std::move(embedding), graph, topo,
-                options);
-}
-
-}  // namespace
-
-std::optional<MapperReport> try_strategy(MapStrategy strategy,
-                                         const TaskGraph& graph,
-                                         const Topology& topo,
-                                         const MapperOptions& options) {
-  if (graph.num_tasks() == 0) {
-    throw MappingError("cannot map an empty task graph");
-  }
-  switch (strategy) {
-    case MapStrategy::Canned:
-      return try_canned(graph, topo, options,
-                        recognize_family(graph.aggregate_graph()));
-    case MapStrategy::GroupTheoretic:
-      return try_group(graph, topo, options);
-    case MapStrategy::Systolic:
-      return std::nullopt;  // needs the LaRCS program; see try_systolic
-    case MapStrategy::General:
-      return do_general(graph, topo, options);
-    case MapStrategy::Anneal:
-    case MapStrategy::ListSchedule:
-    case MapStrategy::Multilevel:
-      return std::nullopt;  // not Fig-3 strategies; own entry points
-  }
-  return std::nullopt;
-}
-
 std::optional<MapperReport> try_systolic(
     const larcs::Program& program, const larcs::CompiledProgram& compiled,
     const Topology& topo, const MapperOptions& options) {
@@ -322,6 +286,20 @@ MapperReport map_general_seeded(const TaskGraph& graph, const Topology& topo,
 
 namespace {
 
+MultilevelOptions multilevel_options_from(const MapperOptions& options) {
+  MultilevelOptions ml;
+  ml.max_levels = options.multilevel > 0 ? options.multilevel : 0;
+  ml.seed = options.portfolio_seed;
+  ml.time_budget_ms = options.time_budget_ms;
+  return ml;
+}
+
+MapperReport dispatch(const TaskGraph& graph, const Topology& topo,
+                      const MapperOptions& options,
+                      const larcs::Program* program,
+                      const larcs::CompiledProgram* compiled,
+                      PortfolioReport* portfolio_report);
+
 /// Degraded-mode redirect: runs the requested pipeline on the compacted
 /// healthy sub-topology and translates back to base ids. `options` is
 /// taken by value so the recursion sees faults == nullptr.
@@ -329,7 +307,8 @@ MapperReport map_degraded(const TaskGraph& graph,
                           const FaultedTopology& faults,
                           const Topology& topo, MapperOptions options,
                           const larcs::Program* program,
-                          const larcs::CompiledProgram* compiled) {
+                          const larcs::CompiledProgram* compiled,
+                          PortfolioReport* portfolio_report) {
   if (faults.base().num_procs() != topo.num_procs()) {
     throw MappingError(
         "MapperOptions::faults is for a different topology (" +
@@ -343,10 +322,8 @@ MapperReport map_degraded(const TaskGraph& graph,
   const trace::Span span("degraded_map");
   const FaultedTopology::HealthySub& sub = faults.healthy_subtopology();
   options.faults = nullptr;
-  MapperReport report =
-      program != nullptr
-          ? map_program(*program, *compiled, sub.topo, options)
-          : map_computation(graph, sub.topo, options);
+  MapperReport report = dispatch(graph, sub.topo, options, program,
+                                 compiled, portfolio_report);
   report.mapping = map_to_base(sub, std::move(report.mapping));
   report.details = "degraded machine (" + faults.spec().to_string() +
                    "; " + std::to_string(sub.topo.num_procs()) + "/" +
@@ -356,24 +333,61 @@ MapperReport map_degraded(const TaskGraph& graph,
   return report;
 }
 
-}  // namespace
-
-MapperReport map_computation(const TaskGraph& graph, const Topology& topo,
-                             const MapperOptions& options) {
+/// The Fig-3 decision tree, written once for a bare task graph and for
+/// a LaRCS program (`program` and `compiled` set; `graph` is then
+/// `compiled->graph`).
+MapperReport dispatch(const TaskGraph& graph, const Topology& topo,
+                      const MapperOptions& options,
+                      const larcs::Program* program,
+                      const larcs::CompiledProgram* compiled,
+                      PortfolioReport* portfolio_report) {
   if (graph.num_tasks() == 0) {
     throw MappingError("cannot map an empty task graph");
   }
   if (options.faults != nullptr && !options.faults->spec().empty()) {
-    return map_degraded(graph, *options.faults, topo, options, nullptr,
-                        nullptr);
+    return map_degraded(graph, *options.faults, topo, options, program,
+                        compiled, portfolio_report);
   }
   if (options.multilevel != 0) {
+    // Large-graph path: the systolic/canned recognisers are built for
+    // paper-scale structure; the V-cycle takes over the whole pipeline.
     return map_multilevel(graph, topo, multilevel_options_from(options));
   }
   if (options.portfolio > 0) {
-    return portfolio_map_computation(graph, topo, options,
-                                     portfolio_options_from(options))
-        .best;
+    PortfolioReport searched =
+        program != nullptr
+            ? portfolio_map_program(*program, *compiled, topo, options,
+                                    portfolio_options_from(options))
+            : portfolio_map_computation(graph, topo, options,
+                                        portfolio_options_from(options));
+    if (portfolio_report == nullptr) {
+      return std::move(searched.best);
+    }
+    *portfolio_report = std::move(searched);
+    return portfolio_report->best;
+  }
+  if (program != nullptr) {
+    // Systolic path: uniform recurrence onto an array-like target.
+    if (options.allow_systolic) {
+      if (auto report = try_systolic(*program, *compiled, topo, options)) {
+        return *report;
+      }
+    }
+    // Family hint from the LaRCS source.
+    if (options.allow_canned && compiled->family_hint) {
+      const GraphFamily hinted = family_from_hint(*compiled->family_hint);
+      if (hinted != GraphFamily::Unknown) {
+        const auto family =
+            detect_specific_family(graph.aggregate_graph(), hinted);
+        if (family) {
+          if (auto report = try_canned(graph, topo, options, *family)) {
+            report->details = "family hint '" + *compiled->family_hint +
+                              "'; " + report->details;
+            return *report;
+          }
+        }
+      }
+    }
   }
   const trace::Span span("map");
   if (options.allow_canned) {
@@ -391,53 +405,48 @@ MapperReport map_computation(const TaskGraph& graph, const Topology& topo,
   return do_general(graph, topo, options);
 }
 
+}  // namespace
+
+MapperReport map_computation(const TaskGraph& graph, const Topology& topo,
+                             const MapperOptions& options) {
+  return dispatch(graph, topo, options, nullptr, nullptr, nullptr);
+}
+
 MapperReport map_program(const larcs::Program& program,
                          const larcs::CompiledProgram& compiled,
-                         const Topology& topo,
-                         const MapperOptions& options) {
-  const TaskGraph& graph = compiled.graph;
-  if (graph.num_tasks() == 0) {
-    throw MappingError("cannot map an empty task graph");
-  }
-  if (options.faults != nullptr && !options.faults->spec().empty()) {
-    return map_degraded(graph, *options.faults, topo, options, &program,
-                        &compiled);
-  }
-  if (options.multilevel != 0) {
-    // Large-graph path: the systolic/canned recognisers are built for
-    // paper-scale structure; the V-cycle takes over the whole pipeline.
-    return map_multilevel(graph, topo, multilevel_options_from(options));
-  }
-  if (options.portfolio > 0) {
-    return portfolio_map_program(program, compiled, topo, options,
-                                 portfolio_options_from(options))
-        .best;
-  }
+                         const Topology& topo, const MapperOptions& options,
+                         PortfolioReport* portfolio_report) {
+  return dispatch(compiled.graph, topo, options, &program, &compiled,
+                  portfolio_report);
+}
 
-  // Systolic path: uniform recurrence onto an array-like target.
-  if (options.allow_systolic) {
-    if (auto report = try_systolic(program, compiled, topo, options)) {
-      return *report;
-    }
+std::string option_violation(const MapperOptions& options,
+                             const std::string& prefix) {
+  if (options.portfolio < 0) {
+    return prefix + "portfolio must be >= 0";
   }
-
-  // Family hint from the LaRCS source.
-  if (options.allow_canned && compiled.family_hint) {
-    const GraphFamily hinted = family_from_hint(*compiled.family_hint);
-    if (hinted != GraphFamily::Unknown) {
-      const auto family =
-          detect_specific_family(graph.aggregate_graph(), hinted);
-      if (family) {
-        if (auto report = try_canned(graph, topo, options, *family)) {
-          report->details = "family hint '" + *compiled.family_hint +
-                            "'; " + report->details;
-          return *report;
-        }
-      }
-    }
+  if (options.anneal < 0) {
+    return prefix + "anneal must be >= 0";
   }
-
-  return map_computation(graph, topo, options);
+  if (options.multilevel > 64 || options.multilevel < -1) {
+    return prefix +
+           "multilevel must be 0 (off), -1 (auto depth) or 1..64 (level "
+           "cap)";
+  }
+  if (options.jobs < 0) {
+    return prefix + "jobs must be >= 0 (0 = all cores)";
+  }
+  if (options.anneal > 0 && options.portfolio <= 0) {
+    return prefix + "anneal requires " + prefix + "portfolio > 0";
+  }
+  if (options.heft && options.portfolio <= 0) {
+    return prefix + "heft requires " + prefix + "portfolio > 0";
+  }
+  if (options.multilevel != 0 && options.portfolio > 0) {
+    return prefix + "multilevel is incompatible with " + prefix +
+           "portfolio";
+  }
+  return {};
 }
 
 void validate_mapping(const Mapping& mapping, const TaskGraph& graph,

@@ -19,11 +19,13 @@
 #include "oregami/arch/fault_model.hpp"
 #include "oregami/arch/topology.hpp"
 #include "oregami/core/mapping.hpp"
+#include "oregami/core/recognize.hpp"
 #include "oregami/core/task_graph.hpp"
 #include "oregami/larcs/compiler.hpp"
-#include "oregami/mapper/mm_route.hpp"
 
 namespace oregami {
+
+struct PortfolioReport;  // mapper/portfolio.hpp
 
 enum class MapStrategy {
   Canned,
@@ -38,7 +40,6 @@ enum class MapStrategy {
 [[nodiscard]] std::string to_string(MapStrategy strategy);
 
 struct MapperOptions {
-  RouteOptions routing;
   bool allow_canned = true;
   bool allow_group = true;
   bool allow_systolic = true;
@@ -73,10 +74,11 @@ struct MapperOptions {
   /// mode redirect still composes — faults are applied first, then the
   /// V-cycle runs on the healthy sub-topology.
   int multilevel = 0;
-  /// Wall-clock budget for the multilevel refinement sweeps
-  /// (support/deadline.hpp idiom; 0 = none). Ignored when
-  /// `multilevel` == 0.
-  std::int64_t multilevel_budget_ms = 0;
+  /// Wall-clock budget in milliseconds for the portfolio search
+  /// (PortfolioOptions::time_budget_ms) and the multilevel refinement
+  /// sweeps (support/deadline.hpp idiom: 0 = none, < 0 = already
+  /// expired). The single-shot Fig-3 pipeline ignores it.
+  std::int64_t time_budget_ms = 0;
   int jobs = 1;  ///< portfolio workers; 0 = hardware_concurrency
   std::uint64_t portfolio_seed = 0x09E6A311u;  ///< candidate RNG base seed
   /// Degraded-mode mapping (not owned; must outlive the call). When set
@@ -94,32 +96,44 @@ struct MapperReport {
   Mapping mapping;
 };
 
-/// Maps a task graph (no LaRCS context) to `topo`. Tries canned, then
-/// group-theoretic, then the general path.
+/// Maps a task graph (no LaRCS context) to `topo`. The dispatch, in
+/// order: the degraded-machine redirect (`faults`), the V-cycle
+/// (`multilevel`), the portfolio (`portfolio`), then canned,
+/// group-theoretic and the general path.
 [[nodiscard]] MapperReport map_computation(
     const TaskGraph& graph, const Topology& topo,
     const MapperOptions& options = {});
 
-/// Maps a compiled LaRCS program: additionally honours the `family`
-/// hint and attempts systolic synthesis for uniform recurrences when
-/// the target is a mesh/chain-like array.
+/// Maps a compiled LaRCS program by the same dispatch, which here also
+/// tries systolic synthesis for uniform recurrences onto an array-like
+/// target and the `family` hint before canned. When the portfolio ran
+/// and `portfolio_report` is given, the full report lands there; on a
+/// degraded machine it describes the search on the healthy sub-machine
+/// (FaultedTopology::healthy_subtopology() ids).
 [[nodiscard]] MapperReport map_program(
     const larcs::Program& program, const larcs::CompiledProgram& compiled,
-    const Topology& topo, const MapperOptions& options = {});
+    const Topology& topo, const MapperOptions& options = {},
+    PortfolioReport* portfolio_report = nullptr);
 
-/// Attempts exactly one strategy from the Fig-3 decision tree, without
-/// falling through to the next. Canned/GroupTheoretic return nullopt
-/// when inadmissible; General always succeeds; Systolic always returns
-/// nullopt here (it needs the LaRCS program -- use try_systolic), and
-/// so do Anneal, ListSchedule and Multilevel, which are not Fig-3
-/// strategies. `options.portfolio` is ignored. Used by the portfolio mapper to run
-/// the strategies as independent candidates.
-[[nodiscard]] std::optional<MapperReport> try_strategy(
-    MapStrategy strategy, const TaskGraph& graph, const Topology& topo,
-    const MapperOptions& options = {});
+/// The option contract every front end enforces: ranges, then
+/// combinations. Returns the first violation, naming each field as
+/// `prefix` + its name ("options." for a daemon job, "--" for the
+/// command line), or an empty string when `options` is valid.
+[[nodiscard]] std::string option_violation(const MapperOptions& options,
+                                           const std::string& prefix);
 
-/// Attempts only systolic synthesis (uniform recurrence onto an
-/// array-like target); nullopt when inadmissible.
+/// The Fig-3 strategies one at a time, without falling through to the
+/// next (the portfolio runs each as its own candidate). Each returns
+/// nullopt when inadmissible: canned when `family` has no entry for
+/// `topo`, group-theoretic when no admissible subgroup contracts the
+/// graph onto `topo`'s size, systolic unless a uniform recurrence fits
+/// an array-like target.
+[[nodiscard]] std::optional<MapperReport> try_canned(
+    const TaskGraph& graph, const Topology& topo,
+    const MapperOptions& options, const RecognizedFamily& family);
+[[nodiscard]] std::optional<MapperReport> try_group(
+    const TaskGraph& graph, const Topology& topo,
+    const MapperOptions& options);
 [[nodiscard]] std::optional<MapperReport> try_systolic(
     const larcs::Program& program, const larcs::CompiledProgram& compiled,
     const Topology& topo, const MapperOptions& options = {});

@@ -114,9 +114,8 @@ MigrationReport evaluate_phase_migration(const TaskGraph& graph,
     report.placement_per_comm_phase.push_back(
         phase_report.mapping.proc_of_task());
     // Route the *original* phase under that placement.
-    routing_per[k] = mm_route(
-        graph, report.placement_per_comm_phase.back(), topo,
-        config.mapper.routing);
+    routing_per[k] =
+        mm_route(graph, report.placement_per_comm_phase.back(), topo);
   }
 
   // Walk the timeline: start at the first comm phase's placement.

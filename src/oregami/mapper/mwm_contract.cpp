@@ -26,18 +26,6 @@ Contraction contraction_from_roots(UnionFind& uf, int n) {
   return c;
 }
 
-std::int64_t external_weight_of(const Graph& g,
-                                const std::vector<int>& cluster_of_task) {
-  std::int64_t external = 0;
-  for (const auto& e : g.edges()) {
-    if (cluster_of_task[static_cast<std::size_t>(e.u)] !=
-        cluster_of_task[static_cast<std::size_t>(e.v)]) {
-      external += e.weight;
-    }
-  }
-  return external;
-}
-
 }  // namespace
 
 MwmContractResult mwm_contract(const Graph& task_graph, int num_procs,
@@ -314,7 +302,7 @@ MwmContractResult mwm_contract(const Graph& task_graph, int num_procs,
                  "contraction must respect the load bound");
 
   result.external_weight =
-      external_weight_of(task_graph, result.contraction.cluster_of_task);
+      cut_weight(task_graph, result.contraction.cluster_of_task);
   result.internalized_weight =
       task_graph.total_weight() - result.external_weight;
   result.optimal = !greedy_used;
@@ -333,7 +321,7 @@ void brute_force_rec(const Graph& g, int t, std::vector<int>& assign,
                      std::int64_t& best) {
   const int n = g.num_vertices();
   if (t == n) {
-    best = std::min(best, external_weight_of(g, assign));
+    best = std::min(best, cut_weight(g, assign));
     return;
   }
   // Canonical cluster assignment: task t may join an existing cluster

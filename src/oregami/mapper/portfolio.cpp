@@ -11,6 +11,7 @@
 
 #include "oregami/mapper/anneal.hpp"
 #include "oregami/mapper/list_schedule.hpp"
+#include "oregami/mapper/mm_route.hpp"
 #include "oregami/support/deadline.hpp"
 #include "oregami/support/error.hpp"
 #include "oregami/support/rng.hpp"
@@ -27,6 +28,7 @@ PortfolioOptions portfolio_options_from(const MapperOptions& options) {
   popts.seed = options.portfolio_seed;
   popts.num_anneal = options.anneal;
   popts.heft = options.heft;
+  popts.time_budget_ms = options.time_budget_ms;
   return popts;
 }
 
@@ -99,7 +101,7 @@ void add_extended_candidates(std::vector<CandidateSpec>* specs,
     lopts.time_budget_ms = options.time_budget_ms;
     specs->push_back(
         {"heft critical-path",
-         [&graph, &topo, lopts, routing = base.routing] {
+         [&graph, &topo, lopts] {
            const ListScheduleResult ls = list_schedule(graph, topo, lopts);
            MapperReport report;
            report.strategy = MapStrategy::ListSchedule;
@@ -110,8 +112,7 @@ void add_extended_candidates(std::vector<CandidateSpec>* specs,
                                " task(s) placed by deadline fallback";
            }
            report.mapping = mapping_from_placement(
-               ls.proc_of_task, mm_route(graph, ls.proc_of_task, topo,
-                                         routing),
+               ls.proc_of_task, mm_route(graph, ls.proc_of_task, topo),
                topo.num_procs());
            return std::optional<MapperReport>(std::move(report));
          }});
@@ -480,50 +481,19 @@ std::string PortfolioReport::pareto() const {
   return out.str();
 }
 
-PortfolioReport portfolio_map_computation(const TaskGraph& graph,
-                                          const Topology& topo,
-                                          const MapperOptions& base,
-                                          const PortfolioOptions& options) {
-  if (graph.num_tasks() == 0) {
-    throw MappingError("cannot map an empty task graph");
-  }
-  MapperOptions single = base;
-  single.portfolio = 0;
-  std::vector<CandidateSpec> specs;
-  specs.push_back({"fig3 single-shot", [&graph, &topo, single] {
-                     return std::optional<MapperReport>(
-                         map_computation(graph, topo, single));
-                   }});
-  if (single.allow_canned) {
-    specs.push_back({"canned", [&graph, &topo, single] {
-                       return try_strategy(MapStrategy::Canned, graph, topo,
-                                           single);
-                     }});
-  }
-  if (single.allow_group) {
-    specs.push_back({"group-theoretic", [&graph, &topo, single] {
-                       return try_strategy(MapStrategy::GroupTheoretic,
-                                           graph, topo, single);
-                     }});
-  }
-  MapperOptions flipped = single;
-  flipped.refine = !single.refine;
-  specs.push_back(
-      {std::string("general ") + (flipped.refine ? "refine" : "no-refine"),
-       [&graph, &topo, flipped] {
-         return try_strategy(MapStrategy::General, graph, topo, flipped);
-       }});
-  add_seeded_variants(&specs, graph, topo, single, options);
-  add_extended_candidates(&specs, graph, topo, single, options);
-  return run_portfolio(graph, topo, options, std::move(specs));
-}
+namespace {
 
-PortfolioReport portfolio_map_program(const larcs::Program& program,
-                                      const larcs::CompiledProgram& compiled,
-                                      const Topology& topo,
-                                      const MapperOptions& base,
-                                      const PortfolioOptions& options) {
-  const TaskGraph& graph = compiled.graph;
+/// The one candidate list, in id order: the single-shot Fig-3 pipeline
+/// (id 0), systolic (id 1, only with a program), canned,
+/// group-theoretic, the general path with refinement flipped, the
+/// seeded variants, then the opt-in families. `program` and `compiled`
+/// are null for a bare task graph (`graph` is `compiled->graph`
+/// otherwise).
+PortfolioReport portfolio_map(const TaskGraph& graph,
+                              const larcs::Program* program,
+                              const larcs::CompiledProgram* compiled,
+                              const Topology& topo, const MapperOptions& base,
+                              const PortfolioOptions& options) {
   if (graph.num_tasks() == 0) {
     throw MappingError("cannot map an empty task graph");
   }
@@ -531,25 +501,27 @@ PortfolioReport portfolio_map_program(const larcs::Program& program,
   single.portfolio = 0;
   std::vector<CandidateSpec> specs;
   specs.push_back({"fig3 single-shot",
-                   [&program, &compiled, &topo, single] {
+                   [&graph, program, compiled, &topo, single] {
                      return std::optional<MapperReport>(
-                         map_program(program, compiled, topo, single));
+                         program != nullptr
+                             ? map_program(*program, *compiled, topo, single)
+                             : map_computation(graph, topo, single));
                    }});
-  if (single.allow_systolic) {
-    specs.push_back({"systolic", [&program, &compiled, &topo, single] {
-                       return try_systolic(program, compiled, topo, single);
+  if (program != nullptr && single.allow_systolic) {
+    specs.push_back({"systolic", [program, compiled, &topo, single] {
+                       return try_systolic(*program, *compiled, topo, single);
                      }});
   }
   if (single.allow_canned) {
     specs.push_back({"canned", [&graph, &topo, single] {
-                       return try_strategy(MapStrategy::Canned, graph, topo,
-                                           single);
+                       return try_canned(
+                           graph, topo, single,
+                           recognize_family(graph.aggregate_graph()));
                      }});
   }
   if (single.allow_group) {
     specs.push_back({"group-theoretic", [&graph, &topo, single] {
-                       return try_strategy(MapStrategy::GroupTheoretic,
-                                           graph, topo, single);
+                       return try_group(graph, topo, single);
                      }});
   }
   MapperOptions flipped = single;
@@ -557,11 +529,30 @@ PortfolioReport portfolio_map_program(const larcs::Program& program,
   specs.push_back(
       {std::string("general ") + (flipped.refine ? "refine" : "no-refine"),
        [&graph, &topo, flipped] {
-         return try_strategy(MapStrategy::General, graph, topo, flipped);
+         return std::optional<MapperReport>(
+             map_general_seeded(graph, topo, flipped, 0));
        }});
   add_seeded_variants(&specs, graph, topo, single, options);
   add_extended_candidates(&specs, graph, topo, single, options);
   return run_portfolio(graph, topo, options, std::move(specs));
+}
+
+}  // namespace
+
+PortfolioReport portfolio_map_computation(const TaskGraph& graph,
+                                          const Topology& topo,
+                                          const MapperOptions& base,
+                                          const PortfolioOptions& options) {
+  return portfolio_map(graph, nullptr, nullptr, topo, base, options);
+}
+
+PortfolioReport portfolio_map_program(const larcs::Program& program,
+                                      const larcs::CompiledProgram& compiled,
+                                      const Topology& topo,
+                                      const MapperOptions& base,
+                                      const PortfolioOptions& options) {
+  return portfolio_map(compiled.graph, &program, &compiled, topo, base,
+                       options);
 }
 
 }  // namespace oregami

@@ -67,8 +67,9 @@ struct PortfolioOptions {
   std::int64_t time_budget_ms = 0;
 };
 
-/// Builds PortfolioOptions from the portfolio fields of MapperOptions
-/// (used by the map_computation/map_program opt-in dispatch).
+/// Builds PortfolioOptions from the portfolio fields of MapperOptions,
+/// the time budget included (used by the map_computation/map_program
+/// opt-in dispatch).
 [[nodiscard]] PortfolioOptions portfolio_options_from(
     const MapperOptions& options);
 

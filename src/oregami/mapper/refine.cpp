@@ -10,18 +10,6 @@ namespace oregami {
 
 namespace {
 
-std::int64_t external_weight_of(const Graph& g,
-                                const std::vector<int>& cluster_of_task) {
-  std::int64_t external = 0;
-  for (const auto& e : g.edges()) {
-    if (cluster_of_task[static_cast<std::size_t>(e.u)] !=
-        cluster_of_task[static_cast<std::size_t>(e.v)]) {
-      external += e.weight;
-    }
-  }
-  return external;
-}
-
 /// Weight from task t to cluster c under the current assignment.
 std::int64_t weight_to_cluster(const Graph& g,
                                const std::vector<int>& assign, int t,
@@ -47,7 +35,7 @@ RefineResult refine_contraction(const Graph& task_graph,
 
   RefineResult result;
   result.external_before =
-      external_weight_of(task_graph, contraction.cluster_of_task);
+      cut_weight(task_graph, contraction.cluster_of_task);
 
   auto& assign = contraction.cluster_of_task;
   std::vector<int> size = contraction.cluster_sizes();
@@ -127,7 +115,7 @@ RefineResult refine_contraction(const Graph& task_graph,
   }
 
   result.external_after =
-      external_weight_of(task_graph, contraction.cluster_of_task);
+      cut_weight(task_graph, contraction.cluster_of_task);
   OREGAMI_ASSERT(result.external_after <= result.external_before,
                  "refinement must never worsen the contraction");
   contraction.validate(n);

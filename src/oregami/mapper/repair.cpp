@@ -177,11 +177,8 @@ RepairResult repair_mapping(const TaskGraph& graph,
   } else if (options.allow_remap) {
     // --- Rung 3: full remap on the healthy machine. ---
     const trace::Span rung_span("remap");
-    MapperOptions remap_options = options.remap_options;
-    remap_options.portfolio_seed = options.seed != 0
-                                       ? options.seed
-                                       : remap_options.portfolio_seed;
-    MapperReport report = map_computation(graph, sub.topo, remap_options);
+    MapperReport report =
+        map_computation(graph, sub.topo, options.remap_options);
     result.mapping = map_to_base(sub, std::move(report.mapping));
     result.rung = RepairRung::Remap;
     result.details = "full remap on " +

@@ -58,15 +58,13 @@ struct RepairOptions {
   /// provisional placement + re-route but skips all improvement --
   /// useful for deterministic deadline tests).
   std::int64_t time_budget_ms = 0;
-  /// Forwarded to the remap rung (portfolio seed). The migrate and
-  /// refine rungs are seed-free.
-  std::uint64_t seed = 0;
   /// Rung switches (benchmarks force a single rung through these).
   bool allow_migrate = true;
   bool allow_refine = true;
   bool allow_remap = true;
   CostModel model;
-  /// Mapper options for the remap rung (portfolio settings included).
+  /// Mapper options for the remap rung (portfolio settings and seed
+  /// included).
   MapperOptions remap_options;
 };
 

@@ -59,43 +59,6 @@ std::string local_tasks_string(const TaskGraph& graph,
   return out + ")";
 }
 
-std::string render(const PhaseTree& node, const TaskGraph& graph,
-                   const std::string& local_exec) {
-  switch (node.kind) {
-    case PhaseTree::Kind::Idle:
-      return "eps";
-    case PhaseTree::Kind::Comm:
-      return graph.comm_phases()[static_cast<std::size_t>(node.phase_index)]
-          .name;
-    case PhaseTree::Kind::Exec:
-      return local_exec;
-    case PhaseTree::Kind::Seq: {
-      std::string out = "(";
-      for (std::size_t i = 0; i < node.children.size(); ++i) {
-        if (i != 0) {
-          out += "; ";
-        }
-        out += render(node.children[i], graph, local_exec);
-      }
-      return out + ")";
-    }
-    case PhaseTree::Kind::Par: {
-      std::string out = "(";
-      for (std::size_t i = 0; i < node.children.size(); ++i) {
-        if (i != 0) {
-          out += " || ";
-        }
-        out += render(node.children[i], graph, local_exec);
-      }
-      return out + ")";
-    }
-    case PhaseTree::Kind::Repeat:
-      return render(node.children.front(), graph, local_exec) + "^" +
-             std::to_string(node.count);
-  }
-  return "?";
-}
-
 }  // namespace
 
 std::string local_directive(const TaskGraph& graph,
@@ -109,7 +72,10 @@ std::string local_directive(const TaskGraph& graph,
   if (graph.phase_expr().kind == PhaseTree::Kind::Idle) {
     return local_exec;
   }
-  return render(graph.phase_expr(), graph, local_exec);
+  // Every exec phase reads as the processor's own tasks.
+  const std::vector<ExecPhase> local_phases(graph.exec_phases().size(),
+                                            ExecPhase{local_exec, {}});
+  return graph.phase_expr().to_string(graph.comm_phases(), local_phases);
 }
 
 std::vector<PhaseRouting> synchrony_route(

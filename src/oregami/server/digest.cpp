@@ -26,7 +26,7 @@ void fold_options_into(Folder& h, const MapperOptions& options) {
   h.i32(options.anneal);
   h.boolean(options.heft);
   h.i32(options.multilevel);
-  h.i64(options.multilevel_budget_ms);
+  h.i64(options.time_budget_ms);
   h.u64(options.portfolio_seed);
   // `jobs` is deliberately NOT folded: the worker count never changes
   // any result (the portfolio/multilevel determinism contract), so two

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -312,6 +313,20 @@ long expect_integer(const JobContext& ctx, const JsonValue& v,
   return static_cast<long>(v.num);
 }
 
+/// An integer option held in an int: values outside int's range are
+/// rejected like any other non-representable integer.
+int expect_int(const JobContext& ctx, const JsonValue& v,
+               const std::string& field) {
+  const long n = expect_integer(ctx, v, field);
+  if (n < std::numeric_limits<int>::min() ||
+      n > std::numeric_limits<int>::max()) {
+    ctx.fail(kJobMalformed,
+             "field \"" + field + "\" must be an integer, got '" + v.str +
+                 "'");
+  }
+  return static_cast<int>(n);
+}
+
 bool expect_bool(const JobContext& ctx, const JsonValue& v,
                  const std::string& field) {
   if (v.kind != JsonValue::Kind::Bool) {
@@ -341,27 +356,13 @@ void apply_options(const JobContext& ctx, const JsonValue& obj,
   MapperOptions& mo = job.options;
   for (const auto& [key, v] : obj.object) {
     if (key == "portfolio") {
-      const long n = expect_integer(ctx, v, "options.portfolio");
-      if (n < 0) {
-        ctx.fail(kJobMalformed, "options.portfolio must be >= 0");
-      }
-      mo.portfolio = static_cast<int>(n);
+      mo.portfolio = expect_int(ctx, v, "options.portfolio");
     } else if (key == "anneal") {
-      const long n = expect_integer(ctx, v, "options.anneal");
-      if (n < 0) {
-        ctx.fail(kJobMalformed, "options.anneal must be >= 0");
-      }
-      mo.anneal = static_cast<int>(n);
+      mo.anneal = expect_int(ctx, v, "options.anneal");
     } else if (key == "heft") {
       mo.heft = expect_bool(ctx, v, "options.heft");
     } else if (key == "multilevel") {
-      const long n = expect_integer(ctx, v, "options.multilevel");
-      if (n > 64 || (n < 0 && n != -1)) {
-        ctx.fail(kJobMalformed,
-                 "options.multilevel must be 0 (off), -1 (auto depth) or "
-                 "1..64 (level cap)");
-      }
-      mo.multilevel = static_cast<int>(n);
+      mo.multilevel = expect_int(ctx, v, "options.multilevel");
     } else if (key == "seed") {
       const long n = expect_integer(ctx, v, "options.seed");
       if (n < 0) {
@@ -373,8 +374,7 @@ void apply_options(const JobContext& ctx, const JsonValue& obj,
     } else if (key == "refine_placement") {
       mo.refine_placement = expect_bool(ctx, v, "options.refine_placement");
     } else if (key == "load_bound") {
-      mo.load_bound_B =
-          static_cast<int>(expect_integer(ctx, v, "options.load_bound"));
+      mo.load_bound_B = expect_int(ctx, v, "options.load_bound");
     } else if (key == "no_canned") {
       mo.allow_canned = !expect_bool(ctx, v, "options.no_canned");
     } else if (key == "no_group") {
@@ -382,14 +382,9 @@ void apply_options(const JobContext& ctx, const JsonValue& obj,
     } else if (key == "no_systolic") {
       mo.allow_systolic = !expect_bool(ctx, v, "options.no_systolic");
     } else if (key == "jobs") {
-      const long n = expect_integer(ctx, v, "options.jobs");
-      if (n < 0) {
-        ctx.fail(kJobMalformed,
-                 "options.jobs must be >= 0 (0 = all cores)");
-      }
-      mo.jobs = static_cast<int>(n);
+      mo.jobs = expect_int(ctx, v, "options.jobs");
     } else if (key == "budget_ms") {
-      mo.multilevel_budget_ms = expect_integer(ctx, v, "options.budget_ms");
+      mo.time_budget_ms = expect_integer(ctx, v, "options.budget_ms");
     } else {
       ctx.fail(kJobMalformed,
                "unknown option \"" + key +
@@ -398,17 +393,9 @@ void apply_options(const JobContext& ctx, const JsonValue& obj,
                    "no_group, no_systolic, jobs, budget_ms)");
     }
   }
-  // The same flag-combination contract the CLI enforces with exit 2.
-  if (mo.anneal > 0 && mo.portfolio <= 0) {
-    ctx.fail(kJobMalformed,
-             "options.anneal requires options.portfolio > 0");
-  }
-  if (mo.heft && mo.portfolio <= 0) {
-    ctx.fail(kJobMalformed, "options.heft requires options.portfolio > 0");
-  }
-  if (mo.multilevel != 0 && mo.portfolio > 0) {
-    ctx.fail(kJobMalformed,
-             "options.multilevel is incompatible with options.portfolio");
+  const std::string violation = option_violation(mo, "options.");
+  if (!violation.empty()) {
+    ctx.fail(kJobMalformed, violation);
   }
 }
 

@@ -16,6 +16,11 @@
 //                "no_systolic": false, "jobs": 1, "budget_ms": 0},
 //    "deadline_ms": 50}             // optional per-job deadline
 //
+// The options follow the CLI's contract (option_violation in
+// mapper/driver.hpp). `budget_ms` is the wall-clock budget of the
+// portfolio search and of the multilevel V-cycle's refinement
+// (MapperOptions::time_budget_ms: 0 = none, < 0 = already expired).
+//
 // Result line, success:
 //   {"id":"7","status":"ok","digest":"<16 hex>","cache":"hit|miss",
 //    "strategy":"General","completion":N,"external_ipc":N,

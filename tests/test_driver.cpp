@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "oregami/larcs/parser.hpp"
 #include "oregami/larcs/programs.hpp"
 #include "oregami/mapper/driver.hpp"
@@ -183,6 +186,58 @@ TEST(Driver, ValidateMappingCatchesBadRouting) {
 TEST(Driver, EmptyTaskGraphRejected) {
   TaskGraph g;
   EXPECT_THROW((void)map_computation(g, Topology::ring(3)), MappingError);
+}
+
+TEST(OptionContract, EveryRuleNamesFieldsWithTheCallersPrefix) {
+  // Each case breaks one rule; "@" stands for the caller's prefix.
+  struct Case {
+    MapperOptions options;
+    std::string violation;
+  };
+  std::vector<Case> cases(8);
+  cases[0].options.portfolio = -1;
+  cases[0].violation = "@portfolio must be >= 0";
+  cases[1].options.anneal = -1;
+  cases[1].violation = "@anneal must be >= 0";
+  cases[2].options.multilevel = 65;
+  cases[2].violation =
+      "@multilevel must be 0 (off), -1 (auto depth) or 1..64 (level cap)";
+  cases[3].options.multilevel = -2;
+  cases[3].violation = cases[2].violation;
+  cases[4].options.jobs = -1;
+  cases[4].violation = "@jobs must be >= 0 (0 = all cores)";
+  cases[5].options.anneal = 2;
+  cases[5].violation = "@anneal requires @portfolio > 0";
+  cases[6].options.heft = true;
+  cases[6].violation = "@heft requires @portfolio > 0";
+  cases[7].options.multilevel = -1;
+  cases[7].options.portfolio = 4;
+  cases[7].violation = "@multilevel is incompatible with @portfolio";
+  for (const std::string prefix : {"options.", "--"}) {
+    for (const Case& c : cases) {
+      std::string expected = c.violation;
+      for (auto at = expected.find('@'); at != std::string::npos;
+           at = expected.find('@')) {
+        expected.replace(at, 1, prefix);
+      }
+      EXPECT_EQ(option_violation(c.options, prefix), expected);
+    }
+  }
+}
+
+TEST(OptionContract, AdmitsTheDefaultsAndEveryBoundary) {
+  MapperOptions options;
+  EXPECT_EQ(option_violation(options, "--"), "");
+  options.portfolio = 4;
+  options.anneal = 2;
+  options.heft = true;
+  options.jobs = 0;
+  EXPECT_EQ(option_violation(options, "--"), "");
+  MapperOptions vcycle;
+  for (const int levels : {-1, 1, 64}) {
+    vcycle.multilevel = levels;
+    EXPECT_EQ(option_violation(vcycle, "options."), "") << levels;
+  }
 }
 
 TEST(Driver, StrategyNames) {

@@ -72,6 +72,16 @@ TEST(Graph, DegreesAndTotalWeight) {
   EXPECT_EQ(hist[3], 1);
 }
 
+TEST(Graph, CutWeightSumsEdgesBetweenParts) {
+  Graph g(4);
+  g.add_edge(0, 1, 5);
+  g.add_edge(1, 2, 3);
+  g.add_edge(2, 3, 7);
+  EXPECT_EQ(cut_weight(g, {0, 0, 1, 1}), 3);
+  EXPECT_EQ(cut_weight(g, {0, 1, 0, 1}), 15);
+  EXPECT_EQ(cut_weight(g, {2, 2, 2, 2}), 0);
+}
+
 TEST(Components, SingleComponent) {
   EXPECT_TRUE(is_connected(cycle_graph(5)));
   const auto comp = connected_components(cycle_graph(5));

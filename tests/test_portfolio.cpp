@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "oregami/arch/fault_model.hpp"
 #include "oregami/larcs/compiler.hpp"
 #include "oregami/larcs/parser.hpp"
 #include "oregami/larcs/programs.hpp"
@@ -179,6 +180,37 @@ TEST(Portfolio, MapComputationDispatchesWhenEnabled) {
   EXPECT_EQ(via_dispatch.details, direct.best.details);
   EXPECT_EQ(via_dispatch.mapping.proc_of_task(),
             direct.best.mapping.proc_of_task());
+}
+
+TEST(Portfolio, MapProgramReportsTheSearchOnADegradedMachine) {
+  // The redirect runs the portfolio on the healthy sub-machine, and the
+  // expired budget reaches it there, so only candidate 0 runs.
+  const auto c = compile_catalog(larcs::programs::catalog().front());
+  const Topology topo = Topology::mesh(4, 4);
+  const FaultedTopology faults(topo, FaultSpec::parse("p5", topo));
+  MapperOptions options;
+  options.faults = &faults;
+  options.portfolio = 4;
+  options.time_budget_ms = -1;
+  PortfolioReport report;
+  const MapperReport mapped = map_program(c.ast, c.cp, topo, options, &report);
+  ASSERT_GT(report.candidates.size(), 1u);
+  EXPECT_EQ(report.best_id, 0);
+  EXPECT_TRUE(report.candidates.front().ok);
+  for (std::size_t i = 1; i < report.candidates.size(); ++i) {
+    EXPECT_FALSE(report.candidates[i].ok);
+    EXPECT_EQ(report.candidates[i].note, "skipped (deadline)");
+  }
+  EXPECT_EQ(mapped.details, "degraded machine (p5; 15/16 processors "
+                            "healthy); " + report.best.details);
+}
+
+TEST(Portfolio, MapProgramLeavesTheReportAloneWithoutASearch) {
+  const auto c = compile_catalog(larcs::programs::catalog().front());
+  PortfolioReport report;
+  (void)map_program(c.ast, c.cp, Topology::hypercube(3), {}, &report);
+  EXPECT_EQ(report.best_id, -1);
+  EXPECT_TRUE(report.candidates.empty());
 }
 
 TEST(Portfolio, SeededVariantsDifferAcrossSeeds) {

@@ -342,6 +342,36 @@ TEST(Serve, ErrorLinesCarryTheContractCodes) {
   expect_contains(text, "deadline expired");
 }
 
+/// The outcome fields of a result line, from "strategy" up to the
+/// timing; empty when absent.
+std::string outcome_of(const std::string& line) {
+  const auto from = line.find("\"strategy\"");
+  const auto to = line.find(",\"wall_ms\"");
+  if (from == std::string::npos || to == std::string::npos) {
+    return "";
+  }
+  return line.substr(from, to - from);
+}
+
+TEST(Serve, ExpiredBudgetBoundsThePortfolioSearch) {
+  // budget_ms < 0 leaves the portfolio only its candidate 0, the
+  // single-shot pipeline, so the job returns that pipeline's outcome.
+  const std::string job =
+      "\"program\":\"nbody\",\"bind\":{\"n\":15,\"s\":4,\"m\":8},"
+      "\"topology\":\"mesh:4x4\",";
+  std::istringstream in("{\"id\":1," + job +
+                        "\"options\":{\"portfolio\":4,\"budget_ms\":-1}}\n"
+                        "{\"id\":2," + job + "\"options\":{}}\n");
+  std::ostringstream out;
+  const ServerStats stats = serve(in, out, deterministic_options(1));
+  EXPECT_EQ(stats.ok, 2);
+  const std::vector<std::string> lines = normalized(out.str());
+  ASSERT_EQ(lines.size(), 2u);
+  const std::string searched = outcome_of(lines[0]);
+  expect_contains(searched, "\"completion\":1856,");
+  EXPECT_EQ(searched, outcome_of(lines[1]));
+}
+
 TEST(Serve, BlankLinesAreKeepAlivesNotJobs) {
   std::istringstream in("\n  \t\n\n");
   std::ostringstream out;

@@ -73,7 +73,6 @@ struct Options {
   std::optional<std::string> fault_spec;
   std::uint64_t fault_seed = 0;
   bool repair = false;
-  std::int64_t time_budget_ms = 0;
   std::optional<std::string> trace_file;
   bool trace_summary = false;
   bool explain = false;
@@ -301,25 +300,13 @@ std::optional<Options> parse_args(int argc, char** argv) {
         } else if (arg == "--fault-seed") {
           options.fault_seed = std::stoull(*v);
         } else {
-          options.time_budget_ms = std::stoll(*v);
+          options.mapper.time_budget_ms = std::stoll(*v);
         }
       } catch (const std::exception&) {
         std::cerr << "bad " << arg << " value '" << *v << "'\n";
         return std::nullopt;
       }
-      if (arg == "--portfolio" && options.mapper.portfolio < 0) {
-        std::cerr << "--portfolio expects N >= 0\n";
-        return std::nullopt;
-      }
-      if (arg == "--anneal" && options.mapper.anneal < 0) {
-        std::cerr << "--anneal expects N >= 0\n";
-        return std::nullopt;
-      }
-      if (arg == "--jobs" && options.mapper.jobs < 0) {
-        std::cerr << "--jobs expects J >= 0 (0 = all cores)\n";
-        return std::nullopt;
-      }
-      if (arg == "--time-budget" && options.time_budget_ms < 0) {
+      if (arg == "--time-budget" && options.mapper.time_budget_ms < 0) {
         std::cerr << "--time-budget expects MS >= 0 (0 = none)\n";
         return std::nullopt;
       }
@@ -327,6 +314,11 @@ std::optional<Options> parse_args(int argc, char** argv) {
       std::cerr << "unknown option '" << arg << "'\n";
       return std::nullopt;
     }
+  }
+  const std::string violation = option_violation(options.mapper, "--");
+  if (!violation.empty()) {
+    std::cerr << violation << "\n";
+    return std::nullopt;
   }
   return options;
 }
@@ -339,35 +331,13 @@ int map_and_report(const Options& options, const larcs::Program& ast,
                    const std::optional<FaultedTopology>& faulted) {
   try {
     MapperOptions mapper = options.mapper;
-    mapper.multilevel_budget_ms = options.time_budget_ms;
     // Degraded-mode mapping (no --repair): run the pipeline directly
     // on the healthy sub-machine.
     if (faulted && !options.repair) {
       mapper.faults = &*faulted;
     }
-
-    MapperReport report;
-    std::string portfolio_table;
-    std::string provenance;
-    std::string pareto_front;
-    if (mapper.portfolio > 0 && mapper.faults == nullptr) {
-      PortfolioOptions popts = portfolio_options_from(mapper);
-      popts.time_budget_ms = options.time_budget_ms;
-      const PortfolioReport pf =
-          portfolio_map_program(ast, compiled, topo, mapper, popts);
-      // The timed variant: same table plus wall-ms columns, with
-      // skipped candidates showing the elapsed time at the cut-off.
-      portfolio_table = pf.timed_table();
-      if (options.explain) {
-        provenance = pf.explain();
-      }
-      if (options.pareto) {
-        pareto_front = pf.pareto();
-      }
-      report = pf.best;
-    } else {
-      report = map_program(ast, compiled, topo, mapper);
-    }
+    PortfolioReport portfolio;
+    MapperReport report = map_program(ast, compiled, topo, mapper, &portfolio);
     const auto& graph = compiled.graph;
 
     std::cout << "algorithm: " << ast.name << "  (" << graph.num_tasks()
@@ -383,21 +353,23 @@ int map_and_report(const Options& options, const larcs::Program& ast,
     }
     std::cout << "strategy:  " << to_string(report.strategy) << "\n"
               << "           " << report.details << "\n\n";
-    if (options.explain) {
-      std::cout << provenance << "\n";
-    } else if (!portfolio_table.empty()) {
-      std::cout << "portfolio candidates:\n" << portfolio_table << "\n";
-    }
-    if (!pareto_front.empty()) {
-      std::cout << pareto_front << "\n";
+    if (portfolio.best_id >= 0) {
+      // The timed table: wall-ms columns, with skipped candidates
+      // showing the elapsed time at the cut-off.
+      std::cout << (options.explain
+                        ? portfolio.explain()
+                        : "portfolio candidates:\n" + portfolio.timed_table())
+                << "\n";
+      if (options.pareto) {
+        std::cout << portfolio.pareto() << "\n";
+      }
     }
 
     // Repair path: the mapping above is the healthy one; repair it onto
     // the degraded machine and print both completions side by side.
     if (faulted && options.repair) {
       RepairOptions ropts;
-      ropts.time_budget_ms = options.time_budget_ms;
-      ropts.seed = options.mapper.portfolio_seed;
+      ropts.time_budget_ms = options.mapper.time_budget_ms;
       ropts.model = {};
       ropts.remap_options = options.mapper;
       ropts.remap_options.faults = nullptr;
@@ -537,7 +509,6 @@ int run(const Options& options) {
       // pre-warm a server or debug why two requests don't share an
       // entry) and skip the mapping itself.
       MapperOptions mapper = options.mapper;
-      mapper.multilevel_budget_ms = options.time_budget_ms;
       if (faulted && !options.repair) {
         mapper.faults = &*faulted;
       }
@@ -619,24 +590,9 @@ int main(int argc, char** argv) {
                    "report describes the portfolio decision)\n";
       return usage(argv[0]);
     }
-    if (options.mapper.anneal > 0 && options.mapper.portfolio <= 0) {
-      std::cerr << "--anneal requires --portfolio N (annealing runs as a "
-                   "portfolio candidate)\n";
-      return usage(argv[0]);
-    }
-    if (options.mapper.heft && options.mapper.portfolio <= 0) {
-      std::cerr << "--heft requires --portfolio N (the list scheduler runs "
-                   "as a portfolio candidate)\n";
-      return usage(argv[0]);
-    }
     if (options.pareto && options.mapper.portfolio <= 0) {
       std::cerr << "--pareto requires --portfolio N (the front ranks the "
                    "portfolio candidates)\n";
-      return usage(argv[0]);
-    }
-    if (options.mapper.multilevel != 0 && options.mapper.portfolio > 0) {
-      std::cerr << "--multilevel is incompatible with --portfolio (the "
-                   "V-cycle replaces the candidate search)\n";
       return usage(argv[0]);
     }
     if (options.trace_file || options.trace_summary) {
