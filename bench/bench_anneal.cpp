@@ -69,7 +69,7 @@ void print_figures_and_json() {
     opts.iterations = kAnnealIterations;
     const auto t0 = std::chrono::steady_clock::now();
     const AnnealResult annealed =
-        anneal_placement(w.graph, w.topo, w.procs, w.routing, {}, opts);
+        anneal_placement(w.graph, w.topo, w.procs, w.routing, opts);
     emit("anneal", annealed.completion_after, seconds_since(t0));
     json.add_counter("anneal_512/proposed", annealed.proposed);
     json.add_counter("anneal_512/accepted", annealed.accepted);
@@ -108,7 +108,7 @@ void BM_Anneal512Mesh16x16(benchmark::State& state) {
   opts.iterations = 2000;  // short chain: the timing unit, not quality
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        anneal_placement(w.graph, w.topo, w.procs, w.routing, {}, opts));
+        anneal_placement(w.graph, w.topo, w.procs, w.routing, opts));
   }
 }
 BENCHMARK(BM_Anneal512Mesh16x16);

@@ -494,12 +494,6 @@ DistanceRow Topology::distance_row(int u) const {
   return DistanceRow(*this, u, row);
 }
 
-void Topology::precompute_distances() const {
-  if (family_ == TopoFamily::Custom && num_procs() > 0) {
-    (void)custom_distances();
-  }
-}
-
 int Topology::diameter() const {
   switch (family_) {
     case TopoFamily::Ring:

@@ -115,12 +115,6 @@ class Topology {
   void accumulate_distance_row(int u, std::int64_t weight,
                                std::span<std::int64_t> acc) const;
 
-  /// Forces the Custom BFS table to be built now (no-op for regular
-  /// families, whose oracles never allocate). Purely an optional
-  /// warm-up: all const distance queries are thread-safe without it --
-  /// the Custom fill is guarded by std::call_once.
-  void precompute_distances() const;
-
   [[nodiscard]] int diameter() const;
 
   /// Human label for a processor: plain index, mesh coordinates

@@ -5,6 +5,7 @@
 #include <queue>
 #include <tuple>
 
+#include "oregami/arch/routes.hpp"
 #include "oregami/support/error.hpp"
 
 namespace oregami {
@@ -17,15 +18,7 @@ Route AggregationTree::route_to_root(const Topology& topo, int p) const {
     p = parent[static_cast<std::size_t>(p)];
     nodes.push_back(p);
   }
-  Route route;
-  route.nodes = std::move(nodes);
-  for (std::size_t i = 0; i + 1 < route.nodes.size(); ++i) {
-    const auto link =
-        topo.link_between(route.nodes[i], route.nodes[i + 1]);
-    OREGAMI_ASSERT(link.has_value(), "tree edges must be links");
-    route.links.push_back(*link);
-  }
-  return route;
+  return route_from_nodes(topo, std::move(nodes));
 }
 
 std::vector<std::int64_t> committed_link_load(

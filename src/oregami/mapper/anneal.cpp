@@ -13,15 +13,12 @@ namespace oregami {
 AnnealResult anneal_placement(const TaskGraph& graph, const Topology& topo,
                               std::vector<int> proc_of_task,
                               std::vector<PhaseRouting> routing,
-                              const CostModel& model,
-                              const AnnealOptions& options,
-                              std::vector<std::int64_t> link_factor) {
+                              const AnnealOptions& options) {
   const trace::Span span("anneal");
   const int n = graph.num_tasks();
   const int p = topo.num_procs();
   IncrementalCompletion inc(graph, topo, std::move(proc_of_task),
-                            std::move(routing), model,
-                            std::move(link_factor));
+                            std::move(routing));
 
   AnnealResult result;
   result.completion_before = inc.completion();
@@ -30,10 +27,10 @@ AnnealResult anneal_placement(const TaskGraph& graph, const Topology& topo,
   if (n >= 1 && p >= 2 && options.iterations > 0) {
     const Deadline deadline(options.time_budget_ms);
     SplitMix64 rng(options.seed);
-    double temp = options.initial_temp >= 0.0
-                      ? options.initial_temp
-                      : std::max<double>(
-                            1.0, static_cast<double>(inc.completion()) / 20.0);
+    // Geometric cooling from max(1, initial completion / 20).
+    constexpr double kCooling = 0.999;
+    double temp =
+        std::max(1.0, static_cast<double>(inc.completion()) / 20.0);
 
     std::int64_t best_completion = inc.completion();
     std::size_t best_history = inc.history_size();
@@ -66,7 +63,7 @@ AnnealResult anneal_placement(const TaskGraph& graph, const Topology& topo,
             rng.next_below(static_cast<std::uint64_t>(p - 1)));
         target = draw >= here ? draw + 1 : draw;
       }
-      temp *= options.cooling;
+      temp *= kCooling;
       if (target == here) {
         continue;  // neighbour draw can land on `here` in multigraphs
       }

@@ -7,8 +7,9 @@
 // evaluator built for placement refinement -- so one proposal costs the
 // same as one refinement probe rather than a full model re-score.
 // Downhill and sideways moves are always accepted; uphill moves are
-// accepted with probability exp(-delta / T) under a geometric cooling
-// schedule.
+// accepted with probability exp(-delta / T). The schedule is fixed: T
+// starts at max(1, initial completion / 20) and is multiplied by 0.999
+// after every proposal.
 //
 // Determinism contract: the result is a pure function of the inputs
 // and `AnnealOptions::seed`. The proposal stream comes from a private
@@ -38,10 +39,6 @@ struct AnnealOptions {
   int iterations = 4000;
   /// Seed of the private proposal stream.
   std::uint64_t seed = 0x5EEDA11u;
-  /// Starting temperature; < 0 selects max(1, initial completion / 20).
-  double initial_temp = -1.0;
-  /// Geometric cooling factor applied after every proposal.
-  double cooling = 0.999;
   /// Wall-clock deadline in milliseconds: 0 = none, < 0 = already
   /// expired (no proposals run; deterministic), > 0 = checked
   /// periodically while the chain runs.
@@ -64,14 +61,11 @@ struct AnnealResult {
 };
 
 /// Runs the annealing chain from `proc_of_task` + `routing` (e.g. a
-/// MAPPER-produced mapping). `link_factor` (optional, empty = all 1)
-/// is the per-link serialisation multiplier forwarded to
-/// IncrementalCompletion, so a chain on a degraded machine steers
-/// traffic away from slowed links.
+/// MAPPER-produced mapping), scored by the completion model at its
+/// default costs.
 [[nodiscard]] AnnealResult anneal_placement(
     const TaskGraph& graph, const Topology& topo,
     std::vector<int> proc_of_task, std::vector<PhaseRouting> routing,
-    const CostModel& model = {}, const AnnealOptions& options = {},
-    std::vector<std::int64_t> link_factor = {});
+    const AnnealOptions& options = {});
 
 }  // namespace oregami

@@ -148,9 +148,9 @@ MapperReport finish(MapStrategy strategy, std::string details,
     const int bound = options.load_bound_B > 0
                           ? options.load_bound_B
                           : report.mapping.contraction.max_cluster_size();
-    PlacementRefineResult refined = refine_placement(
-        graph, topo, report.mapping.proc_of_task(),
-        report.mapping.routing, /*model=*/{}, bound);
+    PlacementRefineResult refined =
+        refine_placement(graph, topo, report.mapping.proc_of_task(),
+                         report.mapping.routing, bound);
     trace::counter("moves", refined.moves);
     trace::counter("improvement", refined.improvement());
     if (refined.moves > 0) {

@@ -1,6 +1,8 @@
 #include "oregami/mapper/dynamic_spawn.hpp"
 
 #include <algorithm>
+#include <numeric>
+#include <string>
 
 #include "oregami/graph/gray_code.hpp"
 #include "oregami/mapper/binomial_mesh.hpp"
@@ -30,6 +32,36 @@ int SpawnPlan::stage_imbalance(int stage, int num_procs) const {
   return *hi - *lo;
 }
 
+namespace {
+
+/// Places every node of `plan` where the canned entry for its family,
+/// with parameter `param` and identity labels, puts it. Canned entries
+/// place a node by its address alone, so placements are stable under
+/// growth. `kind` names the family in the error and the description.
+void place_by_canned(SpawnPlan& plan, int param, const Topology& topo,
+                     const std::string& caller, const std::string& kind) {
+  const std::size_t n = plan.spawn_stage_of_node.size();
+  RecognizedFamily family;
+  family.family = plan.family;
+  family.params = {param};
+  family.canonical_label.resize(n);
+  std::iota(family.canonical_label.begin(), family.canonical_label.end(), 0);
+  const auto canned = canned_mapping(family, topo);
+  if (!canned) {
+    throw MappingError(caller + ": no canned " + kind +
+                       " mapping for topology " + topo.name());
+  }
+  plan.proc_of_node.resize(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    const int cluster = canned->contraction.cluster_of_task[v];
+    plan.proc_of_node[v] =
+        canned->embedding.proc_of_cluster[static_cast<std::size_t>(cluster)];
+  }
+  plan.description = kind + " spawn plan via " + canned->description;
+}
+
+}  // namespace
+
 SpawnPlan plan_binomial_spawn(int k, const Topology& topo) {
   OREGAMI_ASSERT(k >= 0 && k <= 24, "binomial order out of range");
   SpawnPlan plan;
@@ -42,31 +74,8 @@ SpawnPlan plan_binomial_spawn(int k, const Topology& topo) {
     plan.spawn_stage_of_node[static_cast<std::size_t>(m)] =
         floor_log2(static_cast<std::uint64_t>(m)) + 1;
   }
-
-  // Reuse the canned binomial entries: they place node m by its address
-  // alone, so placements are stable under growth (B_s is exactly the
-  // low-address prefix of B_k).
-  RecognizedFamily family;
-  family.family = GraphFamily::BinomialTree;
-  family.params = {k};
-  family.canonical_label.resize(static_cast<std::size_t>(n));
-  for (int m = 0; m < n; ++m) {
-    family.canonical_label[static_cast<std::size_t>(m)] = m;
-  }
-  const auto canned = canned_mapping(family, topo);
-  if (!canned) {
-    throw MappingError(
-        "plan_binomial_spawn: no canned binomial mapping for topology " +
-        topo.name());
-  }
-  plan.proc_of_node.resize(static_cast<std::size_t>(n));
-  for (int m = 0; m < n; ++m) {
-    const int cluster =
-        canned->contraction.cluster_of_task[static_cast<std::size_t>(m)];
-    plan.proc_of_node[static_cast<std::size_t>(m)] =
-        canned->embedding.proc_of_cluster[static_cast<std::size_t>(cluster)];
-  }
-  plan.description = "binomial spawn plan via " + canned->description;
+  // B_s is exactly the low-address prefix of B_k.
+  place_by_canned(plan, k, topo, "plan_binomial_spawn", "binomial");
   return plan;
 }
 
@@ -81,28 +90,7 @@ SpawnPlan plan_cbt_spawn(int h, const Topology& topo) {
     plan.spawn_stage_of_node[static_cast<std::size_t>(v)] =
         floor_log2(static_cast<std::uint64_t>(v) + 1);
   }
-
-  RecognizedFamily family;
-  family.family = GraphFamily::CompleteBinaryTree;
-  family.params = {h};
-  family.canonical_label.resize(static_cast<std::size_t>(n));
-  for (int v = 0; v < n; ++v) {
-    family.canonical_label[static_cast<std::size_t>(v)] = v;
-  }
-  const auto canned = canned_mapping(family, topo);
-  if (!canned) {
-    throw MappingError(
-        "plan_cbt_spawn: no canned CBT mapping for topology " +
-        topo.name());
-  }
-  plan.proc_of_node.resize(static_cast<std::size_t>(n));
-  for (int v = 0; v < n; ++v) {
-    const int cluster =
-        canned->contraction.cluster_of_task[static_cast<std::size_t>(v)];
-    plan.proc_of_node[static_cast<std::size_t>(v)] =
-        canned->embedding.proc_of_cluster[static_cast<std::size_t>(cluster)];
-  }
-  plan.description = "CBT spawn plan via " + canned->description;
+  place_by_canned(plan, h, topo, "plan_cbt_spawn", "CBT");
   return plan;
 }
 

@@ -16,6 +16,10 @@ namespace {
 constexpr std::int64_t kInfeasible =
     std::numeric_limits<std::int64_t>::max() / 4;
 
+/// Ranks and finish times charge communication at the completion
+/// model's default costs.
+constexpr CostModel kModel{};
+
 /// Directed mult-weighted communication volumes, aggregated over all
 /// phases: parallel edges within and across phases merge, volumes sum.
 struct CommVolumes {
@@ -120,8 +124,7 @@ std::vector<int> strongly_connected_components(const CommVolumes& vols,
 
 }  // namespace
 
-std::vector<std::int64_t> heft_upward_ranks(const TaskGraph& graph,
-                                            const CostModel& model) {
+std::vector<std::int64_t> heft_upward_ranks(const TaskGraph& graph) {
   const int n = graph.num_tasks();
   std::vector<std::int64_t> rank(static_cast<std::size_t>(n), 0);
   if (n == 0) {
@@ -130,8 +133,8 @@ std::vector<std::int64_t> heft_upward_ranks(const TaskGraph& graph,
   const CommVolumes vols = weighted_volumes(graph);
   const std::vector<std::int64_t> w = graph.exec_weights();
   // Ranking charges one nominal hop per message (machine-independent).
-  const auto comm_cost = [&model](std::int64_t vol) {
-    return model.comm_time(vol, 1);
+  const auto comm_cost = [](std::int64_t vol) {
+    return kModel.comm_time(vol, 1);
   };
 
   int num_comps = 0;
@@ -198,7 +201,7 @@ ListScheduleResult list_schedule(const TaskGraph& graph, const Topology& topo,
   ListScheduleResult result;
   result.proc_of_task.assign(static_cast<std::size_t>(n), 0);
   result.finish.assign(static_cast<std::size_t>(n), 0);
-  result.rank = heft_upward_ranks(graph, options.model);
+  result.rank = heft_upward_ranks(graph);
   if (n == 0 || p == 0) {
     return result;
   }
@@ -286,7 +289,7 @@ ListScheduleResult list_schedule(const TaskGraph& graph, const Topology& topo,
               est = kInfeasible;
               break;
             }
-            comm = options.model.comm_time(vol, hops);
+            comm = kModel.comm_time(vol, hops);
           }
           est = std::max(est,
                          result.finish[static_cast<std::size_t>(u)] + comm);

@@ -14,8 +14,8 @@
 // HEFT exactly. Weights fold in the phase-expression multiplicities:
 //   w(t)    = sum over exec phases  k of mult_k * cost_k[t]
 //   c(u, v) = sum over comm phases k of mult_k * volume_k(u, v)
-//             scaled by the cost model (per-unit cost + one nominal
-//             hop of latency; ranking is machine-independent).
+//             scaled by the default cost model (per-unit cost + one
+//             nominal hop of latency; ranking is machine-independent).
 //
 // Stage 2 -- earliest-finish placement. Tasks are visited in
 // descending rank (ties: descending execution weight, then ascending
@@ -38,7 +38,6 @@
 namespace oregami {
 
 struct ListScheduleOptions {
-  CostModel model;
   /// Wall-clock deadline in milliseconds: 0 = none, < 0 = already
   /// expired, > 0 = checked between task placements. Once expired,
   /// every remaining task is placed by the cheap fallback rule
@@ -59,10 +58,10 @@ struct ListScheduleResult {
   int deadline_degraded = 0;  ///< tasks placed by the fallback rule
 };
 
-/// Upward rank of every task (stage 1 alone, exposed so tests can pin
-/// the rank order of the paper examples).
+/// Upward rank of every task at the default costs (stage 1 alone,
+/// exposed so tests can pin the rank order of the paper examples).
 [[nodiscard]] std::vector<std::int64_t> heft_upward_ranks(
-    const TaskGraph& graph, const CostModel& model = {});
+    const TaskGraph& graph);
 
 /// Full HEFT-style placement of `graph` onto `topo`.
 [[nodiscard]] ListScheduleResult list_schedule(

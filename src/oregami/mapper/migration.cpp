@@ -2,7 +2,9 @@
 
 #include <algorithm>
 
+#include "oregami/mapper/driver.hpp"
 #include "oregami/mapper/mm_route.hpp"
+#include "oregami/metrics/completion_model.hpp"
 #include "oregami/support/error.hpp"
 
 namespace oregami {
@@ -98,19 +100,17 @@ MigrationReport evaluate_phase_migration(const TaskGraph& graph,
   MigrationReport report;
 
   // Static reference: the ordinary driver mapping.
-  const MapperReport static_report =
-      map_computation(graph, topo, config.mapper);
+  const MapperReport static_report = map_computation(graph, topo);
   report.static_time =
       completion_time(graph, static_report.mapping.proc_of_task(),
-                      static_report.mapping.routing, topo, config.model);
+                      static_report.mapping.routing, topo);
 
   // Tailored mapping and routing per comm phase.
   const std::size_t num_comm = graph.comm_phases().size();
   std::vector<std::vector<PhaseRouting>> routing_per(num_comm);
   for (std::size_t k = 0; k < num_comm; ++k) {
     const TaskGraph view = single_phase_view(graph, k);
-    const MapperReport phase_report =
-        map_computation(view, topo, config.mapper);
+    const MapperReport phase_report = map_computation(view, topo);
     report.placement_per_comm_phase.push_back(
         phase_report.mapping.proc_of_task());
     // Route the *original* phase under that placement.
@@ -119,7 +119,8 @@ MigrationReport evaluate_phase_migration(const TaskGraph& graph,
   }
 
   // Walk the timeline: start at the first comm phase's placement.
-  const auto timeline = linearize_phase_expr(graph, config.max_steps);
+  constexpr std::size_t kMaxSteps = 100'000;
+  const auto timeline = linearize_phase_expr(graph, kMaxSteps);
   std::vector<int> current =
       num_comm > 0 ? report.placement_per_comm_phase.front()
                    : static_report.mapping.proc_of_task();
@@ -135,7 +136,7 @@ MigrationReport evaluate_phase_migration(const TaskGraph& graph,
         current = target;
       }
       report.migrating_time += comm_phase_time(
-          graph, step, routing_per[k][k], topo, config.model);
+          graph, step, routing_per[k][k], topo, CostModel{});
     } else {
       report.migrating_time += exec_phase_time(
           graph, ~step, current, topo.num_procs());

@@ -5,7 +5,9 @@
 // module implements that what-if analysis: compute a tailored mapping
 // per communication phase, walk the phase-expression timeline charging
 // task-migration costs at every phase shift, and compare the result
-// against the best static mapping under the same cost model.
+// against the best static mapping. Every mapping is the driver's at its
+// default options, and every time is the completion model's at its
+// default costs.
 #pragma once
 
 #include <cstdint>
@@ -13,18 +15,12 @@
 
 #include "oregami/arch/topology.hpp"
 #include "oregami/core/task_graph.hpp"
-#include "oregami/mapper/driver.hpp"
-#include "oregami/metrics/completion_model.hpp"
 
 namespace oregami {
 
 struct MigrationConfig {
-  CostModel model;
   /// Cost of moving one task's state to another processor.
   std::int64_t cost_per_task_move = 10;
-  /// Cap on the linearised phase-expression length (repeat expansion).
-  std::size_t max_steps = 100'000;
-  MapperOptions mapper;
 };
 
 struct MigrationReport {
@@ -54,7 +50,8 @@ struct MigrationReport {
 
 /// Runs the analysis. Each comm phase gets its own MAPPER run over a
 /// single-phase view of the graph; the timeline then charges
-/// cost_per_task_move * moved tasks at every placement change.
+/// cost_per_task_move * moved tasks at every placement change. Throws
+/// MappingError when the timeline exceeds 100,000 steps.
 [[nodiscard]] MigrationReport evaluate_phase_migration(
     const TaskGraph& graph, const Topology& topo,
     const MigrationConfig& config = {});

@@ -203,8 +203,7 @@ MapperReport map_multilevel(const TaskGraph& graph, const Topology& topo,
       // completion objective.
       std::vector<PhaseRouting> routing =
           route_greedy_shortest(graph, placement, topo);
-      IncrementalCompletion inc(graph, topo, placement, std::move(routing),
-                                options.model);
+      IncrementalCompletion inc(graph, topo, placement, std::move(routing));
       if (!deadline.passed()) {
         total_moves += refine_level(levels[0].csr, inc, topo,
                                     options.refine_rounds, deadline);
@@ -221,7 +220,7 @@ MapperReport map_multilevel(const TaskGraph& graph, const Topology& topo,
       std::vector<PhaseRouting> routing =
           route_greedy_shortest(level_graph, placement, topo);
       IncrementalCompletion inc(level_graph, topo, placement,
-                                std::move(routing), options.model);
+                                std::move(routing));
       if (!deadline.passed()) {
         total_moves += refine_level(levels[static_cast<std::size_t>(k)].csr,
                                     inc, topo, options.refine_rounds,

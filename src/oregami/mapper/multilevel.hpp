@@ -17,8 +17,9 @@
 //      from the frozen placement (CSR scans + the O(1) distance
 //      oracle), then commits the proposals in ascending task order
 //      through the shared greedy sweep (refine.hpp): each is re-probed
-//      exactly with `IncrementalCompletion::delta_move` and applied
-//      only when strictly improving.
+//      exactly with `IncrementalCompletion::delta_move` (the
+//      completion model at its default costs) and applied only when
+//      strictly improving.
 //
 // Determinism contract: proposals are pure functions of the frozen
 // placement, commits are serial and ordered, and all randomness flows
@@ -31,7 +32,6 @@
 #include <cstdint>
 
 #include "oregami/mapper/driver.hpp"
-#include "oregami/metrics/completion_model.hpp"
 
 namespace oregami {
 
@@ -54,7 +54,6 @@ struct MultilevelOptions {
   /// projected placement is still returned, so the mapping is always
   /// valid.
   std::int64_t time_budget_ms = 0;
-  CostModel model;
 };
 
 /// Maps `graph` onto `topo` with the multilevel V-cycle. Works for any

@@ -12,6 +12,7 @@
 #include "oregami/mapper/anneal.hpp"
 #include "oregami/mapper/list_schedule.hpp"
 #include "oregami/mapper/mm_route.hpp"
+#include "oregami/metrics/completion_model.hpp"
 #include "oregami/support/deadline.hpp"
 #include "oregami/support/error.hpp"
 #include "oregami/support/rng.hpp"
@@ -97,7 +98,6 @@ void add_extended_candidates(std::vector<CandidateSpec>* specs,
                              const PortfolioOptions& options) {
   if (options.heft) {
     ListScheduleOptions lopts;
-    lopts.model = options.model;
     lopts.time_budget_ms = options.time_budget_ms;
     specs->push_back(
         {"heft critical-path",
@@ -128,11 +128,11 @@ void add_extended_candidates(std::vector<CandidateSpec>* specs,
     aopts.time_budget_ms = options.time_budget_ms;
     specs->push_back(
         {"anneal seed#" + std::to_string(i),
-         [&graph, &topo, variant, aopts, model = options.model] {
+         [&graph, &topo, variant, aopts] {
            MapperReport init = map_general_seeded(graph, topo, variant, 0);
            AnnealResult sa = anneal_placement(
                graph, topo, init.mapping.proc_of_task(),
-               std::move(init.mapping.routing), model, aopts);
+               std::move(init.mapping.routing), aopts);
            MapperReport report;
            report.strategy = MapStrategy::Anneal;
            report.details =
@@ -286,7 +286,7 @@ PortfolioReport run_portfolio(const TaskGraph& graph, const Topology& topo,
     }
     PlacementObjectives objectives = extract_objectives(
         graph, candidate.mapping.proc_of_task(), candidate.mapping.routing,
-        topo, options.model);
+        topo);
     candidate.completion = objectives.completion;
     candidate.external_ipc = objectives.external_ipc;
     candidate.max_load = objectives.max_load;

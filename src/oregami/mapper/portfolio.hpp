@@ -1,11 +1,11 @@
 // The parallel portfolio mapper: instead of walking the Fig-3 decision
 // tree once, run *every* admissible strategy plus N seeded variants of
 // the general path concurrently, score each complete mapping with the
-// METRICS completion-time model, and keep the best. Portfolio /
-// multi-start search dominates single-shot heuristics for static
-// mapping (Glantz et al.), and the candidates here are embarrassingly
-// parallel -- each owns its RNG and only reads the shared task graph
-// and (pre-warmed) topology.
+// METRICS completion-time model at its default costs, and keep the
+// best. Portfolio / multi-start search dominates single-shot heuristics
+// for static mapping (Glantz et al.), and the candidates here are
+// embarrassingly parallel -- each owns its RNG and only reads the
+// shared task graph and (pre-warmed) topology.
 //
 // Determinism contract: the result is a pure function of the inputs
 // and `PortfolioOptions::seed`. Worker count and OS scheduling never
@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "oregami/mapper/driver.hpp"
-#include "oregami/metrics/completion_model.hpp"
 
 namespace oregami {
 
@@ -41,8 +40,6 @@ struct PortfolioOptions {
   /// Base seed; candidate i uses an independent stream derived from
   /// (seed, i).
   std::uint64_t seed = 0x09E6A311u;
-  /// Cost model used to score candidates.
-  CostModel model;
   /// Extended candidate families, both off by default so golden
   /// portfolio outputs stay byte-identical. `num_anneal` > 0 appends
   /// that many simulated-annealing candidates (mapper/anneal.hpp), each

@@ -26,8 +26,7 @@ std::int64_t weight_to_cluster(const Graph& g,
 }  // namespace
 
 RefineResult refine_contraction(const Graph& task_graph,
-                                Contraction contraction, int load_bound_B,
-                                int max_passes) {
+                                Contraction contraction, int load_bound_B) {
   const int n = task_graph.num_vertices();
   contraction.validate(n);
   OREGAMI_ASSERT(load_bound_B >= contraction.max_cluster_size(),
@@ -40,7 +39,8 @@ RefineResult refine_contraction(const Graph& task_graph,
   auto& assign = contraction.cluster_of_task;
   std::vector<int> size = contraction.cluster_sizes();
 
-  for (int pass = 0; pass < max_passes; ++pass) {
+  constexpr int kMaxPasses = 8;
+  for (int pass = 0; pass < kMaxPasses; ++pass) {
     ++result.passes;
     bool improved = false;
     // One sweep applies every best-positive action it finds, task by
@@ -186,12 +186,11 @@ PlacementRefineResult refine_placement(const TaskGraph& graph,
                                        const Topology& topo,
                                        std::vector<int> proc_of_task,
                                        std::vector<PhaseRouting> routing,
-                                       const CostModel& model,
-                                       int load_bound_B, int max_passes,
+                                       int load_bound_B,
                                        std::vector<std::int64_t> link_factor) {
   const int n = graph.num_tasks();
   IncrementalCompletion inc(graph, topo, std::move(proc_of_task),
-                            std::move(routing), model,
+                            std::move(routing), CostModel{},
                             std::move(link_factor));
 
   PlacementRefineResult result;
@@ -210,6 +209,7 @@ PlacementRefineResult refine_placement(const TaskGraph& graph,
   }
   std::vector<int> order(static_cast<std::size_t>(n));
   std::iota(order.begin(), order.end(), 0);
+  constexpr int kMaxPasses = 4;
   const SweepResult sweep = greedy_sweep(
       inc, order,
       [&](int t, int /*pass*/, std::vector<int>& out) {
@@ -223,7 +223,7 @@ PlacementRefineResult refine_placement(const TaskGraph& graph,
         std::sort(out.begin(), out.end());
         out.erase(std::unique(out.begin(), out.end()), out.end());
       },
-      load_bound_B, max_passes);
+      load_bound_B, kMaxPasses);
   result.moves = sweep.moves;
   result.passes = sweep.passes;
 

@@ -39,13 +39,12 @@ struct RefineResult {
 
 /// Greedy refinement: repeatedly applies the single task move (to a
 /// cluster with room) or pairwise task swap with the largest positive
-/// reduction in external weight, until a pass finds nothing. Clusters
-/// never exceed `load_bound_B` and never empty (the contraction keeps
-/// its cluster count). `max_passes` bounds the outer loop.
+/// reduction in external weight, until a pass finds nothing or after
+/// eight passes. Clusters never exceed `load_bound_B` and never empty
+/// (the contraction keeps its cluster count).
 [[nodiscard]] RefineResult refine_contraction(const Graph& task_graph,
                                               Contraction contraction,
-                                              int load_bound_B,
-                                              int max_passes = 8);
+                                              int load_bound_B);
 
 struct PlacementRefineResult {
   std::vector<int> proc_of_task;
@@ -92,8 +91,8 @@ using SweepCandidates =
 /// the processors hosting its communication partners (sorted, so ties
 /// go to the lowest processor id). A move is admitted only while the
 /// destination hosts fewer than `load_bound_B` tasks (0 = unbounded).
-/// Deterministic; never worsens the completion time; `max_passes`
-/// bounds the sweeps.
+/// Scores the completion model at its default costs. Deterministic;
+/// never worsens the completion time; at most four sweeps.
 ///
 /// `link_factor` (optional, empty = all 1) is a per-link serialisation
 /// multiplier forwarded to IncrementalCompletion, so refinement on a
@@ -101,7 +100,6 @@ using SweepCandidates =
 [[nodiscard]] PlacementRefineResult refine_placement(
     const TaskGraph& graph, const Topology& topo,
     std::vector<int> proc_of_task, std::vector<PhaseRouting> routing,
-    const CostModel& model = {}, int load_bound_B = 0, int max_passes = 4,
-    std::vector<std::int64_t> link_factor = {});
+    int load_bound_B = 0, std::vector<std::int64_t> link_factor = {});
 
 }  // namespace oregami

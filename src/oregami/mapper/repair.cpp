@@ -67,8 +67,8 @@ RepairResult repair_mapping(const TaskGraph& graph,
   }
 
   RepairResult result;
-  result.healthy_completion = completion_time(
-      graph, proc, mapping.routing, base, options.model);
+  result.healthy_completion =
+      completion_time(graph, proc, mapping.routing, base);
 
   if (faults.spec().empty()) {
     result.mapping = mapping;
@@ -105,16 +105,16 @@ RepairResult repair_mapping(const TaskGraph& graph,
         route_greedy_shortest(graph, proc, sub.topo);
 
     IncrementalCompletion inc(graph, sub.topo, std::move(proc),
-                              std::move(routing), options.model,
+                              std::move(routing), CostModel{},
                               sub.link_factor);
 
     // Improve the displaced tasks only. Sweep k probes the processors
     // within 2^k hops of the task's current processor.
+    constexpr int kMaxSweeps = 4;
     const SweepResult sweep = greedy_sweep(
         inc, displaced,
         [&](int t, int pass, std::vector<int>& out) {
-          const int radius = pass < 30 ? (1 << pass)
-                                       : std::numeric_limits<int>::max() / 2;
+          const int radius = 1 << pass;
           const DistanceRow row = sub.topo.distance_row(
               inc.proc_of_task()[static_cast<std::size_t>(t)]);
           for (int q = 0; q < sub.topo.num_procs(); ++q) {
@@ -123,7 +123,7 @@ RepairResult repair_mapping(const TaskGraph& graph,
             }
           }
         },
-        /*load_bound=*/0, options.max_attempts, deadline);
+        /*load_bound=*/0, kMaxSweeps, deadline);
     result.attempts = sweep.passes;
     result.deadline_hit = sweep.deadline_hit;
     // Record where each displaced task actually landed.
@@ -151,8 +151,7 @@ RepairResult repair_mapping(const TaskGraph& graph,
       const trace::Span refine_span("refine");
       PlacementRefineResult refined = refine_placement(
           graph, sub.topo, std::move(repaired_proc),
-          std::move(repaired_routing), options.model, /*load_bound_B=*/0,
-          /*max_passes=*/4, sub.link_factor);
+          std::move(repaired_routing), /*load_bound_B=*/0, sub.link_factor);
       if (refined.moves > 0) {
         result.rung = RepairRung::Refine;
         result.details += "; refinement -" +
@@ -192,8 +191,7 @@ RepairResult repair_mapping(const TaskGraph& graph,
 
   validate_mapping(result.mapping, graph, base);
   result.degraded_completion = degraded_completion_time(
-      graph, result.mapping.proc_of_task(), result.mapping.routing, faults,
-      options.model);
+      graph, result.mapping.proc_of_task(), result.mapping.routing, faults);
   if (trace::enabled()) {
     trace::counter("healthy_completion", result.healthy_completion);
     trace::counter("degraded_completion", result.degraded_completion);

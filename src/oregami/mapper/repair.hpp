@@ -14,12 +14,14 @@
 //      every communication edge on the healthy machine, then improve
 //      the displaced tasks' placement with the shared greedy sweep
 //      (refine.hpp): sweep k probes the healthy processors within 2^k
-//      hops (1, 2, 4, ...), capped by `max_attempts` sweeps and the
+//      hops (1, 2, 4, 8): at most four sweeps, cut short by the
 //      wall-clock deadline.
 //   2. Refine -- polish the migrated placement with refine_placement on
 //      the healthy machine, weighted by the slow-link factors.
 //   3. Remap -- last resort (or forced via the rung switches): run the
 //      full MAPPER pipeline on the healthy machine.
+//
+// Every rung scores the completion model at its default costs.
 //
 // Determinism: with `time_budget_ms` <= 0 the outcome is a pure
 // function of (graph, mapping, FaultSpec, options) -- no wall clock, no
@@ -35,7 +37,6 @@
 #include "oregami/core/mapping.hpp"
 #include "oregami/core/task_graph.hpp"
 #include "oregami/mapper/driver.hpp"
-#include "oregami/metrics/completion_model.hpp"
 
 namespace oregami {
 
@@ -50,9 +51,6 @@ enum class RepairRung {
 [[nodiscard]] std::string to_string(RepairRung rung);
 
 struct RepairOptions {
-  /// Improvement sweeps for the migrate rung; sweep k probes the
-  /// healthy processors within 2^k hops of each displaced task.
-  int max_attempts = 4;
   /// Hard wall-clock deadline in milliseconds. 0 = none (fully
   /// deterministic); < 0 = already expired (the migrate rung does the
   /// provisional placement + re-route but skips all improvement --
@@ -62,7 +60,6 @@ struct RepairOptions {
   bool allow_migrate = true;
   bool allow_refine = true;
   bool allow_remap = true;
-  CostModel model;
   /// Mapper options for the remap rung (portfolio settings and seed
   /// included).
   MapperOptions remap_options;

@@ -181,10 +181,8 @@ enum Event : std::size_t {
 struct ServeState {
   explicit ServeState(const ServerOptions& opts)
       : results(256),
-        owned_cache(opts.cache == nullptr
-                        ? std::make_unique<ResultCache>(opts.cache_capacity,
-                                                        opts.cache_shards)
-                        : nullptr),
+        owned_cache(opts.cache == nullptr ? std::make_unique<ResultCache>()
+                                          : nullptr),
         cache(opts.cache != nullptr ? opts.cache : owned_cache.get()) {}
 
   /// Start of the call, for ServerStats::uptime_ms.

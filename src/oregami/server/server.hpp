@@ -47,8 +47,6 @@ struct ServerOptions {
   /// Admission bound: max submitted-but-unfinished jobs before new
   /// arrivals are rejected with code 5.
   int queue_capacity = 64;
-  std::size_t cache_capacity = 1024;  ///< resident result entries
-  int cache_shards = 8;
   /// Applied to jobs that do not carry their own "deadline_ms".
   /// 0 = none; negative = already expired (deterministic, for tests).
   std::int64_t default_deadline_ms = 0;
@@ -56,9 +54,10 @@ struct ServerOptions {
   /// uptime_ms as 0, so the full result stream and the stats line are
   /// byte-stable (used by the determinism tests and CI diffs).
   bool deterministic = false;
-  /// External cache to use instead of a private one (not owned; must
-  /// outlive the call). Lets a caller keep the cache warm across
-  /// serve() calls -- the bench replays the same stream cold then warm.
+  /// External cache to use instead of a private one at ResultCache's
+  /// default size (not owned; must outlive the call). Lets a caller
+  /// size the cache, or keep it warm across serve() calls -- the bench
+  /// replays the same stream cold then warm.
   ResultCache* cache = nullptr;
   /// Crash-safe persistence (persist.hpp; not owned; must outlive the
   /// call and wrap the same cache as `cache`): every computed outcome

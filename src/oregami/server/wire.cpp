@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "oregami/support/deadline.hpp"
 #include "oregami/support/hash.hpp"
 
 namespace oregami::server {
@@ -313,6 +314,17 @@ long expect_integer(const JobContext& ctx, const JsonValue& v,
   return static_cast<long>(v.num);
 }
 
+/// A millisecond budget, which reaches the clock: at most kMaxBudgetMs.
+std::int64_t expect_budget(const JobContext& ctx, const JsonValue& v,
+                           const std::string& field) {
+  const long n = expect_integer(ctx, v, field);
+  if (n > kMaxBudgetMs) {
+    ctx.fail(kJobMalformed,
+             field + " must be <= " + std::to_string(kMaxBudgetMs));
+  }
+  return n;
+}
+
 /// An integer option held in an int: values outside int's range are
 /// rejected like any other non-representable integer.
 int expect_int(const JobContext& ctx, const JsonValue& v,
@@ -384,7 +396,7 @@ void apply_options(const JobContext& ctx, const JsonValue& obj,
     } else if (key == "jobs") {
       mo.jobs = expect_int(ctx, v, "options.jobs");
     } else if (key == "budget_ms") {
-      mo.time_budget_ms = expect_integer(ctx, v, "options.budget_ms");
+      mo.time_budget_ms = expect_budget(ctx, v, "options.budget_ms");
     } else {
       ctx.fail(kJobMalformed,
                "unknown option \"" + key +
@@ -470,7 +482,7 @@ WireJob parse_job(const std::string& json_line, std::size_t line_number) {
     } else if (key == "options") {
       apply_options(ctx, v, job);
     } else if (key == "deadline_ms") {
-      job.deadline_ms = expect_integer(ctx, v, "deadline_ms");
+      job.deadline_ms = expect_budget(ctx, v, "deadline_ms");
     } else {
       ctx.fail(kJobMalformed,
                "unknown field \"" + key +

@@ -20,6 +20,8 @@
 // mapper/driver.hpp). `budget_ms` is the wall-clock budget of the
 // portfolio search and of the multilevel V-cycle's refinement
 // (MapperOptions::time_budget_ms: 0 = none, < 0 = already expired).
+// `budget_ms` and `deadline_ms` are at most 2^40 (kMaxBudgetMs in
+// support/deadline.hpp).
 //
 // Result line, success:
 //   {"id":"7","status":"ok","digest":"<16 hex>","cache":"hit|miss",

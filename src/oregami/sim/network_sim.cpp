@@ -55,7 +55,7 @@ PhaseSimResult simulate_comm_phase(const TaskGraph& graph, int phase_index,
     const std::int64_t slowdown =
         config.faults != nullptr ? config.faults->link_slowdown(link) : 1;
     const std::int64_t transfer =
-        volume * config.cycles_per_unit * slowdown + config.hop_latency;
+        config.model.comm_time(volume * slowdown, 1);
     const std::int64_t start =
         std::max(time, link_free[static_cast<std::size_t>(link)]);
     const std::int64_t finish = start + transfer;

@@ -10,7 +10,8 @@
 //
 // Model:
 //   * store-and-forward: a message occupies one link at a time for
-//     (volume * cycles_per_unit + hop_latency) cycles;
+//     CostModel::comm_time(volume, 1) cycles: its volume serialised at
+//     the per-unit cost, plus one hop latency;
 //   * each link is half-duplex and serves one message at a time, FIFO
 //     by readiness (ties broken by message id -- deterministic);
 //   * a communication phase is synchronous: all its messages inject at
@@ -29,12 +30,14 @@
 #include "oregami/arch/topology.hpp"
 #include "oregami/core/mapping.hpp"
 #include "oregami/core/task_graph.hpp"
+#include "oregami/metrics/completion_model.hpp"
 
 namespace oregami {
 
 struct SimConfig {
-  std::int64_t hop_latency = 1;      ///< per-hop fixed cost (cycles)
-  std::int64_t cycles_per_unit = 1;  ///< serialisation per volume unit
+  /// The costs of a hop, in cycles: the analytic model's own, so a
+  /// cross-check states them once.
+  CostModel model;
   /// Optional degraded machine of `topo` (not owned; must outlive the
   /// call). When set, the placement and every route pass the
   /// FaultedTopology liveness check before injection -- a route over a

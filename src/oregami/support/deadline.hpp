@@ -13,6 +13,13 @@
 
 namespace oregami {
 
+/// The largest budget an outside input may set: 2^40 ms, about 35
+/// years. steady_clock counts nanoseconds in 64 bits, so now() plus a
+/// budget from about 9.2e12 ms on overflows; the CLI's --time-budget,
+/// the daemon's --deadline and the wire's deadline_ms and
+/// options.budget_ms reject anything larger.
+inline constexpr std::int64_t kMaxBudgetMs = std::int64_t{1} << 40;
+
 class Deadline {
  public:
   explicit Deadline(std::int64_t budget_ms) {

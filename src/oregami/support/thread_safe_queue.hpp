@@ -71,19 +71,6 @@ class ThreadSafeQueue {
     return item;
   }
 
-  /// Non-blocking pop: nullopt when currently empty (closed or not).
-  std::optional<T> try_pop() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (items_.empty()) {
-      return std::nullopt;
-    }
-    T item = std::move(items_.front());
-    items_.pop_front();
-    lock.unlock();
-    not_full_.notify_one();
-    return item;
-  }
-
   /// After close() every push fails and every pop drains the remaining
   /// items, then reports nullopt. Idempotent.
   void close() {

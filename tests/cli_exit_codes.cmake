@@ -38,6 +38,13 @@ expect_exit(2 --program jacobi --topology mesh:4x4 --repair)  # no faults
 expect_exit(2 --program jacobi --topology mesh:4x4 --jobs -1)
 expect_exit(2 --program jacobi --topology mesh:4x4 --portfolio x)
 
+# 2: a time budget past 2^40 ms, where steady_clock's nanosecond count
+# would overflow at larger values; 2^40 itself runs.
+expect_exit(2 --program jacobi --bind n=8 --bind iters=10
+            --topology mesh:4x4 --portfolio 2 --time-budget 1099511627777)
+expect_exit(0 --program jacobi --bind n=8 --bind iters=10
+            --topology mesh:4x4 --portfolio 2 --time-budget 1099511627776)
+
 # 2: mutually-incompatible flag combos (each of these flags describes
 # or extends the portfolio search, so it is a usage error without
 # --portfolio N).

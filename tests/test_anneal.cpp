@@ -66,7 +66,7 @@ TEST(Anneal, NeverWorseThanInit) {
   opts.iterations = 2000;
   const AnnealResult r = anneal_placement(c.cp.graph, topo,
                                           init.proc_of_task, init.routing,
-                                          {}, opts);
+                                          opts);
   EXPECT_EQ(r.completion_before, before);
   EXPECT_LE(r.completion_after, r.completion_before);
   // The reported score is the genuine completion-model score of the
@@ -92,7 +92,7 @@ TEST(Anneal, RoundTripsToInitWhenNothingImproves) {
   AnnealOptions opts;
   opts.iterations = 500;
   const AnnealResult r =
-      anneal_placement(g, topo, init_placement, init_routing, {}, opts);
+      anneal_placement(g, topo, init_placement, init_routing, opts);
   EXPECT_GT(r.proposed, 0);
   EXPECT_EQ(r.completion_after, r.completion_before);
   EXPECT_EQ(r.proc_of_task, init_placement);  // bitwise round-trip
@@ -120,7 +120,7 @@ TEST(Anneal, ImprovesObviouslyPoorInit) {
   AnnealOptions opts;
   opts.iterations = 1000;
   const AnnealResult r =
-      anneal_placement(g, topo, init_placement, init_routing, {}, opts);
+      anneal_placement(g, topo, init_placement, init_routing, opts);
   EXPECT_GT(r.improvement(), 0);
   EXPECT_LT(r.completion_after, r.completion_before);
   // The improved placement really pulled the pair together.
@@ -137,9 +137,9 @@ TEST(Anneal, DeterministicForFixedSeedAndSensitiveToIt) {
   opts.iterations = 1500;
   opts.seed = 0xABCDEFull;
   const AnnealResult a = anneal_placement(
-      c.cp.graph, topo, init.proc_of_task, init.routing, {}, opts);
+      c.cp.graph, topo, init.proc_of_task, init.routing, opts);
   const AnnealResult b = anneal_placement(
-      c.cp.graph, topo, init.proc_of_task, init.routing, {}, opts);
+      c.cp.graph, topo, init.proc_of_task, init.routing, opts);
   EXPECT_EQ(a.proc_of_task, b.proc_of_task);
   EXPECT_EQ(a.completion_after, b.completion_after);
   EXPECT_EQ(a.proposed, b.proposed);
@@ -155,7 +155,7 @@ TEST(Anneal, ZeroIterationsReturnsInitUntouched) {
   AnnealOptions opts;
   opts.iterations = 0;
   const AnnealResult r = anneal_placement(
-      c.cp.graph, topo, init.proc_of_task, init.routing, {}, opts);
+      c.cp.graph, topo, init.proc_of_task, init.routing, opts);
   EXPECT_EQ(r.proposed, 0);
   EXPECT_EQ(r.accepted, 0);
   EXPECT_EQ(r.proc_of_task, init.proc_of_task);
@@ -176,7 +176,7 @@ TEST(Anneal, DeadlineIdiom) {
   expired.iterations = 2000;
   expired.time_budget_ms = -1;
   const AnnealResult r_expired = anneal_placement(
-      c.cp.graph, topo, init.proc_of_task, init.routing, {}, expired);
+      c.cp.graph, topo, init.proc_of_task, init.routing, expired);
   EXPECT_EQ(r_expired.proposed, 0);
   EXPECT_EQ(r_expired.accepted, 0);
   EXPECT_FALSE(r_expired.deadline_hit);
@@ -188,14 +188,14 @@ TEST(Anneal, DeadlineIdiom) {
   AnnealOptions none;
   none.iterations = 1000;
   const AnnealResult r_none = anneal_placement(
-      c.cp.graph, topo, init.proc_of_task, init.routing, {}, none);
+      c.cp.graph, topo, init.proc_of_task, init.routing, none);
   EXPECT_FALSE(r_none.deadline_hit);
   EXPECT_EQ(r_none.proposed, 1000);
 
   AnnealOptions generous = none;
   generous.time_budget_ms = 60'000;
   const AnnealResult r_generous = anneal_placement(
-      c.cp.graph, topo, init.proc_of_task, init.routing, {}, generous);
+      c.cp.graph, topo, init.proc_of_task, init.routing, generous);
   EXPECT_EQ(r_generous.proc_of_task, r_none.proc_of_task);
   EXPECT_EQ(r_generous.completion_after, r_none.completion_after);
   EXPECT_EQ(r_generous.proposed, r_none.proposed);

@@ -114,8 +114,7 @@ TEST(CompletionModel, EveryScorerComposesPhasesAlike) {
   model.hop_latency = 5;
   model.per_unit_cost = 2;
   SimConfig sim;
-  sim.hop_latency = 5;
-  sim.cycles_per_unit = 2;
+  sim.model = model;
   const FaultedTopology healthy(topo, FaultSpec{});
 
   // Phase costs: a = 3*2 + 5 = 11, b = 1*2 + 5 = 7, w = 4, x = 8.

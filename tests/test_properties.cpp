@@ -388,7 +388,7 @@ void check_candidate_families_case(std::uint64_t case_seed) {
   aopts.iterations = 200;
   aopts.seed = rng.next_u64();
   const AnnealResult annealed = anneal_placement(
-      graph, topo, base_procs, base.mapping.routing, {}, aopts);
+      graph, topo, base_procs, base.mapping.routing, aopts);
   EXPECT_EQ(annealed.completion_before, base_completion);
   EXPECT_LE(annealed.completion_after, annealed.completion_before);
   // Differential: the incremental evaluator's final score equals a full
@@ -499,7 +499,7 @@ void check_relabel_case(std::uint64_t case_seed, const Topology& topo,
   aopts.seed = rng.next_u64();
   const AnnealResult annealed =
       anneal_placement(graph, topo, base.mapping.proc_of_task(),
-                       base.mapping.routing, {}, aopts);
+                       base.mapping.routing, aopts);
   const ListScheduleResult heft = list_schedule(graph, topo);
   const auto heft_routing = mm_route(graph, heft.proc_of_task, topo);
 

@@ -159,13 +159,13 @@ TEST(RefinePlacement, RespectsLoadBound) {
   std::vector<PhaseRouting> routing = mm_route(tg, procs, topo);
 
   const auto refined =
-      refine_placement(tg, topo, procs, routing, {}, /*load_bound_B=*/1);
+      refine_placement(tg, topo, procs, routing, /*load_bound_B=*/1);
   // Bound 1 forbids every move: each processor already hosts one task.
   EXPECT_EQ(refined.moves, 0);
   EXPECT_EQ(refined.proc_of_task, procs);
 
   const auto loose =
-      refine_placement(tg, topo, procs, routing, {}, /*load_bound_B=*/2);
+      refine_placement(tg, topo, procs, routing, /*load_bound_B=*/2);
   std::vector<int> count(6, 0);
   for (const int proc : loose.proc_of_task) {
     ++count[static_cast<std::size_t>(proc)];

@@ -116,6 +116,23 @@ TEST(WireParse, RejectsBadJobsWithQuotableMessages) {
       kJobMalformed, "job 7:");
 }
 
+TEST(WireParse, BudgetsPastTwoToTheFortyMillisecondsAreRejected) {
+  // A larger budget would overflow steady_clock's nanosecond count when
+  // added to now().
+  const std::string head = R"({"id":1,"program":"x","topology":"ring:2",)";
+  const WireJob at_bound = parse_job(
+      head + R"("deadline_ms":1099511627776,)"
+             R"("options":{"budget_ms":1099511627776}})",
+      1);
+  EXPECT_EQ(at_bound.deadline_ms, std::int64_t{1} << 40);
+  EXPECT_EQ(at_bound.options.time_budget_ms, std::int64_t{1} << 40);
+  expect_parse_error(head + R"("deadline_ms":1099511627777})",
+                     kJobMalformed, "deadline_ms must be <= 1099511627776");
+  expect_parse_error(head + R"("options":{"budget_ms":1099511627777}})",
+                     kJobMalformed,
+                     "options.budget_ms must be <= 1099511627776");
+}
+
 // -------------------------------------------------------- formatting
 
 TEST(WireFormat, JsonEscapeCoversControlAndQuoteCharacters) {

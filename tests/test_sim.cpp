@@ -29,8 +29,8 @@ struct SingleMessage {
 TEST(Sim, SingleMessageTakesTransferTime) {
   const SingleMessage f(10);
   SimConfig config;
-  config.hop_latency = 3;
-  config.cycles_per_unit = 2;
+  config.model.hop_latency = 3;
+  config.model.per_unit_cost = 2;
   const auto result =
       simulate_comm_phase(f.graph, 0, f.routing, f.topo, config);
   EXPECT_EQ(result.makespan, 10 * 2 + 3);

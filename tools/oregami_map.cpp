@@ -44,6 +44,7 @@
 #include "oregami/server/digest.hpp"
 #include "oregami/server/persist.hpp"
 #include "oregami/sim/network_sim.hpp"
+#include "oregami/support/deadline.hpp"
 #include "oregami/support/error.hpp"
 #include "oregami/support/hash.hpp"
 #include "oregami/support/metrics.hpp"
@@ -306,8 +307,11 @@ std::optional<Options> parse_args(int argc, char** argv) {
         std::cerr << "bad " << arg << " value '" << *v << "'\n";
         return std::nullopt;
       }
-      if (arg == "--time-budget" && options.mapper.time_budget_ms < 0) {
-        std::cerr << "--time-budget expects MS >= 0 (0 = none)\n";
+      if (arg == "--time-budget" && (options.mapper.time_budget_ms < 0 ||
+                                     options.mapper.time_budget_ms >
+                                         kMaxBudgetMs)) {
+        std::cerr << "--time-budget expects 0 <= MS <= " << kMaxBudgetMs
+                  << " (0 = none)\n";
         return std::nullopt;
       }
     } else {
@@ -370,7 +374,6 @@ int map_and_report(const Options& options, const larcs::Program& ast,
     if (faulted && options.repair) {
       RepairOptions ropts;
       ropts.time_budget_ms = options.mapper.time_budget_ms;
-      ropts.model = {};
       ropts.remap_options = options.mapper;
       ropts.remap_options.faults = nullptr;
       const RepairResult repaired =

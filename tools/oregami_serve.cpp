@@ -46,6 +46,7 @@
 #include "oregami/server/persist.hpp"
 #include "oregami/server/server.hpp"
 #include "oregami/server/telemetry.hpp"
+#include "oregami/support/deadline.hpp"
 #include "oregami/support/failpoint.hpp"
 #include "oregami/support/metrics.hpp"
 #include "oregami/support/trace.hpp"
@@ -119,6 +120,8 @@ int usage() {
 int main(int argc, char** argv) {
   try {
     oregami::server::ServerOptions options;
+    std::size_t cache_capacity = 1024;
+    int cache_shards = 8;
     std::optional<std::string> trace_file;
     std::optional<std::string> cache_file;
     std::optional<std::string> failpoints;
@@ -159,14 +162,15 @@ int main(int argc, char** argv) {
       } else if (arg == "--cache-capacity") {
         const auto v = next_int(1, 1LL << 30, "N >= 1");
         if (!v) return usage();
-        options.cache_capacity = static_cast<std::size_t>(*v);
+        cache_capacity = static_cast<std::size_t>(*v);
       } else if (arg == "--cache-shards") {
         const auto v = next_int(1, 256, "1 <= S <= 256");
         if (!v) return usage();
-        options.cache_shards = static_cast<int>(*v);
+        cache_shards = static_cast<int>(*v);
       } else if (arg == "--deadline") {
         // Negative = already expired: deterministic, used by tests.
-        const auto v = next_int(-1, 1LL << 40, "MS >= -1");
+        const auto v = next_int(-1, oregami::kMaxBudgetMs,
+                                "-1 <= MS <= 2^40");
         if (!v) return usage();
         options.default_deadline_ms = *v;
       } else if (arg == "--deterministic") {
@@ -262,8 +266,7 @@ int main(int argc, char** argv) {
 
     // The tool owns the cache (and journal) so warm state survives in
     // one place: serve() borrows both.
-    oregami::server::ResultCache cache(options.cache_capacity,
-                                       options.cache_shards);
+    oregami::server::ResultCache cache(cache_capacity, cache_shards);
     options.cache = &cache;
     std::optional<oregami::server::CacheJournal> journal;
     if (cache_file) {
