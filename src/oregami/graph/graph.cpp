@@ -106,16 +106,4 @@ std::int64_t cut_weight(const Graph& g,
   return cut;
 }
 
-std::vector<int> degree_histogram(const Graph& g) {
-  int max_deg = 0;
-  for (int v = 0; v < g.num_vertices(); ++v) {
-    max_deg = std::max(max_deg, g.degree(v));
-  }
-  std::vector<int> hist(static_cast<std::size_t>(max_deg) + 1, 0);
-  for (int v = 0; v < g.num_vertices(); ++v) {
-    ++hist[static_cast<std::size_t>(g.degree(v))];
-  }
-  return hist;
-}
-
 }  // namespace oregami

@@ -114,7 +114,4 @@ class UnionFind {
 [[nodiscard]] std::int64_t cut_weight(const Graph& g,
                                       const std::vector<int>& part_of_vertex);
 
-/// Degree histogram: result[d] = number of vertices with degree d.
-[[nodiscard]] std::vector<int> degree_histogram(const Graph& g);
-
 }  // namespace oregami

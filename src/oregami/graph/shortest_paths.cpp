@@ -1,6 +1,5 @@
 #include "oregami/graph/shortest_paths.hpp"
 
-#include <algorithm>
 #include <queue>
 
 #include "oregami/support/error.hpp"
@@ -26,60 +25,6 @@ std::vector<int> bfs_distances(const Graph& g, int source) {
     }
   }
   return dist;
-}
-
-std::vector<std::vector<int>> all_pairs_distances(const Graph& g) {
-  std::vector<std::vector<int>> table;
-  table.reserve(static_cast<std::size_t>(g.num_vertices()));
-  for (int v = 0; v < g.num_vertices(); ++v) {
-    table.push_back(bfs_distances(g, v));
-  }
-  return table;
-}
-
-int diameter(const Graph& g) {
-  if (g.num_vertices() == 0) {
-    return 0;
-  }
-  int best = 0;
-  for (int v = 0; v < g.num_vertices(); ++v) {
-    const auto dist = bfs_distances(g, v);
-    for (const int d : dist) {
-      if (d == -1) {
-        throw MappingError("diameter: graph is disconnected");
-      }
-      best = std::max(best, d);
-    }
-  }
-  return best;
-}
-
-std::vector<int> shortest_path(const Graph& g, int src, int dst) {
-  OREGAMI_ASSERT(src >= 0 && src < g.num_vertices(), "src out of range");
-  OREGAMI_ASSERT(dst >= 0 && dst < g.num_vertices(), "dst out of range");
-  std::vector<int> parent(static_cast<std::size_t>(g.num_vertices()), -2);
-  std::queue<int> q;
-  parent[static_cast<std::size_t>(src)] = -1;
-  q.push(src);
-  while (!q.empty() && parent[static_cast<std::size_t>(dst)] == -2) {
-    const int v = q.front();
-    q.pop();
-    for (const auto& a : g.neighbors(v)) {
-      if (parent[static_cast<std::size_t>(a.neighbor)] == -2) {
-        parent[static_cast<std::size_t>(a.neighbor)] = v;
-        q.push(a.neighbor);
-      }
-    }
-  }
-  if (parent[static_cast<std::size_t>(dst)] == -2) {
-    return {};
-  }
-  std::vector<int> path;
-  for (int v = dst; v != -1; v = parent[static_cast<std::size_t>(v)]) {
-    path.push_back(v);
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
 }
 
 }  // namespace oregami

@@ -1,6 +1,5 @@
-// Unweighted shortest-path machinery (hop counts). Network topologies
-// in OREGAMI are unweighted -- a hop is a hop -- so BFS suffices and the
-// all-pairs table for a P-processor network is P x P ints.
+// Unweighted shortest paths (hop counts). Network topologies in
+// OREGAMI are unweighted -- a hop is a hop -- so BFS suffices.
 #pragma once
 
 #include <vector>
@@ -11,19 +10,5 @@ namespace oregami {
 
 /// Hop distance from `source` to every vertex; unreachable = -1.
 [[nodiscard]] std::vector<int> bfs_distances(const Graph& g, int source);
-
-/// All-pairs hop distances; result[u][v] = -1 when unreachable.
-[[nodiscard]] std::vector<std::vector<int>> all_pairs_distances(
-    const Graph& g);
-
-/// Eccentricity-derived measures (for topology reporting/tests).
-/// Diameter of a connected graph (max over pairs of hop distance);
-/// throws MappingError when disconnected.
-[[nodiscard]] int diameter(const Graph& g);
-
-/// One shortest path from `src` to `dst` as a vertex sequence
-/// (src first, dst last); empty when unreachable.
-[[nodiscard]] std::vector<int> shortest_path(const Graph& g, int src,
-                                             int dst);
 
 }  // namespace oregami

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "oregami/metrics/incremental.hpp"
-#include "oregami/support/deadline.hpp"
 #include "oregami/support/error.hpp"
 #include "oregami/support/rng.hpp"
 #include "oregami/support/trace.hpp"
@@ -13,7 +12,8 @@ namespace oregami {
 AnnealResult anneal_placement(const TaskGraph& graph, const Topology& topo,
                               std::vector<int> proc_of_task,
                               std::vector<PhaseRouting> routing,
-                              const AnnealOptions& options) {
+                              const AnnealOptions& options,
+                              const Deadline& deadline) {
   const trace::Span span("anneal");
   const int n = graph.num_tasks();
   const int p = topo.num_procs();
@@ -25,7 +25,6 @@ AnnealResult anneal_placement(const TaskGraph& graph, const Topology& topo,
 
   // A chain needs a task to move and somewhere else to move it.
   if (n >= 1 && p >= 2 && options.iterations > 0) {
-    const Deadline deadline(options.time_budget_ms);
     SplitMix64 rng(options.seed);
     // Geometric cooling from max(1, initial completion / 20).
     constexpr double kCooling = 0.999;
@@ -39,9 +38,8 @@ AnnealResult anneal_placement(const TaskGraph& graph, const Topology& topo,
       // The clock is only consulted for positive budgets, and only
       // every 64 proposals (a probe is microseconds; the syscall is
       // not).
-      if (options.time_budget_ms != 0 && (i & 63) == 0 &&
-          deadline.passed()) {
-        result.deadline_hit = options.time_budget_ms > 0;
+      if ((i & 63) == 0 && deadline.passed()) {
+        result.deadline_hit = deadline.timed();
         trace::instant("deadline_hit",
                        "after " + std::to_string(i) + " proposals");
         break;

@@ -21,15 +21,17 @@
 //   * when no proposal strictly improves on the start state, the
 //     final placement, routing, and completion are bit-identical to
 //     the input (the whole apply/undo chain round-trips).
-// A positive `time_budget_ms` consults the wall clock and may cut the
-// chain short (same caveat as the portfolio deadline); 0 and negative
-// budgets never read the clock, so those modes stay bit-deterministic.
+// A timed `deadline` (support/deadline.hpp) consults the wall clock and
+// may cut the chain short; the portfolio passes its search deadline, so
+// a chain stops when the search's budget runs out. Budgets of 0 and
+// below never read the clock, so those modes stay bit-deterministic.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "oregami/metrics/completion_model.hpp"
+#include "oregami/support/deadline.hpp"
 
 namespace oregami {
 
@@ -39,10 +41,6 @@ struct AnnealOptions {
   int iterations = 4000;
   /// Seed of the private proposal stream.
   std::uint64_t seed = 0x5EEDA11u;
-  /// Wall-clock deadline in milliseconds: 0 = none, < 0 = already
-  /// expired (no proposals run; deterministic), > 0 = checked
-  /// periodically while the chain runs.
-  std::int64_t time_budget_ms = 0;
 };
 
 struct AnnealResult {
@@ -53,7 +51,7 @@ struct AnnealResult {
   int proposed = 0;                   ///< proposals actually evaluated
   int accepted = 0;                   ///< moves committed to the chain
   int uphill = 0;                     ///< accepted with delta > 0
-  bool deadline_hit = false;          ///< a positive budget cut the chain
+  bool deadline_hit = false;          ///< a timed deadline cut the chain
 
   [[nodiscard]] std::int64_t improvement() const {
     return completion_before - completion_after;
@@ -62,10 +60,13 @@ struct AnnealResult {
 
 /// Runs the annealing chain from `proc_of_task` + `routing` (e.g. a
 /// MAPPER-produced mapping), scored by the completion model at its
-/// default costs.
+/// default costs. `deadline` is checked every 64 proposals: an expired
+/// one (budget < 0) runs no proposal and leaves deadline_hit false; a
+/// timed one stops the chain once it passes.
 [[nodiscard]] AnnealResult anneal_placement(
     const TaskGraph& graph, const Topology& topo,
     std::vector<int> proc_of_task, std::vector<PhaseRouting> routing,
-    const AnnealOptions& options = {});
+    const AnnealOptions& options = {},
+    const Deadline& deadline = Deadline(0));
 
 }  // namespace oregami

@@ -5,7 +5,6 @@
 #include <tuple>
 #include <utility>
 
-#include "oregami/support/deadline.hpp"
 #include "oregami/support/error.hpp"
 #include "oregami/support/trace.hpp"
 
@@ -194,7 +193,7 @@ std::vector<std::int64_t> heft_upward_ranks(const TaskGraph& graph) {
 }
 
 ListScheduleResult list_schedule(const TaskGraph& graph, const Topology& topo,
-                                 const ListScheduleOptions& options) {
+                                 const Deadline& deadline) {
   const trace::Span span("list_schedule");
   const int n = graph.num_tasks();
   const int p = topo.num_procs();
@@ -248,13 +247,12 @@ ListScheduleResult list_schedule(const TaskGraph& graph, const Topology& topo,
     list.resize(out);
   }
 
-  const Deadline deadline(options.time_budget_ms);
-  bool degraded = options.time_budget_ms < 0;
+  bool degraded = !deadline.timed() && deadline.passed();
   std::vector<std::int64_t> proc_ready(static_cast<std::size_t>(p), 0);
   std::vector<char> placed(static_cast<std::size_t>(n), 0);
 
   for (const int t : result.order) {
-    if (!degraded && deadline.timed() && deadline.passed()) {
+    if (!degraded && deadline.passed()) {
       degraded = true;
       trace::instant("deadline_hit",
                      "falling back to least-ready placement");

@@ -34,18 +34,9 @@
 #include <vector>
 
 #include "oregami/metrics/completion_model.hpp"
+#include "oregami/support/deadline.hpp"
 
 namespace oregami {
-
-struct ListScheduleOptions {
-  /// Wall-clock deadline in milliseconds: 0 = none, < 0 = already
-  /// expired, > 0 = checked between task placements. Once expired,
-  /// every remaining task is placed by the cheap fallback rule
-  /// (least-ready processor, no communication scan), so a schedule is
-  /// always produced. Negative budgets never read the clock: the
-  /// whole placement deterministically uses the fallback rule.
-  std::int64_t time_budget_ms = 0;
-};
 
 struct ListScheduleResult {
   std::vector<int> proc_of_task;
@@ -63,9 +54,14 @@ struct ListScheduleResult {
 [[nodiscard]] std::vector<std::int64_t> heft_upward_ranks(
     const TaskGraph& graph);
 
-/// Full HEFT-style placement of `graph` onto `topo`.
+/// Full HEFT-style placement of `graph` onto `topo`. A timed
+/// `deadline` is checked between task placements; once it has passed,
+/// every remaining task is placed by the cheap fallback rule
+/// (least-ready processor, no communication scan), so a schedule is
+/// always produced. An expired deadline (budget < 0) never reads the
+/// clock: the whole placement deterministically uses the fallback rule.
 [[nodiscard]] ListScheduleResult list_schedule(
     const TaskGraph& graph, const Topology& topo,
-    const ListScheduleOptions& options = {});
+    const Deadline& deadline = Deadline(0));
 
 }  // namespace oregami

@@ -84,25 +84,25 @@ void add_seeded_variants(std::vector<CandidateSpec>* specs,
   }
 }
 
-/// The opt-in extended families (ISSUE 6): the HEFT critical-path list
-/// scheduler and `num_anneal` simulated-annealing chains. Appended
-/// AFTER the seeded variants, so turning them on never renumbers the
-/// existing candidate ids. Each annealing candidate starts from the
+/// The opt-in extended families: the HEFT critical-path list scheduler
+/// and `num_anneal` simulated-annealing chains. Appended AFTER the
+/// seeded variants, so turning them on never renumbers the existing
+/// candidate ids. Each annealing candidate starts from the
 /// deterministic general-path mapping and walks its own
-/// (seed, id)-derived move stream; the portfolio's global time budget
-/// is forwarded so a positive deadline also bounds each chain, while
-/// non-positive budgets stay clock-free and bit-deterministic.
+/// (seed, id)-derived move stream. Both families get the search's own
+/// `deadline`, so a positive budget bounds them from the start of the
+/// search, while non-positive budgets stay clock-free and
+/// bit-deterministic.
 void add_extended_candidates(std::vector<CandidateSpec>* specs,
                              const TaskGraph& graph, const Topology& topo,
                              const MapperOptions& base,
-                             const PortfolioOptions& options) {
+                             const PortfolioOptions& options,
+                             const Deadline& deadline) {
   if (options.heft) {
-    ListScheduleOptions lopts;
-    lopts.time_budget_ms = options.time_budget_ms;
     specs->push_back(
         {"heft critical-path",
-         [&graph, &topo, lopts] {
-           const ListScheduleResult ls = list_schedule(graph, topo, lopts);
+         [&graph, &topo, deadline] {
+           const ListScheduleResult ls = list_schedule(graph, topo, deadline);
            MapperReport report;
            report.strategy = MapStrategy::ListSchedule;
            report.details = "HEFT upward-rank list schedule; modelled "
@@ -125,14 +125,13 @@ void add_extended_candidates(std::vector<CandidateSpec>* specs,
     AnnealOptions aopts;
     aopts.seed = stream.next_u64();
     aopts.iterations = options.anneal_iterations;
-    aopts.time_budget_ms = options.time_budget_ms;
     specs->push_back(
         {"anneal seed#" + std::to_string(i),
-         [&graph, &topo, variant, aopts] {
+         [&graph, &topo, variant, aopts, deadline] {
            MapperReport init = map_general_seeded(graph, topo, variant, 0);
            AnnealResult sa = anneal_placement(
                graph, topo, init.mapping.proc_of_task(),
-               std::move(init.mapping.routing), aopts);
+               std::move(init.mapping.routing), aopts, deadline);
            MapperReport report;
            report.strategy = MapStrategy::Anneal;
            report.details =
@@ -201,11 +200,11 @@ void record_win_reason(PortfolioReport* report) {
 
 PortfolioReport run_portfolio(const TaskGraph& graph, const Topology& topo,
                               const PortfolioOptions& options,
+                              const Deadline& deadline,
                               std::vector<CandidateSpec> specs) {
   const trace::Span portfolio_span("portfolio");
   const auto search_start = std::chrono::steady_clock::now();
   // Candidate 0 is exempt from the deadline so a result always exists.
-  const Deadline deadline(options.time_budget_ms);
   // Shared read-only state really is read-only under the pool: regular
   // families answer distance queries with closed-form oracles, and the
   // Custom family's lazy BFS table is published under std::call_once,
@@ -497,6 +496,8 @@ PortfolioReport portfolio_map(const TaskGraph& graph,
   if (graph.num_tasks() == 0) {
     throw MappingError("cannot map an empty task graph");
   }
+  // Armed once: every candidate and every chain shares this expiry.
+  const Deadline deadline(options.time_budget_ms);
   MapperOptions single = base;
   single.portfolio = 0;
   std::vector<CandidateSpec> specs;
@@ -533,8 +534,8 @@ PortfolioReport portfolio_map(const TaskGraph& graph,
              map_general_seeded(graph, topo, flipped, 0));
        }});
   add_seeded_variants(&specs, graph, topo, single, options);
-  add_extended_candidates(&specs, graph, topo, single, options);
-  return run_portfolio(graph, topo, options, std::move(specs));
+  add_extended_candidates(&specs, graph, topo, single, options, deadline);
+  return run_portfolio(graph, topo, options, deadline, std::move(specs));
 }
 
 }  // namespace

@@ -56,11 +56,14 @@ struct PortfolioOptions {
   /// deadline. Candidate 0 (the exact single-shot pipeline) ALWAYS
   /// runs, so the search still returns a mapping; every other
   /// candidate checks the deadline when its task starts and is skipped
-  /// (reported as "skipped (deadline)") once it has passed. A deadline
-  /// only ever shrinks the completed set -- the winner among completed
-  /// candidates is still the deterministic (completion, external IPC,
-  /// id) minimum. Negative = already expired, so exactly candidate 0
-  /// runs (deterministic; used by the deadline tests).
+  /// (reported as "skipped (deadline)") once it has passed. The
+  /// deadline is armed once, when the search starts: once it passes, a
+  /// running SA chain stops and HEFT places its remaining tasks by its
+  /// fallback rule. A deadline only ever shrinks the completed set --
+  /// the winner among completed candidates is still the deterministic
+  /// (completion, external IPC, id) minimum. Negative = already
+  /// expired, so exactly candidate 0 runs (deterministic; used by the
+  /// deadline tests).
   std::int64_t time_budget_ms = 0;
 };
 

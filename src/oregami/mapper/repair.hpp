@@ -18,8 +18,9 @@
 //      wall-clock deadline.
 //   2. Refine -- polish the migrated placement with refine_placement on
 //      the healthy machine, weighted by the slow-link factors.
-//   3. Remap -- last resort (or forced via the rung switches): run the
-//      full MAPPER pipeline on the healthy machine.
+//   3. Remap -- run the full MAPPER pipeline on the healthy machine.
+//      Migrate always produces a mapping, so this rung runs only when
+//      forced through the rung switches (allow_migrate false).
 //
 // Every rung scores the completion model at its default costs.
 //

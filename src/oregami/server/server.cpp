@@ -33,7 +33,6 @@
 #include "oregami/support/error.hpp"
 #include "oregami/support/json.hpp"
 #include "oregami/support/thread_pool.hpp"
-#include "oregami/support/thread_safe_queue.hpp"
 #include "oregami/support/trace.hpp"
 
 namespace oregami::server {
@@ -179,8 +178,8 @@ enum Event : std::size_t {
 /// Shared mutable state of one serve() call. Workers only touch the
 /// thread-safe members.
 struct ServeState {
-  explicit ServeState(const ServerOptions& opts)
-      : results(256),
+  ServeState(const ServerOptions& opts, std::ostream& stream)
+      : out(stream),
         owned_cache(opts.cache == nullptr ? std::make_unique<ResultCache>()
                                           : nullptr),
         cache(opts.cache != nullptr ? opts.cache : owned_cache.get()) {}
@@ -188,7 +187,9 @@ struct ServeState {
   /// Start of the call, for ServerStats::uptime_ms.
   const std::chrono::steady_clock::time_point started =
       std::chrono::steady_clock::now();
-  ThreadSafeQueue<std::string> results;
+  /// The result stream; written only by emit(), under out_mutex.
+  std::ostream& out;
+  std::mutex out_mutex;
   std::unique_ptr<ResultCache> owned_cache;
   ResultCache* cache;
   /// Telemetry handles (registered once per process; recording is a
@@ -210,15 +211,10 @@ struct ServeState {
   std::mutex inflight_mutex;
   std::unordered_map<std::uint64_t, std::shared_future<OutcomePtr>> inflight;
 
-  /// Drain accounting: submitted jobs not yet fully emitted.
-  std::mutex done_mutex;
-  std::condition_variable all_done;
-  int outstanding = 0;
-
   /// Watchdog registry: one ticket per admitted job with a positive
   /// deadline. Whoever flips `claimed` first -- the worker finishing
-  /// or the watchdog at expiry -- emits the job's single result line
-  /// and settles the drain count; the loser stays silent.
+  /// or the watchdog at expiry -- emits the job's single result line;
+  /// the loser stays silent.
   struct Ticket {
     std::string id;
     std::size_t line = 0;
@@ -268,15 +264,20 @@ struct ServeState {
     inflight.erase(digest);
   }
 
-  void job_finished() {
-    sm.inflight_jobs.add(-1);
-    {
-      const std::lock_guard<std::mutex> lock(done_mutex);
-      --outstanding;
-    }
-    all_done.notify_all();
+  /// Writes one result line and flushes it, so a consumer sees each
+  /// result as it lands. Whichever thread settles a line calls this;
+  /// the caller holds no other lock, so out_mutex is a leaf.
+  void emit(const std::string& line) {
+    const std::lock_guard<std::mutex> lock(out_mutex);
+    out << line << '\n' << std::flush;
   }
 };
+
+/// The `"id":...,"line":...` fields that open a job's event-log entry.
+std::string job_fields(const std::string& id, std::size_t line) {
+  return "\"id\":\"" + json_escape(id) + "\",\"line\":" +
+         std::to_string(line);
+}
 
 /// The watchdog body: sleeps until the earliest unexpired ticket, and
 /// abandons (code 6) every job whose worker has not claimed it by its
@@ -315,17 +316,15 @@ void run_watchdog(ServeState& state, const ServerOptions& opts) {
     if (!ticket.claimed->exchange(true)) {
       state.book(kAbandoned);
       state.sm.watchdog_fired.increment();
-      state.results.push(format_error_result(
+      state.emit(format_error_result(
           ticket.id, ticket.line, kJobDeadline,
           "job " + ticket.id + ": deadline expired; result abandoned"));
       if (opts.log != nullptr) {
-        opts.log->event(
-            EventLog::Level::kWarn,
-            static_cast<std::int64_t>(ticket.line), "job_abandoned",
-            "\"id\":\"" + json_escape(ticket.id) +
-                "\",\"line\":" + std::to_string(ticket.line));
+        opts.log->event(EventLog::Level::kWarn,
+                        static_cast<std::int64_t>(ticket.line),
+                        "job_abandoned", job_fields(ticket.id, ticket.line));
       }
-      state.job_finished();
+      state.sm.inflight_jobs.add(-1);
     }
     lock.lock();
   }
@@ -489,11 +488,10 @@ void run_job(ServeState& state, const WireJob& job,
     wall.record(elapsed_us(admitted));
   }
   StageClock write_clock(telemetry);
-  state.results.push(std::move(line));
+  state.emit(line);
   write_clock.book(state.sm.write_us);
   if (opts.log != nullptr) {
-    std::string fields = "\"id\":\"" + json_escape(job.id) +
-                         "\",\"line\":" + std::to_string(job.line);
+    std::string fields = job_fields(job.id, job.line);
     if (is_ok) {
       fields += ",\"status\":\"ok\",\"digest\":\"";
       fields += digest_prefix(digest);
@@ -514,7 +512,7 @@ void run_job(ServeState& state, const WireJob& job,
                     static_cast<std::int64_t>(job.line), "job_completed",
                     fields);
   }
-  state.job_finished();
+  state.sm.inflight_jobs.add(-1);
 }
 
 }  // namespace
@@ -538,22 +536,12 @@ ServerStats serve(std::istream& in, std::ostream& out,
                   const ServerOptions& options,
                   const std::atomic<bool>* stop) {
   const trace::Span span("server/serve");
-  ServeState state(options);
-
-  // The writer is the only thread that touches `out`: workers push
-  // finished lines into the bounded queue and the writer emits them in
-  // completion order, flushing per line so a downstream consumer sees
-  // results as they land.
-  std::thread writer([&state, &out] {
-    while (auto line = state.results.pop()) {
-      out << *line << '\n' << std::flush;
-    }
-  });
+  ServeState state(options, out);
   std::thread watchdog([&state, &options] { run_watchdog(state, options); });
 
   {
-    // Pool scope: destroying the pool joins the workers, but drain is
-    // explicit below so the writer outlives every producer.
+    // Pool scope: destroying the pool drains it, running every admitted
+    // job to its end, while the watchdog still abandons the stuck ones.
     ThreadPool pool(options.jobs, "oregami-srv");
     const int capacity = options.queue_capacity > 0 ? options.queue_capacity
                                                     : 1;
@@ -575,8 +563,7 @@ ServerStats serve(std::istream& in, std::ostream& out,
         parse_clock.book(state.sm.parse_us);
       } catch (const WireError& e) {
         state.book(kError);
-        state.results.push(
-            format_error_result("", line_number, e.code(), e.what()));
+        state.emit(format_error_result("", line_number, e.code(), e.what()));
         if (options.log != nullptr) {
           options.log->event(EventLog::Level::kInfo,
                              static_cast<std::int64_t>(line_number),
@@ -603,7 +590,7 @@ ServerStats serve(std::istream& in, std::ostream& out,
         // stream rejects with identical hints.
         const std::int64_t retry_after_ms = 5 * (depth > 0 ? depth : 1);
         state.book(kRejected);
-        state.results.push(format_error_result(
+        state.emit(format_error_result(
             job.id, job.line, kJobRejected,
             "job " + job.id + ": rejected: queue full (" +
                 std::to_string(depth) + " jobs pending, capacity " +
@@ -612,24 +599,16 @@ ServerStats serve(std::istream& in, std::ostream& out,
         if (options.log != nullptr) {
           options.log->event(EventLog::Level::kInfo,
                              static_cast<std::int64_t>(job.line),
-                             "job_rejected",
-                             "\"id\":\"" + json_escape(job.id) +
-                                 "\",\"line\":" + std::to_string(job.line));
+                             "job_rejected", job_fields(job.id, job.line));
         }
         continue;
       }
 
-      {
-        const std::lock_guard<std::mutex> lock(state.done_mutex);
-        ++state.outstanding;
-      }
       state.sm.inflight_jobs.add(1);
       if (options.log != nullptr) {
         options.log->event(EventLog::Level::kDebug,
                            static_cast<std::int64_t>(job.line),
-                           "job_admitted",
-                           "\"id\":\"" + json_escape(job.id) +
-                               "\",\"line\":" + std::to_string(job.line));
+                           "job_admitted", job_fields(job.id, job.line));
       }
       const auto admitted = std::chrono::steady_clock::now();
       // Jobs with a real (positive) deadline get a watchdog ticket so
@@ -648,16 +627,11 @@ ServerStats serve(std::istream& in, std::ostream& out,
         }
         state.watch_cv.notify_all();
       }
-      auto future = pool.submit([&state, job = std::move(job), admitted,
-                                 &options, claimed]() mutable {
+      (void)pool.submit([&state, job = std::move(job), admitted, &options,
+                         claimed]() mutable {
         run_job(state, job, admitted, options, claimed);
       });
-      (void)future;  // completion is tracked via ServeState::outstanding
     }
-
-    // Drain: every admitted job emits its line before the pool dies.
-    std::unique_lock<std::mutex> lock(state.done_mutex);
-    state.all_done.wait(lock, [&state] { return state.outstanding == 0; });
   }
 
   {
@@ -666,8 +640,6 @@ ServerStats serve(std::istream& in, std::ostream& out,
   }
   state.watch_cv.notify_all();
   watchdog.join();
-  state.results.close();
-  writer.join();
 
   const ServerStats stats = state.stats(options.deterministic);
   if (options.log != nullptr && stats.cache_evictions > 0) {

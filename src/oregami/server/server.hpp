@@ -22,9 +22,12 @@
 //     line is emitted at expiry and the daemon keeps draining while
 //     the stuck worker finishes (its result line is discarded, its
 //     computed outcome is still cached);
+//   * every result line is written and flushed by the thread that
+//     settles it (worker, watchdog, or the reader for parse errors and
+//     rejections), under one output mutex; no line is buffered;
 //   * shutdown: EOF (or the stop flag, wired to SIGINT/SIGTERM by
 //     oregami_serve) stops admission, drains every submitted job,
-//     flushes the writer, and returns the final stats;
+//     joins the watchdog, and returns the final stats;
 //   * every event the call counts is booked once, into the returned
 //     ServerStats and, while metrics are enabled, into its registry
 //     series (telemetry.hpp).

@@ -174,9 +174,9 @@ TEST(Anneal, DeadlineIdiom) {
   // a *positive* budget that fires mid-chain reports a hit).
   AnnealOptions expired;
   expired.iterations = 2000;
-  expired.time_budget_ms = -1;
-  const AnnealResult r_expired = anneal_placement(
-      c.cp.graph, topo, init.proc_of_task, init.routing, expired);
+  const AnnealResult r_expired =
+      anneal_placement(c.cp.graph, topo, init.proc_of_task, init.routing,
+                       expired, Deadline(-1));
   EXPECT_EQ(r_expired.proposed, 0);
   EXPECT_EQ(r_expired.accepted, 0);
   EXPECT_FALSE(r_expired.deadline_hit);
@@ -192,10 +192,9 @@ TEST(Anneal, DeadlineIdiom) {
   EXPECT_FALSE(r_none.deadline_hit);
   EXPECT_EQ(r_none.proposed, 1000);
 
-  AnnealOptions generous = none;
-  generous.time_budget_ms = 60'000;
-  const AnnealResult r_generous = anneal_placement(
-      c.cp.graph, topo, init.proc_of_task, init.routing, generous);
+  const AnnealResult r_generous =
+      anneal_placement(c.cp.graph, topo, init.proc_of_task, init.routing,
+                       none, Deadline(60'000));
   EXPECT_EQ(r_generous.proc_of_task, r_none.proc_of_task);
   EXPECT_EQ(r_generous.completion_after, r_none.completion_after);
   EXPECT_EQ(r_generous.proposed, r_none.proposed);

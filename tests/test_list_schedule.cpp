@@ -202,26 +202,21 @@ TEST(ListSchedule, DeadlineIdiom) {
   const auto c = compile_named("nbody", {{"n", 15}, {"s", 4}, {"m", 8}});
   const Topology topo = Topology::mesh(4, 4);
 
-  ListScheduleOptions none;
-  none.time_budget_ms = 0;
-  const ListScheduleResult r_none = list_schedule(c.cp.graph, topo, none);
+  const ListScheduleResult r_none =
+      list_schedule(c.cp.graph, topo, Deadline(0));
   EXPECT_EQ(r_none.deadline_degraded, 0);
 
-  ListScheduleOptions expired;
-  expired.time_budget_ms = -1;
   const ListScheduleResult r_expired =
-      list_schedule(c.cp.graph, topo, expired);
+      list_schedule(c.cp.graph, topo, Deadline(-1));
   EXPECT_EQ(r_expired.deadline_degraded, c.cp.graph.num_tasks());
   const ListScheduleResult r_expired2 =
-      list_schedule(c.cp.graph, topo, expired);
+      list_schedule(c.cp.graph, topo, Deadline(-1));
   EXPECT_EQ(r_expired.proc_of_task, r_expired2.proc_of_task);
   // Fallback least-ready placement still visits tasks in rank order.
   EXPECT_EQ(r_expired.order, r_none.order);
 
-  ListScheduleOptions generous;
-  generous.time_budget_ms = 60'000;
   const ListScheduleResult r_generous =
-      list_schedule(c.cp.graph, topo, generous);
+      list_schedule(c.cp.graph, topo, Deadline(60'000));
   EXPECT_EQ(r_generous.deadline_degraded, 0);
   EXPECT_EQ(r_generous.proc_of_task, r_none.proc_of_task);
 }

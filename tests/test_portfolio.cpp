@@ -143,6 +143,36 @@ TEST(Portfolio, GenerousDeadlineMatchesNoDeadline) {
   EXPECT_EQ(a.table(), b.table());
 }
 
+TEST(Portfolio, SearchDeadlineBoundsTheAnnealChains) {
+  // Every candidate gets its own worker, so both SA candidates start at
+  // once, and their general-path seed map of 1296 tasks outlasts a 2 ms
+  // search budget many times over. A chain that starts after the
+  // search deadline must not arm a budget of its own: it makes no
+  // proposal.
+  const auto* entry = larcs::programs::find("jacobi");
+  ASSERT_NE(entry, nullptr);
+  const larcs::Program ast = larcs::parse_program(entry->source);
+  const larcs::CompiledProgram cp =
+      larcs::compile(ast, {{"n", 36}, {"iters", 2}});
+  const Topology topo = Topology::mesh(4, 4);
+  MapperOptions base;
+  base.allow_canned = false;
+  base.allow_group = false;
+  PortfolioOptions popts;
+  popts.num_seeded = 0;
+  popts.num_anneal = 2;
+  popts.anneal_iterations = 100'000'000;
+  popts.time_budget_ms = 2;
+  popts.jobs = 4;  // the candidate count
+  const auto result = portfolio_map_computation(cp.graph, topo, base, popts);
+  ASSERT_EQ(result.candidates.size(), 4u);
+  for (const auto& cand : result.candidates) {
+    if (cand.label.rfind("anneal seed#", 0) != 0) continue;
+    EXPECT_TRUE(cand.skipped || cand.note.rfind("SA 0 proposals", 0) == 0)
+        << cand.label << ": " << cand.note;
+  }
+}
+
 TEST(Portfolio, BestNeverWorseThanSingleShotOnWholeCatalog) {
   const Topology topo = Topology::hypercube(3);
   PortfolioOptions popts;

@@ -1,12 +1,11 @@
 // The mapping server's storage layer: FNV-1a digest combinators, the
 // canonical job digest, the sharded LRU result cache and its alias
-// index, and the concurrency primitives behind the serve loop
-// (ThreadSafeQueue, ThreadPool::pending). The digest pins here are the
+// index, and the admission count behind the serve loop
+// (ThreadPool::pending). The digest pins here are the
 // cache-format contract: if one breaks, bump oregami::kDigestVersion
 // instead of editing the constant.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <map>
 #include <memory>
@@ -24,7 +23,6 @@
 #include "oregami/server/result_cache.hpp"
 #include "oregami/support/hash.hpp"
 #include "oregami/support/thread_pool.hpp"
-#include "oregami/support/thread_safe_queue.hpp"
 
 namespace oregami::server {
 namespace {
@@ -335,65 +333,6 @@ TEST(ResultCache, AliasHammerIsRaceFreeUnderEviction) {
   EXPECT_LE(stats.aliases, 4);
   EXPECT_LE(stats.size, 4 + 2);  // capacity + one-per-shard slack
   EXPECT_GE(evicted.load() + stats.size, 16);  // 16 digests inserted
-}
-
-// ---------------------------------------------------- ThreadSafeQueue
-
-TEST(ThreadSafeQueue, FifoWithinSingleProducer) {
-  ThreadSafeQueue<int> q;
-  q.push(1);
-  q.push(2);
-  q.push(3);
-  EXPECT_EQ(q.pop(), std::optional<int>(1));
-  EXPECT_EQ(q.pop(), std::optional<int>(2));
-  EXPECT_EQ(q.pop(), std::optional<int>(3));
-}
-
-TEST(ThreadSafeQueue, TryPushRespectsCapacity) {
-  ThreadSafeQueue<int> q(2);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_FALSE(q.try_push(3));  // full
-  EXPECT_EQ(q.pop(), std::optional<int>(1));
-  EXPECT_TRUE(q.try_push(3));
-}
-
-TEST(ThreadSafeQueue, CloseDrainsThenReturnsNullopt) {
-  ThreadSafeQueue<int> q;
-  q.push(7);
-  q.close();
-  EXPECT_FALSE(q.push(8));  // rejected after close
-  EXPECT_EQ(q.pop(), std::optional<int>(7));
-  EXPECT_EQ(q.pop(), std::nullopt);
-  EXPECT_TRUE(q.closed());
-}
-
-TEST(ThreadSafeQueue, CloseWakesBlockedConsumer) {
-  ThreadSafeQueue<int> q;
-  std::thread consumer([&q] { EXPECT_EQ(q.pop(), std::nullopt); });
-  q.close();
-  consumer.join();
-}
-
-TEST(ThreadSafeQueue, BoundedHandoffDeliversEverythingInOrder) {
-  // Producer outruns a capacity-4 queue; backpressure must not drop or
-  // reorder.
-  ThreadSafeQueue<int> q(4);
-  constexpr int kItems = 1000;
-  std::vector<int> got;
-  got.reserve(kItems);
-  std::thread consumer([&q, &got] {
-    while (auto v = q.pop()) {
-      got.push_back(*v);
-    }
-  });
-  for (int i = 0; i < kItems; ++i) {
-    EXPECT_TRUE(q.push(i));
-  }
-  q.close();
-  consumer.join();
-  ASSERT_EQ(got.size(), kItems);
-  EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
 }
 
 // ------------------------------------------------- ThreadPool pending

@@ -5,12 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <istream>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
+#include <streambuf>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "oregami/larcs/programs.hpp"
@@ -601,6 +606,123 @@ TEST(Serve, WatchdogAbandonsHungJobsAndKeepsDraining) {
   expect_contains(text, "\"id\":\"2\",\"status\":\"ok\"");
   // Exactly one line per job even though worker and watchdog raced.
   EXPECT_EQ(split_lines(text).size(), 2u);
+}
+
+/// An input stream that releases one line per `gap`, so the reader is
+/// still parsing and rejecting while workers and the watchdog emit.
+class PacedLines : public std::streambuf {
+ public:
+  PacedLines(std::vector<std::string> lines, std::chrono::microseconds gap)
+      : lines_(std::move(lines)), gap_(gap) {}
+
+ protected:
+  int_type underflow() override {
+    if (next_ == lines_.size()) return traits_type::eof();
+    std::this_thread::sleep_for(gap_);
+    current_ = lines_[next_++] + '\n';
+    setg(current_.data(), current_.data(),
+         current_.data() + current_.size());
+    return traits_type::to_int_type(current_.front());
+  }
+
+ private:
+  std::vector<std::string> lines_;
+  std::chrono::microseconds gap_;
+  std::size_t next_ = 0;
+  std::string current_;
+};
+
+/// An output stream buffer with no put area, so every write of every
+/// thread lands in this file's own (sanitizer-instrumented) append: an
+/// emit outside the output mutex is a data race the thread sanitizer
+/// reports, not only when a std::ostringstream happens to grow.
+class RecordingSink : public std::streambuf {
+ public:
+  std::string text;
+
+ protected:
+  int_type overflow(int_type ch) override {
+    if (!traits_type::eq_int_type(ch, traits_type::eof())) {
+      text.push_back(traits_type::to_char_type(ch));
+    }
+    return traits_type::not_eof(ch);
+  }
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    text.append(s, static_cast<std::size_t>(n));
+    return n;
+  }
+};
+
+TEST(Serve, ReaderWorkersAndWatchdogEmitWholeLinesConcurrently) {
+  FailpointGuard guard;
+  // Line 1 is admitted, hangs past its deadline and holds the only
+  // admission slot, so the reader rejects every job until the hang
+  // ends while the watchdog abandons it; after that, workers emit
+  // results and the reader rejections and parse errors between them.
+  failpoint::configure("job.run:hang(80)@1");
+  std::vector<std::string> input = {
+      "{\"id\":1,\"program\":\"jacobi\",\"bind\":{\"n\":8,\"iters\":10},"
+      "\"topology\":\"mesh:4x4\",\"deadline_ms\":10}"};
+  const char* const programs[] = {"jacobi", "sor"};
+  const char* const topologies[] = {"mesh:4x4", "ring:16"};
+  int malformed = 0;
+  for (int id = 2; input.size() < 360; ++id) {
+    if (id % 10 == 0) {
+      input.push_back("{\"id\":" + std::to_string(id) + "}");
+      ++malformed;
+      continue;
+    }
+    input.push_back("{\"id\":" + std::to_string(id) + ",\"program\":\"" +
+                    programs[id % 2] +
+                    "\",\"bind\":{\"n\":8,\"iters\":10},\"topology\":\"" +
+                    topologies[(id / 2) % 2] + "\"}");
+  }
+  const std::size_t submitted_lines = input.size();
+  PacedLines paced(std::move(input), std::chrono::microseconds(500));
+  std::istream in(&paced);
+  RecordingSink sink;
+  std::ostream out(&sink);
+  ServerOptions options = deterministic_options(8);
+  options.queue_capacity = 1;
+  const ServerStats stats = serve(in, out, options);
+
+  // One whole line per input line, and one per job id or, for a line
+  // that did not parse, per line number. A line with another line's
+  // bytes in it would hold a second `{"id":` or lose its closing brace.
+  const std::vector<std::string> lines = split_lines(sink.text);
+  ASSERT_EQ(lines.size(), submitted_lines);
+  std::set<std::string> answered;
+  std::int64_t ok = 0, parse_errors = 0, rejected = 0, abandoned = 0;
+  for (const auto& line : lines) {
+    ASSERT_TRUE(line.rfind("{\"id\":", 0) == 0 && line.back() == '}' &&
+                line.find("{\"id\":", 1) == std::string::npos)
+        << line;
+    std::string key;
+    if (line.rfind("{\"id\":null,\"line\":", 0) == 0) {
+      key = "line " + line.substr(18, line.find(',', 18) - 18);
+      ++parse_errors;
+    } else {
+      ASSERT_EQ(line.rfind("{\"id\":\"", 0), 0u) << line;
+      key = "id " + line.substr(7, line.find('"', 7) - 7);
+      if (line.find("\"status\":\"ok\"") != std::string::npos) ++ok;
+      if (line.find("\"code\":5") != std::string::npos) ++rejected;
+      if (line.find("\"code\":6") != std::string::npos) ++abandoned;
+    }
+    EXPECT_TRUE(answered.insert(key).second) << "second line for " << key;
+  }
+  EXPECT_EQ(parse_errors, malformed);
+  EXPECT_EQ(abandoned, 1);
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(ok, 0);
+  EXPECT_EQ(ok + parse_errors + rejected + abandoned,
+            static_cast<std::int64_t>(submitted_lines));
+
+  // The outcome partition agrees with the lines written.
+  EXPECT_EQ(stats.lines, static_cast<std::int64_t>(submitted_lines));
+  EXPECT_EQ(stats.ok, ok);
+  EXPECT_EQ(stats.rejected, rejected);
+  EXPECT_EQ(stats.abandoned, abandoned);
+  EXPECT_EQ(stats.errors, parse_errors + rejected + abandoned);
 }
 
 TEST(Serve, ForcedRejectionCarriesDeterministicRetryAfterHint) {
