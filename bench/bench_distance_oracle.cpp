@@ -142,9 +142,7 @@ std::int64_t score_sweep_full(const RefineWorkload& w,
         touched.emplace_back(k, i);
         const int src = procs[static_cast<std::size_t>(e.src)];
         const int dst = procs[static_cast<std::size_t>(e.dst)];
-        routing[k].route_of_edge[i] =
-            src == dst ? Route{{src}, {}}
-                       : greedy_shortest_route(w.topo, src, dst);
+        routing[k].route_of_edge[i] = greedy_shortest_route(w.topo, src, dst);
       }
     }
     sum += completion_time(w.graph, procs, routing, w.topo) - base;

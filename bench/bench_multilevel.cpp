@@ -2,7 +2,10 @@
 // task graphs of 1k / 10k / 100k tasks mapped onto torus:64x64,
 // multilevel vs the flat baseline (seeded random placement + greedy
 // routes + refine_placement). Prints the sweep table and merges the
-// "multilevel_*" series into the shared BENCH_mapper.json.
+// "multilevel_*" series into the shared BENCH_mapper.json, with the
+// number of operator new calls each map_multilevel call makes as the
+// "multilevel_<size>/operator_new" counter: unlike the wall time, it
+// repeats exactly.
 //
 // The 100k row takes minutes on the flat side (that is the point), so
 // it only runs with OREGAMI_BENCH_FULL=1 in the environment; the
@@ -11,9 +14,12 @@
 // rows.
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <new>
 #include <string>
 
 #include "bench_util.hpp"
@@ -24,6 +30,22 @@
 #include "oregami/mapper/refine.hpp"
 #include "oregami/metrics/completion_model.hpp"
 #include "oregami/support/text_table.hpp"
+
+namespace {
+std::atomic<std::int64_t> g_operator_new_calls{0};
+}  // namespace
+
+// Counts every operator new in this binary (the array and nothrow forms
+// call this one).
+void* operator new(std::size_t size) {
+  ++g_operator_new_calls;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t /*size*/) noexcept { std::free(p); }
 
 namespace {
 
@@ -44,9 +66,11 @@ void run_size(const std::string& label, int rows, int cols,
   const int n = graph.num_tasks();
 
   // Multilevel V-cycle.
+  const std::int64_t news_before = g_operator_new_calls.load();
   const auto t_ml = std::chrono::steady_clock::now();
   const MapperReport report = map_multilevel(graph, topo);
   const double ml_s = seconds_since(t_ml);
+  const std::int64_t ml_news = g_operator_new_calls.load() - news_before;
   const std::vector<int> ml_procs = report.mapping.proc_of_task();
   const std::int64_t ml_completion =
       completion_time(graph, ml_procs, report.mapping.routing, topo);
@@ -72,7 +96,8 @@ void run_size(const std::string& label, int rows, int cols,
   std::snprintf(flat_ms, sizeof(flat_ms), "%.0f", flat_s * 1e3);
   std::snprintf(sp, sizeof(sp), "%.1fx", speedup);
   table.add_row({label, std::to_string(n), std::to_string(ml_completion),
-                 ml_ms, std::to_string(flat.completion_after), flat_ms, sp});
+                 ml_ms, std::to_string(ml_news),
+                 std::to_string(flat.completion_after), flat_ms, sp});
 
   json.add("multilevel_" + label + "_completion_multilevel",
            static_cast<double>(ml_completion), "model");
@@ -81,6 +106,7 @@ void run_size(const std::string& label, int rows, int cols,
            static_cast<double>(flat.completion_after), "model");
   json.add("multilevel_" + label + "_time_flat", flat_s * 1e3, "ms");
   json.add("multilevel_" + label + "_speedup", speedup, "x");
+  json.add_counter("multilevel_" + label + "/operator_new", ml_news);
 }
 
 void print_figures_and_json() {
@@ -92,7 +118,8 @@ void print_figures_and_json() {
   json.load();  // shared with the other mapper benches
 
   TextTable table({"size", "tasks", "ml completion", "ml ms",
-                   "flat completion", "flat ms", "speedup"});
+                   "ml operator new", "flat completion", "flat ms",
+                   "speedup"});
   run_size("1k", 32, 32, topo, table, json);
   run_size("10k", 100, 100, topo, table, json);
   if (const char* full = std::getenv("OREGAMI_BENCH_FULL");

@@ -366,13 +366,9 @@ FaultedTopology::FaultedTopology(const Topology& base, FaultSpec spec)
 }
 
 bool FaultedTopology::route_alive(const Route& route) const {
-  for (const int node : route.nodes) {
-    if (!proc_alive(node)) {
-      return false;
-    }
-  }
   for (const int link : route.links) {
-    if (!link_alive(link)) {
+    const auto [u, v] = base_->link_endpoints(link);
+    if (!link_alive(link) || !proc_alive(u) || !proc_alive(v)) {
       return false;
     }
   }
@@ -411,9 +407,6 @@ Mapping map_to_base(const FaultedTopology::HealthySub& sub,
   }
   for (auto& phase : mapping.routing) {
     for (auto& route : phase.route_of_edge) {
-      for (int& node : route.nodes) {
-        node = sub.to_base_proc[static_cast<std::size_t>(node)];
-      }
       for (int& link : route.links) {
         link = sub.to_base_link[static_cast<std::size_t>(link)];
       }

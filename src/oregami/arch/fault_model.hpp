@@ -135,15 +135,17 @@ class FaultedTopology {
     return static_cast<int>(healthy_procs().size()) == num_alive_procs_;
   }
 
-  /// True when a route (base link ids) touches no dead processor or
-  /// dead link.
+  /// True when a route (base link ids) crosses no dead link and no
+  /// link with a dead endpoint. A 0-hop route touches only its task's
+  /// processor, which check_placement() covers.
   [[nodiscard]] bool route_alive(const Route& route) const;
 
   /// The one check that a mapping (in base ids) is alive on this
   /// machine, in two parts: the placement, and the routes of one comm
   /// phase. Each throws MappingError naming the first task on a dead
   /// processor, or the first message routed across a dead link or
-  /// processor.
+  /// processor. check_routes() assumes check_placement() has passed:
+  /// it cannot see the processor of a 0-hop route.
   void check_placement(const std::vector<int>& proc_of_task) const;
   void check_routes(int phase_index, const PhaseRouting& routing) const;
 

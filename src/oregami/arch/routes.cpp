@@ -94,11 +94,8 @@ Route greedy_shortest_route(const Topology& topo, int src, int dst) {
   const auto hops = static_cast<std::size_t>(
       std::max(0, topo.distance(src, dst)));
   Route route;
-  route.nodes.reserve(hops + 1);
   route.links.reserve(hops);
-  route.nodes.push_back(src);
-  walk_greedy_route(topo, src, dst, [&route](int next, int link) {
-    route.nodes.push_back(next);
+  walk_greedy_route(topo, src, dst, [&route](int /*next*/, int link) {
     route.links.push_back(link);
   });
   return route;
@@ -185,14 +182,13 @@ Route dimension_order_route(const Topology& topo, int src, int dst) {
 Route route_from_nodes(const Topology& topo, std::vector<int> nodes) {
   OREGAMI_ASSERT(!nodes.empty(), "a route needs at least one node");
   Route route;
-  route.nodes = std::move(nodes);
-  for (std::size_t i = 0; i + 1 < route.nodes.size(); ++i) {
-    const auto link =
-        topo.link_between(route.nodes[i], route.nodes[i + 1]);
+  route.links.reserve(nodes.size() - 1);
+  for (std::size_t i = 0; i + 1 < nodes.size(); ++i) {
+    const auto link = topo.link_between(nodes[i], nodes[i + 1]);
     if (!link) {
       throw MappingError("route steps between non-adjacent processors " +
-                         std::to_string(route.nodes[i]) + " and " +
-                         std::to_string(route.nodes[i + 1]));
+                         std::to_string(nodes[i]) + " and " +
+                         std::to_string(nodes[i + 1]));
     }
     route.links.push_back(*link);
   }
@@ -201,20 +197,18 @@ Route route_from_nodes(const Topology& topo, std::vector<int> nodes) {
 
 bool is_valid_route(const Topology& topo, const Route& route, int src,
                     int dst) {
-  if (route.nodes.empty() ||
-      route.links.size() + 1 != route.nodes.size()) {
-    return false;
-  }
-  if (route.nodes.front() != src || route.nodes.back() != dst) {
-    return false;
-  }
-  for (std::size_t i = 0; i < route.links.size(); ++i) {
-    const auto link = topo.link_between(route.nodes[i], route.nodes[i + 1]);
-    if (!link || *link != route.links[i]) {
+  int current = src;
+  for (const int link : route.links) {
+    if (link < 0 || link >= topo.num_links()) {
       return false;
     }
+    const auto [u, v] = topo.link_endpoints(link);
+    if (u != current && v != current) {
+      return false;
+    }
+    current = u == current ? v : u;
   }
-  return true;
+  return current == dst;
 }
 
 bool is_shortest_route(const Topology& topo, const Route& route, int src,

@@ -56,7 +56,7 @@ int walk_greedy_route(const Topology& topo, int src, int dst,
   return hops;
 }
 
-/// The greedy route as a Route: the one-node route when src == dst.
+/// The greedy route as a Route: `Route{}` when src == dst.
 [[nodiscard]] Route greedy_shortest_route(const Topology& topo, int src,
                                           int dst);
 
@@ -67,14 +67,15 @@ int walk_greedy_route(const Topology& topo, int src, int dst,
 [[nodiscard]] Route dimension_order_route(const Topology& topo, int src,
                                           int dst);
 
-/// Builds a Route from a processor sequence, resolving link ids;
-/// throws MappingError when consecutive processors are not adjacent.
+/// Builds a Route from a processor sequence (source first), resolving
+/// link ids; throws MappingError when consecutive processors are not
+/// adjacent.
 [[nodiscard]] Route route_from_nodes(const Topology& topo,
                                      std::vector<int> nodes);
 
-/// True when the route is well-formed on `topo`: node/link sequences
-/// consistent, every link real and joining its adjacent node pair, and
-/// endpoints equal to src/dst.
+/// True when the route is well-formed on `topo`: walking its links from
+/// `src`, each link id is in range and touches the current processor,
+/// and the walk ends at `dst`.
 [[nodiscard]] bool is_valid_route(const Topology& topo, const Route& route,
                                   int src, int dst);
 

@@ -11,7 +11,8 @@
 namespace oregami {
 
 /// Parses a spec string; throws MappingError with a usage hint on
-/// malformed input.
+/// malformed input, and naming the bound on a size the family's factory
+/// rejects or one past the caps (2^20 processors, 2^24 links).
 [[nodiscard]] Topology parse_topology_spec(const std::string& spec);
 
 /// The list of accepted forms (for usage/help text).

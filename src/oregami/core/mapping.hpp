@@ -44,12 +44,11 @@ struct Embedding {
   void validate(int num_procs) const;
 };
 
-/// A route through the network: `nodes` is the processor sequence
-/// (route source first), `links` the link ids traversed, so
-/// links.size() + 1 == nodes.size(). A route between co-located tasks
-/// has one node and no links.
+/// A route through the network: the link ids a message crosses, in
+/// order. Its processor sequence is its edge's source processor, then
+/// the far endpoint of each link in turn. A route between co-located
+/// tasks is `Route{}` and holds no heap memory.
 struct Route {
-  std::vector<int> nodes;
   std::vector<int> links;
 
   [[nodiscard]] int hops() const { return static_cast<int>(links.size()); }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include "oregami/larcs/lexer.hpp"
 #include "oregami/support/trace.hpp"
@@ -179,6 +180,30 @@ class Parser {
   }
 
  private:
+  /// Deepest nesting the expression and phase-expression parsers
+  /// accept: each parenthesis, unary operator or call's argument list
+  /// opens a level. The cap bounds their recursion.
+  static constexpr int kMaxNesting = 256;
+
+  /// Opens one nesting level for its scope; throws at the current token
+  /// when that level would pass kMaxNesting.
+  class Nested {
+   public:
+    explicit Nested(Parser& parser) : depth_(parser.depth_) {
+      if (++depth_ > kMaxNesting) {
+        throw LarcsError("nesting deeper than " +
+                             std::to_string(kMaxNesting) + " levels",
+                         parser.current().loc);
+      }
+    }
+    ~Nested() { --depth_; }
+    Nested(const Nested&) = delete;
+    Nested& operator=(const Nested&) = delete;
+
+   private:
+    int& depth_;
+  };
+
   const Token& current() const { return tokens_[pos_]; }
   const Token& peek(std::size_t offset = 1) const {
     return tokens_[std::min(pos_ + offset, tokens_.size() - 1)];
@@ -398,6 +423,7 @@ class Parser {
       node.ref_name = expect(TokenKind::Identifier).text;
       return node;
     }
+    const Nested nested(*this);
     expect(TokenKind::LParen);
     node = parse_phase_expr();
     expect(TokenKind::RParen);
@@ -430,6 +456,7 @@ class Parser {
 
   ExprPtr parse_not() {
     if (at(TokenKind::KwNot)) {
+      const Nested nested(*this);
       const SourceLoc loc = current().loc;
       ++pos_;
       return Expr::unary(UnOp::Not, parse_not(), loc);
@@ -493,6 +520,7 @@ class Parser {
 
   ExprPtr parse_unary() {
     if (at(TokenKind::Minus)) {
+      const Nested nested(*this);
       const SourceLoc loc = current().loc;
       ++pos_;
       return Expr::unary(UnOp::Neg, parse_unary(), loc);
@@ -507,7 +535,9 @@ class Parser {
     }
     if (at(TokenKind::Identifier)) {
       std::string name = expect(TokenKind::Identifier).text;
-      if (accept(TokenKind::LParen)) {
+      if (at(TokenKind::LParen)) {
+        const Nested nested(*this);
+        ++pos_;
         std::vector<ExprPtr> args;
         if (!at(TokenKind::RParen)) {
           args.push_back(parse_expr());
@@ -520,7 +550,9 @@ class Parser {
       }
       return Expr::var(std::move(name), loc);
     }
-    if (accept(TokenKind::LParen)) {
+    if (at(TokenKind::LParen)) {
+      const Nested nested(*this);
+      ++pos_;
       ExprPtr e = parse_expr();
       expect(TokenKind::RParen);
       return e;
@@ -630,6 +662,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< nesting levels open around pos_ (see Nested)
 };
 
 }  // namespace

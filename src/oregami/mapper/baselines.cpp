@@ -36,8 +36,7 @@ std::vector<PhaseRouting> route_dimension_order(
     const TaskGraph& graph, const std::vector<int>& proc_of_task,
     const Topology& topo) {
   return route_all(graph, proc_of_task, [&](int src, int dst) {
-    return src == dst ? Route{{src}, {}}
-                      : dimension_order_route(topo, src, dst);
+    return src == dst ? Route{} : dimension_order_route(topo, src, dst);
   });
 }
 

@@ -30,7 +30,6 @@ PhaseRouting route_phase(const CommPhase& phase,
     const int dst = proc_of_task[static_cast<std::size_t>(e.dst)];
     current[static_cast<std::size_t>(m)] = src;
     target[static_cast<std::size_t>(m)] = dst;
-    routing.route_of_edge[static_cast<std::size_t>(m)].nodes = {src};
   }
 
   for (int hop = 0;; ++hop) {
@@ -89,9 +88,8 @@ PhaseRouting route_phase(const CommPhase& phase,
         OREGAMI_ASSERT(lu == from || lv == from,
                        "matched link must touch the message's node");
         current[static_cast<std::size_t>(m)] = next;
-        auto& route = routing.route_of_edge[static_cast<std::size_t>(m)];
-        route.nodes.push_back(next);
-        route.links.push_back(link);
+        routing.route_of_edge[static_cast<std::size_t>(m)].links.push_back(
+            link);
         // Mark advanced.
         for (std::size_t i = 0; i < pending.size(); ++i) {
           if (pending[i] == m) {

@@ -190,7 +190,13 @@ MapperReport map_multilevel(const TaskGraph& graph, const Topology& topo,
     }
   }
 
-  // 3. Uncoarsen level by level, refining at each resolution.
+  // 3. Uncoarsen level by level, refining at each resolution. Level k
+  // and the projection onto it are freed once the finer placement is
+  // projected, so the details line takes its counts now.
+  const std::string shape =
+      std::to_string(levels.size()) + " level(s), " +
+      std::to_string(levels.front().csr.num_vertices()) + " -> " +
+      std::to_string(levels.back().csr.num_vertices()) + " super-tasks";
   long total_moves = 0;
   Mapping mapping;
   for (int k = static_cast<int>(levels.size()) - 1; k >= 0; --k) {
@@ -226,24 +232,23 @@ MapperReport map_multilevel(const TaskGraph& graph, const Topology& topo,
                                     inc, topo, options.refine_rounds,
                                     deadline);
       }
-      const std::vector<std::int32_t>& projection =
+      std::vector<std::int32_t>& projection =
           levels[static_cast<std::size_t>(k - 1)].coarse_of_fine;
       std::vector<int> fine(projection.size());
       for (std::size_t v = 0; v < fine.size(); ++v) {
         fine[v] = inc.proc_of_task()[static_cast<std::size_t>(projection[v])];
       }
       placement = std::move(fine);
+      levels[static_cast<std::size_t>(k)] = Level{};
+      projection = std::vector<std::int32_t>();
     }
   }
 
   MapperReport report;
   report.strategy = MapStrategy::Multilevel;
-  report.details =
-      "multilevel V-cycle: " + std::to_string(levels.size()) + " level(s), " +
-      std::to_string(levels.front().csr.num_vertices()) + " -> " +
-      std::to_string(levels.back().csr.num_vertices()) +
-      " super-tasks; coarsest map " + init_how + "; " +
-      std::to_string(total_moves) + " refining moves";
+  report.details = "multilevel V-cycle: " + shape + "; coarsest map " +
+                   init_how + "; " + std::to_string(total_moves) +
+                   " refining moves";
   report.mapping = std::move(mapping);
   return report;
 }

@@ -11,7 +11,10 @@
 //      with the seed pipeline's NN-Embed; at that size the paper-scale
 //      machinery is fast and good.
 //   3. UNCOARSEN + REFINE: project the placement down one level at a
-//      time; at each level run boundary-focused refinement rounds --
+//      time, freeing each coarse level (its CSR and the projection
+//      onto it) once the finer placement is projected, so only the
+//      finer levels stay resident; at each level run boundary-focused
+//      refinement rounds --
 //      only tasks with a neighbor on another processor are candidates.
 //      Each round first proposes one destination per boundary task
 //      from the frozen placement (CSR scans + the O(1) distance

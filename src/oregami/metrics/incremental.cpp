@@ -48,7 +48,6 @@ IncrementalCompletion::IncrementalCompletion(
     OREGAMI_ASSERT(p >= 0 && p < num_procs, "task placed off-topology");
   }
 
-  incident_.assign(static_cast<std::size_t>(num_tasks), {});
   comm_.resize(graph_.comm_phases().size());
   for (std::size_t k = 0; k < graph_.comm_phases().size(); ++k) {
     const auto& phase = graph_.comm_phases()[k];
@@ -69,16 +68,44 @@ IncrementalCompletion::IncrementalCompletion(
         state.hops_hist.resize(static_cast<std::size_t>(hb) + 1, 0);
       }
       ++state.hops_hist[static_cast<std::size_t>(hb)];
-      incident_[static_cast<std::size_t>(edge.src)].push_back(
-          {static_cast<int>(k), static_cast<int>(i)});
-      if (edge.dst != edge.src) {
-        incident_[static_cast<std::size_t>(edge.dst)].push_back(
-            {static_cast<int>(k), static_cast<int>(i)});
-      }
     }
     rebuild_comm_maxima(state);
     comm_times_.push_back(model_.comm_time(state.max_volume, state.max_hops));
   }
+
+  // The incidence index: count each task's edge endpoints, turn the
+  // counts into offsets, then fill in (phase, edge) order. Filling
+  // advances incident_begin_[t] to the end of t's range, so a shift by
+  // one restores the offsets.
+  auto for_each_incidence = [this](auto&& visit) {
+    for (std::size_t k = 0; k < graph_.comm_phases().size(); ++k) {
+      const auto& edges = graph_.comm_phases()[k].edges;
+      for (std::size_t i = 0; i < edges.size(); ++i) {
+        const EdgeRef ref{static_cast<int>(k), static_cast<int>(i)};
+        visit(static_cast<std::size_t>(edges[i].src), ref);
+        if (edges[i].dst != edges[i].src) {
+          visit(static_cast<std::size_t>(edges[i].dst), ref);
+        }
+      }
+    }
+  };
+  incident_begin_.assign(static_cast<std::size_t>(num_tasks) + 1, 0);
+  for_each_incidence(
+      [this](std::size_t t, EdgeRef /*ref*/) { ++incident_begin_[t + 1]; });
+  std::int64_t total = 0;
+  for (std::int32_t& offset : incident_begin_) {
+    total += offset;
+    OREGAMI_ASSERT(total <= std::numeric_limits<std::int32_t>::max(),
+                   "incidence index exceeds 2^31 entries");
+    offset = static_cast<std::int32_t>(total);
+  }
+  incident_.resize(static_cast<std::size_t>(total));
+  for_each_incidence([this](std::size_t t, EdgeRef ref) {
+    incident_[static_cast<std::size_t>(incident_begin_[t]++)] = ref;
+  });
+  std::copy_backward(incident_begin_.begin(), incident_begin_.end() - 1,
+                     incident_begin_.end());
+  incident_begin_[0] = 0;
 
   exec_.resize(graph_.exec_phases().size());
   for (std::size_t k = 0; k < graph_.exec_phases().size(); ++k) {
@@ -224,7 +251,7 @@ std::int64_t IncrementalCompletion::delta_move(int task, int to_proc) const {
   }
 
   probe_comm_times_ = comm_times_;
-  const auto& incident = incident_[static_cast<std::size_t>(task)];
+  const std::span<const EdgeRef> incident = this->incident(task);
   for (std::size_t start = 0; start < incident.size();) {
     const int k = incident[start].phase;
     std::size_t stop = start;
@@ -346,7 +373,7 @@ void IncrementalCompletion::place_task(
 
   proc_of_task_[static_cast<std::size_t>(task)] = to_proc;
 
-  const auto& incident = incident_[static_cast<std::size_t>(task)];
+  const std::span<const EdgeRef> incident = this->incident(task);
   for (std::size_t j = 0; j < incident.size(); ++j) {
     const int k = incident[j].phase;
     const int i = incident[j].edge;
@@ -399,7 +426,7 @@ std::int64_t IncrementalCompletion::apply_move(int task, int to_proc) {
   rec.task = task;
   rec.from_proc = from;
   rec.old_completion = completion_;
-  const auto& incident = incident_[static_cast<std::size_t>(task)];
+  const std::span<const EdgeRef> incident = this->incident(task);
   rec.old_routes.reserve(incident.size());
   for (const auto& ref : incident) {
     rec.old_routes.push_back(

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -54,7 +55,9 @@ class IncrementalCompletion {
   /// Memory bound (exact, the reason the cap exists): per comm phase
   /// the evaluator keeps one 64-bit counter per link plus at most
   /// kHopHistCap histogram buckets; per exec phase one 64-bit load per
-  /// processor; plus the incident-edge index. Total resident state is
+  /// processor; plus the incidence index, two flat arrays: one offset
+  /// per task and one entry per comm-edge endpoint. Total resident
+  /// state is
   ///   O(K_comm * (num_links + kHopHistCap) + K_exec * num_procs
   ///     + num_tasks + total_comm_edges)
   /// — linear in the machine and the graph, no P^2 term, independent
@@ -152,13 +155,19 @@ class IncrementalCompletion {
   struct UndoRecord {
     int task = 0;
     int from_proc = 0;
-    std::vector<Route> old_routes;  ///< parallel to incident_[task]
+    std::vector<Route> old_routes;  ///< parallel to incident(task)
     std::int64_t old_completion = 0;
   };
 
   void rebuild_exec_tracker(ExecState& state) const;
   void rebuild_comm_maxima(CommState& state) const;
   [[nodiscard]] Route route_for(int phase, int edge) const;
+  /// The comm edges of `task`, grouped by ascending phase.
+  [[nodiscard]] std::span<const EdgeRef> incident(int task) const {
+    const auto t = static_cast<std::size_t>(task);
+    return {incident_.data() + incident_begin_[t],
+            incident_.data() + incident_begin_[t + 1]};
+  }
   void place_task(int task, int to_proc,
                   const std::vector<Route>* forced_routes);
 
@@ -187,8 +196,11 @@ class IncrementalCompletion {
   std::vector<std::int64_t> exec_times_;
   std::vector<std::int64_t> comm_times_;
   std::int64_t completion_ = 0;
-  /// Per task: its comm edges (grouped by ascending phase).
-  std::vector<std::vector<EdgeRef>> incident_;
+  /// The incidence index in CSR form: task t's comm edges are
+  /// incident_[incident_begin_[t], incident_begin_[t + 1]), in
+  /// (phase, edge) order.
+  std::vector<std::int32_t> incident_begin_;
+  std::vector<EdgeRef> incident_;
   std::vector<UndoRecord> history_;
 
   // Probe scratch (mutable: delta_move is logically const). Reused

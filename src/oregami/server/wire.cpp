@@ -54,6 +54,10 @@ const char* kind_name(JsonValue::Kind kind) {
 
 class JsonParser {
  public:
+  /// Deepest nesting of arrays and objects accepted; a valid job nests
+  /// at most 3 levels. The cap bounds the recursion below.
+  static constexpr int kMaxDepth = 64;
+
   explicit JsonParser(const std::string& text) : text_(text) {}
 
   JsonValue parse() {
@@ -111,8 +115,16 @@ class JsonParser {
     const char c = peek();
     JsonValue v;
     switch (c) {
-      case '{': return object();
-      case '[': return array();
+      case '{':
+      case '[': {
+        if (++depth_ > kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth) +
+               " levels");
+        }
+        JsonValue nested = c == '{' ? object() : array();
+        --depth_;
+        return nested;
+      }
       case '"':
         v.kind = JsonValue::Kind::String;
         v.str = string();
@@ -284,6 +296,7 @@ class JsonParser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< arrays and objects open around pos_
 };
 
 // ---------------------------------------------------------------------

@@ -78,6 +78,8 @@ expect_exit(3 --program no-such-program --topology mesh:4x4)
 expect_exit(3 --program jacobi --bind n=8 --bind iters=10
             --topology badfamily:9)
 expect_exit(3 --program jacobi --bind n=8 --bind iters=10
+            --topology ring:2)    # below the ring factory's minimum
+expect_exit(3 --program jacobi --bind n=8 --bind iters=10
             --topology mesh:4x4 --inject-faults p99)
 expect_exit(3 --program jacobi --bind n=8 --bind iters=10
             --topology mesh:4x4 --inject-faults "!!")

@@ -177,9 +177,14 @@ TEST(Driver, ValidateMappingCatchesBadRouting) {
   auto broken = report.mapping;
   broken.routing.pop_back();
   EXPECT_THROW(validate_mapping(broken, cp.graph, topo), MappingError);
-  // Corrupt a route.
+  // Corrupt the last link of the first route that crosses one.
   auto corrupted = report.mapping;
-  corrupted.routing[0].route_of_edge[0].nodes.back() ^= 1;
+  for (Route& route : corrupted.routing[0].route_of_edge) {
+    if (!route.links.empty()) {
+      route.links.back() ^= 1;
+      break;
+    }
+  }
   EXPECT_THROW(validate_mapping(corrupted, cp.graph, topo), MappingError);
 }
 

@@ -12,6 +12,7 @@
 #include <string>
 #include <utility>
 
+#include "mapping_text.hpp"
 #include "oregami/arch/fault_model.hpp"
 #include "oregami/arch/routes.hpp"
 #include "oregami/arch/topology_spec.hpp"
@@ -194,7 +195,7 @@ TEST(FaultedTopology, RouteTranslationAndLiveness) {
   on_sub.routing[0].route_of_edge.push_back(greedy_shortest_route(
       sub.topo, sub.from_base_proc[3], sub.from_base_proc[5]));
   const Route around = map_to_base(sub, on_sub).routing[0].route_of_edge[0];
-  EXPECT_EQ(around.nodes, (std::vector<int>{3, 0, 1, 2, 5}));
+  EXPECT_EQ(route_nodes(topo, 3, around), (std::vector<int>{3, 0, 1, 2, 5}));
   EXPECT_TRUE(is_valid_route(topo, around, 3, 5));
   EXPECT_TRUE(ft.route_alive(around));
   phase.route_of_edge[0] = around;

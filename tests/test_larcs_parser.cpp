@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "oregami/larcs/parser.hpp"
 #include "oregami/larcs/programs.hpp"
 
@@ -197,6 +199,72 @@ TEST(ParserErrors, DuplicatePhasesDecl) {
                    "comphase a { x(i) -> x((i+1) mod n); }\n"
                    "phases a;\n"
                    "phases a;\n"),
+               LarcsError);
+}
+
+/// A one-rule program: `rule_tail` ends its comm rule and `phases` is
+/// its phase expression.
+std::string rule_program(const std::string& rule_tail,
+                         const std::string& phases = "a") {
+  return "algorithm t(n);\nnodetype x[i: 0 .. n-1];\n"
+         "comphase a { x(i) -> x((i+1) mod n) " +
+         rule_tail + "; }\nphases " + phases + ";\n";
+}
+
+std::string nested(int depth, const std::string& open,
+                   const std::string& core, const std::string& close) {
+  std::string text;
+  for (int i = 0; i < depth; ++i) {
+    text += open;
+  }
+  text += core;
+  for (int i = 0; i < depth; ++i) {
+    text += close;
+  }
+  return text;
+}
+
+TEST(ParserErrors, NestingPastTheCapIsALocatedError) {
+  // Each level is one recursive call, so 30,000 levels would overflow
+  // the stack without the cap.
+  const std::string open_volume =
+      "comphase a { x(i) -> x((i+1) mod n) volume ";
+  auto expect_cap = [](const std::string& source, int line, int column) {
+    try {
+      (void)parse_program(source);
+      FAIL() << "expected LarcsError";
+    } catch (const LarcsError& e) {
+      EXPECT_NE(std::string(e.what()).find("nesting deeper than 256 levels"),
+                std::string::npos)
+          << e.what();
+      EXPECT_EQ(e.loc().line, line);
+      if (column > 0) {
+        EXPECT_EQ(e.loc().column, column);
+      }
+    }
+  };
+  // The error sits at the 257th opening token ("--" would open a
+  // comment, so the minus signs are spaced).
+  const int start = static_cast<int>(open_volume.size());
+  expect_cap(rule_program("volume " + nested(30000, "(", "1", ")")), 3,
+             start + 257);
+  expect_cap(rule_program("volume " + nested(30000, "- ", "1", "")), 3,
+             start + 2 * 256 + 1);
+  expect_cap(rule_program("when " + nested(30000, "not ", "i > 0", "")), 3,
+             0);
+  expect_cap(rule_program("volume " + nested(30000, "max(1, ", "1", ")")),
+             3, 0);
+  // In the phase expression, on line 4.
+  expect_cap(rule_program("", nested(30000, "(", "a", ")")), 4,
+             static_cast<int>(std::string("phases ").size()) + 257);
+  expect_cap(rule_program("", "a^" + nested(30000, "(", "2", ")")), 4, 0);
+  // 256 levels still parse.
+  EXPECT_NO_THROW((void)parse_program(
+      rule_program("volume " + nested(256, "(", "1", ")"))));
+  EXPECT_NO_THROW(
+      (void)parse_program(rule_program("", nested(256, "(", "a", ")"))));
+  EXPECT_NO_THROW((void)parse_expression(nested(256, "- ", "1", "")));
+  EXPECT_THROW((void)parse_expression(nested(257, "- ", "1", "")),
                LarcsError);
 }
 

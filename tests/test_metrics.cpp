@@ -195,7 +195,7 @@ TEST(Metrics, CoLocatedEdgesDoNotCountAsIpc) {
   Fixture f;
   // Move task 1 onto processor 0; re-route accordingly.
   f.procs = {0, 0, 2, 3};
-  f.routing[0].route_of_edge[0] = Route{{0}, {}};  // 0 -> 1 internal
+  f.routing[0].route_of_edge[0] = Route{};  // 0 -> 1 internal
   f.routing[0].route_of_edge[1] =
       greedy_shortest_route(f.topo, 0, 2);  // 1 -> 2 now 0 -> 2
   const auto m =

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 
+#include "mapping_text.hpp"
 #include "oregami/arch/routes.hpp"
 #include "oregami/mapper/baselines.hpp"
 #include "oregami/mapper/mm_route.hpp"
@@ -61,7 +62,8 @@ TEST(MmRoute, CoLocatedTasksGetTrivialRoutes) {
   const auto routing = mm_route(g, procs, topo);
   ASSERT_EQ(routing[0].route_of_edge.size(), 1u);
   EXPECT_EQ(routing[0].route_of_edge[0].hops(), 0);
-  EXPECT_EQ(routing[0].route_of_edge[0].nodes, std::vector<int>{2});
+  EXPECT_EQ(route_nodes(topo, 2, routing[0].route_of_edge[0]),
+            std::vector<int>{2});
 }
 
 TEST(MmRoute, RoutesAreShortestOnHypercube) {
@@ -178,8 +180,8 @@ TEST(Baselines, RandomShortestRoutesValidAndSeeded) {
   // Same seed, same routes.
   for (std::size_t k = 0; k < a.size(); ++k) {
     for (std::size_t i = 0; i < a[k].route_of_edge.size(); ++i) {
-      EXPECT_EQ(a[k].route_of_edge[i].nodes,
-                b[k].route_of_edge[i].nodes);
+      EXPECT_EQ(a[k].route_of_edge[i].links,
+                b[k].route_of_edge[i].links);
     }
   }
 }

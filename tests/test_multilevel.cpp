@@ -3,8 +3,8 @@
 #include <string>
 #include <vector>
 
+#include "mapping_text.hpp"
 #include "oregami/arch/topology_spec.hpp"
-#include "oregami/core/mapping_io.hpp"
 #include "oregami/core/synthetic.hpp"
 #include "oregami/larcs/compiler.hpp"
 #include "oregami/larcs/programs.hpp"
@@ -55,7 +55,7 @@ TEST(Multilevel, BitIdenticalAcrossJobs) {
     options.jobs = jobs;
     const MapperReport report = map_computation(graph, topo, options);
     EXPECT_EQ(report.strategy, MapStrategy::Multilevel);
-    texts.push_back(mapping_to_string(report.mapping, topo.num_procs()));
+    texts.push_back(mapping_text(graph, topo, report.mapping));
   }
   EXPECT_EQ(texts[0], texts[1]);
   EXPECT_EQ(texts[0], texts[2]);

@@ -3,6 +3,7 @@
 #include <utility>
 #include <vector>
 
+#include "mapping_text.hpp"
 #include "oregami/arch/routes.hpp"
 #include "oregami/support/error.hpp"
 
@@ -54,7 +55,7 @@ TEST(AllShortestRoutes, TrivialRouteForSameNode) {
   const auto routes = all_shortest_routes(t, 2, 2);
   ASSERT_EQ(routes.size(), 1u);
   EXPECT_EQ(routes[0].hops(), 0);
-  EXPECT_EQ(routes[0].nodes, std::vector<int>{2});
+  EXPECT_EQ(route_nodes(t, 2, routes[0]), std::vector<int>{2});
 }
 
 TEST(GreedyRoute, IsShortest) {
@@ -68,16 +69,16 @@ TEST(GreedyRoute, IsShortest) {
 }
 
 /// The greedy rule spelled out the long way: at each step take the
-/// first (lowest-numbered) of next_hop_choices, then resolve the links
-/// with route_from_nodes.
-Route reference_greedy_route(const Topology& topo, int src, int dst) {
+/// first (lowest-numbered) of next_hop_choices.
+std::vector<int> reference_greedy_nodes(const Topology& topo, int src,
+                                        int dst) {
   std::vector<int> nodes{src};
   int current = src;
   while (current != dst) {
     current = next_hop_choices(topo, current, dst).front();
     nodes.push_back(current);
   }
-  return route_from_nodes(topo, std::move(nodes));
+  return nodes;
 }
 
 TEST(GreedyRoute, MatchesNextHopReference) {
@@ -109,9 +110,10 @@ TEST(GreedyRoute, MatchesNextHopReference) {
     for (int u = 0; u < t.num_procs(); ++u) {
       for (int v = 0; v < t.num_procs(); ++v) {
         const Route got = greedy_shortest_route(t, u, v);
-        const Route want = reference_greedy_route(t, u, v);
-        ASSERT_EQ(got.nodes, want.nodes) << u << " -> " << v;
-        ASSERT_EQ(got.links, want.links) << u << " -> " << v;
+        const std::vector<int> want = reference_greedy_nodes(t, u, v);
+        ASSERT_EQ(route_nodes(t, u, got), want) << u << " -> " << v;
+        ASSERT_EQ(got.links, route_from_nodes(t, want).links)
+            << u << " -> " << v;
       }
     }
   }
@@ -121,7 +123,7 @@ TEST(DimensionOrder, HypercubeAscendingBits) {
   const auto t = Topology::hypercube(3);
   const auto r = dimension_order_route(t, 1, 6);  // 001 -> 110
   // Corrections ascending: flip bit0 (->000), bit1 (->010), bit2 (->110).
-  EXPECT_EQ(r.nodes, (std::vector<int>{1, 0, 2, 6}));
+  EXPECT_EQ(route_nodes(t, 1, r), (std::vector<int>{1, 0, 2, 6}));
   EXPECT_TRUE(is_shortest_route(t, r, 1, 6));
 }
 
@@ -129,7 +131,7 @@ TEST(DimensionOrder, MeshColumnFirst) {
   const auto t = Topology::mesh(3, 3);
   const auto r = dimension_order_route(t, t.at2d(0, 0), t.at2d(2, 2));
   // Column to 2 first, then rows.
-  EXPECT_EQ(r.nodes,
+  EXPECT_EQ(route_nodes(t, t.at2d(0, 0), r),
             (std::vector<int>{t.at2d(0, 0), t.at2d(0, 1), t.at2d(0, 2),
                               t.at2d(1, 2), t.at2d(2, 2)}));
 }
@@ -168,6 +170,14 @@ TEST(RouteValidity, ChecksEndpointsAndLinks) {
   // Tamper with a link id.
   r.links[0] = r.links[0] == 0 ? 1 : 0;
   EXPECT_FALSE(is_valid_route(t, r, 0, 2));
+  // Link ids out of range.
+  r.links[0] = t.num_links();
+  EXPECT_FALSE(is_valid_route(t, r, 0, 2));
+  r.links[0] = -1;
+  EXPECT_FALSE(is_valid_route(t, r, 0, 2));
+  // The 0-hop route is valid exactly between a processor and itself.
+  EXPECT_TRUE(is_valid_route(t, Route{}, 3, 3));
+  EXPECT_FALSE(is_valid_route(t, Route{}, 3, 4));
 }
 
 TEST(RouteValidity, NonShortestDetected) {

@@ -130,7 +130,7 @@ TEST(SynchronyRoute, Deterministic) {
   const auto b = synchrony_route(f.cp.graph, f.procs, f.topo, schedule);
   for (std::size_t k = 0; k < a.size(); ++k) {
     for (std::size_t i = 0; i < a[k].route_of_edge.size(); ++i) {
-      EXPECT_EQ(a[k].route_of_edge[i].nodes, b[k].route_of_edge[i].nodes);
+      EXPECT_EQ(a[k].route_of_edge[i].links, b[k].route_of_edge[i].links);
     }
   }
 }

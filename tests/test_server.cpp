@@ -138,6 +138,27 @@ TEST(WireParse, BudgetsPastTwoToTheFortyMillisecondsAreRejected) {
                      "options.budget_ms must be <= 1099511627776");
 }
 
+TEST(WireParse, NestingPastSixtyFourLevelsIsMalformed) {
+  // Each level is one recursive call, so 30,000 levels would overflow
+  // the stack without the cap.
+  const std::string deep(30000, '[');
+  expect_parse_error(deep + std::string(30000, ']'), kJobMalformed,
+                     "nesting deeper than 64 levels");
+  std::string objects;
+  for (int i = 0; i < 30000; ++i) {
+    objects += R"({"a":)";
+  }
+  expect_parse_error(R"({"id":1,"program":"x","topology":"ring:2","bind":)" +
+                         objects,
+                     kJobMalformed, "nesting deeper than 64 levels");
+  // 65 levels cross the cap; 64 parse, and the line is then rejected
+  // for its shape.
+  expect_parse_error(std::string(65, '[') + std::string(65, ']'),
+                     kJobMalformed, "nesting deeper than 64 levels");
+  expect_parse_error(std::string(64, '[') + std::string(64, ']'),
+                     kJobMalformed, "must be a JSON object");
+}
+
 // -------------------------------------------------------- formatting
 
 TEST(WireFormat, JsonEscapeCoversControlAndQuoteCharacters) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "mapping_text.hpp"
 #include "oregami/arch/routes.hpp"
 #include "oregami/larcs/compiler.hpp"
 #include "oregami/larcs/programs.hpp"
@@ -75,24 +76,25 @@ TEST(Session, RerouteEdgeValidatesWalk) {
   // A deliberately scenic valid walk: go through a third processor.
   if (src != dst) {
     // Build a 2-hop detour when possible; otherwise use the direct one.
-    Route detour;
-    bool found = false;
-    for (int mid = 0; mid < 8 && !found; ++mid) {
+    std::vector<int> detour;
+    for (int mid = 0; mid < 8 && detour.empty(); ++mid) {
       if (mid != src && mid != dst &&
           f.topo.link_between(src, mid).has_value() &&
           f.topo.link_between(mid, dst).has_value()) {
-        detour = route_from_nodes(f.topo, {src, mid, dst});
-        found = true;
+        detour = {src, mid, dst};
       }
     }
-    if (found) {
-      const auto report = session.reroute_edge(0, 0, detour);
-      EXPECT_EQ(session.routing()[0].route_of_edge[0].nodes, detour.nodes);
+    if (!detour.empty()) {
+      const auto report =
+          session.reroute_edge(0, 0, route_from_nodes(f.topo, detour));
+      EXPECT_EQ(
+          route_nodes(f.topo, src, session.routing()[0].route_of_edge[0]),
+          detour);
       EXPECT_GE(report.after.max_dilation, report.before.max_dilation);
     }
   }
-  // Invalid route (wrong endpoints) must throw.
-  const Route bogus{{(src + 1) % 8}, {}};
+  // Invalid route (wrong endpoint) must throw.
+  const Route bogus = greedy_shortest_route(f.topo, src, (dst + 1) % 8);
   EXPECT_THROW((void)session.reroute_edge(0, 0, bogus), MappingError);
 }
 
@@ -101,10 +103,8 @@ TEST(Session, RangeChecks) {
   MetricsSession session(f.cp.graph, f.topo, f.report.mapping);
   EXPECT_THROW((void)session.move_task(-1, 0), MappingError);
   EXPECT_THROW((void)session.move_task(0, 99), MappingError);
-  EXPECT_THROW((void)session.reroute_edge(9, 0, Route{{0}, {}}),
-               MappingError);
-  EXPECT_THROW((void)session.reroute_edge(0, 999, Route{{0}, {}}),
-               MappingError);
+  EXPECT_THROW((void)session.reroute_edge(9, 0, Route{}), MappingError);
+  EXPECT_THROW((void)session.reroute_edge(0, 999, Route{}), MappingError);
 }
 
 TEST(Session, ConsolidatingTasksReducesIpc) {

@@ -99,7 +99,7 @@ TEST(Sim, CoLocatedMessagesAreFree) {
   g.add_comm_edge(p, 0, 1, 100);
   const auto topo = Topology::chain(2);
   PhaseRouting routing;
-  routing.route_of_edge.push_back(Route{{0}, {}});
+  routing.route_of_edge.push_back(Route{});
   const auto result = simulate_comm_phase(g, 0, routing, topo, {});
   EXPECT_EQ(result.makespan, 0);
 }

@@ -15,9 +15,9 @@
 #include <string>
 #include <vector>
 
+#include "mapping_text.hpp"
 #include "oregami/arch/fault_model.hpp"
 #include "oregami/arch/topology_spec.hpp"
-#include "oregami/core/mapping_io.hpp"
 #include "oregami/larcs/compiler.hpp"
 #include "oregami/larcs/parser.hpp"
 #include "oregami/larcs/programs.hpp"
@@ -55,8 +55,9 @@ Compiled compile_example(const std::string& name) {
                               entry->example_bindings.end()});
 }
 
-std::uint64_t digest(const Mapping& mapping, int num_procs) {
-  const std::string text = mapping_to_string(mapping, num_procs);
+std::uint64_t digest(const TaskGraph& graph, const Topology& topo,
+                     const Mapping& mapping) {
+  const std::string text = mapping_text(graph, topo, mapping);
   Fnv1a h;
   h.bytes(text.data(), text.size());
   return h.digest();
@@ -94,13 +95,13 @@ PlacementPin pin_placement(const std::string& name, const std::string& spec,
                        base.mapping.routing, bound);
   const Mapping refined = mapping_from_placement(
       direct.proc_of_task, direct.routing, topo.num_procs());
-  EXPECT_EQ(digest(refined, topo.num_procs()),
-            digest(report.mapping, topo.num_procs()));
+  EXPECT_EQ(digest(c.cp.graph, topo, refined),
+            digest(c.cp.graph, topo, report.mapping));
   EXPECT_NE(report.details.find("(" + std::to_string(direct.moves) +
                                 " moves)"),
             std::string::npos)
       << report.details;
-  return {digest(report.mapping, topo.num_procs()), direct.moves,
+  return {digest(c.cp.graph, topo, report.mapping), direct.moves,
           direct.passes};
 }
 
@@ -128,16 +129,25 @@ TEST(RefinePlacementPins, SorOnRing8WithExplicitLoadBound) {
 
 // ------------------------------------------------------- repair_mapping
 
+/// A mapper outcome and the digest of its mapping.
+template <class Result>
+struct Pinned {
+  Result result;
+  std::uint64_t digest = 0;
+};
+
 /// The jacobi example mapped onto the healthy `topology`, then
 /// repaired onto the machine degraded by `faults`.
-RepairResult repair_jacobi(const std::string& topology,
-                           const std::string& faults,
-                           const RepairOptions& options) {
+Pinned<RepairResult> repair_jacobi(const std::string& topology,
+                                   const std::string& faults,
+                                   const RepairOptions& options) {
   const Compiled c = compile_example("jacobi");
   const Topology topo = parse_topology_spec(topology);
   const MapperReport healthy = map_program(c.ast, c.cp, topo);
   const FaultedTopology ft(topo, FaultSpec::parse(faults, topo));
-  return repair_mapping(c.cp.graph, ft, healthy.mapping, options);
+  RepairResult r = repair_mapping(c.cp.graph, ft, healthy.mapping, options);
+  const std::uint64_t d = digest(c.cp.graph, topo, r.mapping);
+  return {std::move(r), d};
 }
 
 std::string migrations_of(const RepairResult& result) {
@@ -150,8 +160,8 @@ std::string migrations_of(const RepairResult& result) {
 }
 
 TEST(RepairPins, JacobiDeadProcessorAndLink) {
-  const RepairResult r = repair_jacobi("mesh:4x4", "p5,l3", {});
-  EXPECT_EQ(digest(r.mapping, 16), 0x73157559b0c5106cULL);
+  const auto [r, mapping_digest] = repair_jacobi("mesh:4x4", "p5,l3", {});
+  EXPECT_EQ(mapping_digest, 0x73157559b0c5106cULL);
   EXPECT_EQ(to_string(r.rung), "migrate");
   EXPECT_EQ(r.attempts, 2);
   EXPECT_EQ(migrations_of(r), "18:5->0 19:5->2 26:5->0 27:5->2 ");
@@ -160,8 +170,8 @@ TEST(RepairPins, JacobiDeadProcessorAndLink) {
 }
 
 TEST(RepairPins, JacobiWithSlowedLinkReachesRefineRung) {
-  const RepairResult r = repair_jacobi("mesh:4x4", "p5,l3,s1:8", {});
-  EXPECT_EQ(digest(r.mapping, 16), 0xb6d3709ac393829dULL);
+  const auto [r, mapping_digest] = repair_jacobi("mesh:4x4", "p5,l3,s1:8", {});
+  EXPECT_EQ(mapping_digest, 0xb6d3709ac393829dULL);
   EXPECT_EQ(to_string(r.rung), "refine");
   EXPECT_EQ(r.attempts, 4);
   EXPECT_EQ(migrations_of(r), "18:5->10 19:5->1 26:5->9 27:5->2 ");
@@ -174,8 +184,8 @@ TEST(RepairPins, JacobiWithSlowedLinkReachesRefineRung) {
 TEST(RepairPins, JacobiWithExpiredBudget) {
   RepairOptions expired;
   expired.time_budget_ms = -1;
-  const RepairResult r = repair_jacobi("mesh:4x4", "p5,l3", expired);
-  EXPECT_EQ(digest(r.mapping, 16), 0xac2eefe8ddaf11d8ULL);
+  const auto [r, mapping_digest] = repair_jacobi("mesh:4x4", "p5,l3", expired);
+  EXPECT_EQ(mapping_digest, 0xac2eefe8ddaf11d8ULL);
   EXPECT_EQ(to_string(r.rung), "migrate");
   EXPECT_EQ(r.attempts, 0);
   EXPECT_EQ(migrations_of(r), "18:5->1 19:5->1 26:5->1 27:5->1 ");
@@ -188,8 +198,8 @@ TEST(RepairPins, JacobiWithExpiredBudget) {
 TEST(RepairPins, JacobiOnSplitRingKeepsProcessorZerosHalf) {
   // The halves {1..8} and {9..15, 0} tie at 8 processors; the tie goes
   // to processor 0's half, so the 32 tasks on processors 1-8 move.
-  const RepairResult r = repair_jacobi("ring:16", "l0,l8", {});
-  EXPECT_EQ(digest(r.mapping, 16), 0x63f31cade1056ff3ULL);
+  const auto [r, mapping_digest] = repair_jacobi("ring:16", "l0,l8", {});
+  EXPECT_EQ(mapping_digest, 0x63f31cade1056ff3ULL);
   EXPECT_EQ(to_string(r.rung), "migrate");
   EXPECT_EQ(r.attempts, 1);
   EXPECT_EQ(migrations_of(r),
@@ -204,8 +214,8 @@ TEST(RepairPins, JacobiOnSplitRingKeepsProcessorZerosHalf) {
 
 TEST(RepairPins, JacobiWithAliveProcessorCutOff) {
   // Processor 0 stays alive but loses both of its links.
-  const RepairResult r = repair_jacobi("mesh:4x4", "l0-1,l0-4", {});
-  EXPECT_EQ(digest(r.mapping, 16), 0xe9f88294420e70b9ULL);
+  const auto [r, mapping_digest] = repair_jacobi("mesh:4x4", "l0-1,l0-4", {});
+  EXPECT_EQ(mapping_digest, 0xe9f88294420e70b9ULL);
   EXPECT_EQ(to_string(r.rung), "migrate");
   EXPECT_EQ(r.attempts, 2);
   EXPECT_EQ(migrations_of(r), "0:0->2 1:0->2 8:0->1 9:0->1 ");
@@ -217,19 +227,21 @@ TEST(RepairPins, JacobiWithAliveProcessorCutOff) {
 
 /// The jacobi example mapped straight onto `topology` degraded by
 /// `faults` (the driver's redirect to the healthy sub-machine).
-MapperReport degraded_jacobi(const std::string& topology,
-                             const std::string& faults) {
+Pinned<MapperReport> degraded_jacobi(const std::string& topology,
+                                     const std::string& faults) {
   const Compiled c = compile_example("jacobi");
   const Topology topo = parse_topology_spec(topology);
   const FaultedTopology ft(topo, FaultSpec::parse(faults, topo));
   MapperOptions options;
   options.faults = &ft;
-  return map_program(c.ast, c.cp, topo, options);
+  MapperReport report = map_program(c.ast, c.cp, topo, options);
+  const std::uint64_t d = digest(c.cp.graph, topo, report.mapping);
+  return {std::move(report), d};
 }
 
 TEST(DegradedMapPins, JacobiOnSplitRing) {
-  const MapperReport report = degraded_jacobi("ring:16", "l0,l8");
-  EXPECT_EQ(digest(report.mapping, 16), 0x799750960c067eebULL);
+  const auto [report, mapping_digest] = degraded_jacobi("ring:16", "l0,l8");
+  EXPECT_EQ(mapping_digest, 0x799750960c067eebULL);
   EXPECT_EQ(report.details,
             "degraded machine (l0,l8; 8/16 processors healthy); greedy "
             "pre-merge + maximum-weight matching pairing (blossom), IPC = "
@@ -237,8 +249,9 @@ TEST(DegradedMapPins, JacobiOnSplitRing) {
 }
 
 TEST(DegradedMapPins, JacobiWithAliveProcessorCutOff) {
-  const MapperReport report = degraded_jacobi("mesh:4x4", "l0-1,l0-4");
-  EXPECT_EQ(digest(report.mapping, 16), 0x6287b187dc2f99edULL);
+  const auto [report, mapping_digest] =
+      degraded_jacobi("mesh:4x4", "l0-1,l0-4");
+  EXPECT_EQ(mapping_digest, 0x6287b187dc2f99edULL);
   EXPECT_EQ(report.details,
             "degraded machine (l0,l1; 15/16 processors healthy); greedy "
             "pre-merge + maximum-weight matching pairing (blossom), IPC = "
@@ -246,8 +259,8 @@ TEST(DegradedMapPins, JacobiWithAliveProcessorCutOff) {
 }
 
 TEST(DegradedMapPins, JacobiDeadProcessorAndLink) {
-  const MapperReport report = degraded_jacobi("mesh:4x4", "p5,l3");
-  EXPECT_EQ(digest(report.mapping, 16), 0xe239e227105fc052ULL);
+  const auto [report, mapping_digest] = degraded_jacobi("mesh:4x4", "p5,l3");
+  EXPECT_EQ(mapping_digest, 0xe239e227105fc052ULL);
   EXPECT_EQ(report.details,
             "degraded machine (p5,l3; 15/16 processors healthy); greedy "
             "pre-merge + maximum-weight matching pairing (blossom), IPC = "
@@ -256,26 +269,28 @@ TEST(DegradedMapPins, JacobiDeadProcessorAndLink) {
 
 // ------------------------------------------------------- map_multilevel
 
-MapperReport multilevel_stencil(int max_levels) {
+Pinned<MapperReport> multilevel_stencil(int max_levels) {
   const Compiled c =
       compile_named("torus_stencil", {{"r", 64}, {"c", 64}, {"iters", 1}});
   const Topology topo = parse_topology_spec("torus:8x8");
   MultilevelOptions ml;
   ml.max_levels = max_levels;
-  return map_multilevel(c.cp.graph, topo, ml);
+  MapperReport report = map_multilevel(c.cp.graph, topo, ml);
+  const std::uint64_t d = digest(c.cp.graph, topo, report.mapping);
+  return {std::move(report), d};
 }
 
 TEST(MultilevelPins, TorusStencilAutoDepth) {
-  const MapperReport report = multilevel_stencil(0);
-  EXPECT_EQ(digest(report.mapping, 64), 0xca1e5c84dcf67356ULL);
+  const auto [report, mapping_digest] = multilevel_stencil(0);
+  EXPECT_EQ(mapping_digest, 0xca1e5c84dcf67356ULL);
   EXPECT_EQ(report.details,
             "multilevel V-cycle: 8 level(s), 4096 -> 64 super-tasks; coarsest "
             "map NN-Embed; 8 refining moves");
 }
 
 TEST(MultilevelPins, TorusStencilLevelCap) {
-  const MapperReport report = multilevel_stencil(2);
-  EXPECT_EQ(digest(report.mapping, 64), 0xb85180517ff5c4cfULL);
+  const auto [report, mapping_digest] = multilevel_stencil(2);
+  EXPECT_EQ(mapping_digest, 0xb85180517ff5c4cfULL);
   EXPECT_EQ(report.details,
             "multilevel V-cycle: 3 level(s), 4096 -> 1214 super-tasks; "
             "coarsest map round-robin; 191 refining moves");

@@ -162,7 +162,6 @@ TEST(Mapping, ProcOfTaskComposes) {
 
 TEST(Route, HopCount) {
   Route r;
-  r.nodes = {0, 1, 2};
   r.links = {0, 1};
   EXPECT_EQ(r.hops(), 2);
 }
