@@ -22,35 +22,6 @@ std::vector<int> next_hop_choices(const Topology& topo, int from, int dst) {
   return choices;
 }
 
-namespace {
-
-void enumerate_routes(const Topology& topo, int current, int dst,
-                      std::vector<int>& nodes, std::vector<Route>& out,
-                      std::size_t limit) {
-  if (limit != 0 && out.size() >= limit) {
-    return;
-  }
-  if (current == dst) {
-    out.push_back(route_from_nodes(topo, nodes));
-    return;
-  }
-  for (const int next : next_hop_choices(topo, current, dst)) {
-    nodes.push_back(next);
-    enumerate_routes(topo, next, dst, nodes, out, limit);
-    nodes.pop_back();
-  }
-}
-
-}  // namespace
-
-std::vector<Route> all_shortest_routes(const Topology& topo, int src,
-                                       int dst, std::size_t limit) {
-  std::vector<Route> out;
-  std::vector<int> nodes{src};
-  enumerate_routes(topo, src, dst, nodes, out, limit);
-  return out;
-}
-
 std::uint64_t count_shortest_routes(const Topology& topo, int src,
                                     int dst) {
   // Count over the shortest-path DAG by increasing distance from src.

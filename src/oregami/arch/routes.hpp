@@ -1,7 +1,7 @@
-// Route machinery over a Topology: shortest-route choice enumeration
-// (the "table of routing information" MM-Route consults in Fig 6),
-// deterministic dimension-order routes for baselines, and route
-// validity checking.
+// Route machinery over a Topology: the shortest-route next-hop choices
+// (the "table of routing information" MM-Route consults in Fig 6) and
+// their count, the canonical greedy route, deterministic
+// dimension-order routes for baselines, and route validity checking.
 #pragma once
 
 #include <vector>
@@ -16,13 +16,6 @@ namespace oregami {
 /// (distance decreases by one). Empty when from == dst.
 [[nodiscard]] std::vector<int> next_hop_choices(const Topology& topo,
                                                 int from, int dst);
-
-/// All shortest paths from src to dst as Route objects, capped at
-/// `limit` paths (enumeration order: neighbor id ascending, depth
-/// first). With limit = 0 returns every shortest path.
-[[nodiscard]] std::vector<Route> all_shortest_routes(const Topology& topo,
-                                                     int src, int dst,
-                                                     std::size_t limit = 0);
 
 /// Number of distinct shortest paths src -> dst (counted exactly with
 /// 64-bit arithmetic).

@@ -72,13 +72,4 @@ std::vector<int> Mapping::proc_of_task() const {
   return result;
 }
 
-int Mapping::task_processor(int t) const {
-  OREGAMI_ASSERT(
-      t >= 0 &&
-          static_cast<std::size_t>(t) < contraction.cluster_of_task.size(),
-      "task id out of range");
-  const int c = contraction.cluster_of_task[static_cast<std::size_t>(t)];
-  return embedding.proc_of_cluster[static_cast<std::size_t>(c)];
-}
-
 }  // namespace oregami

@@ -69,9 +69,6 @@ struct Mapping {
   /// Processor hosting each task (composition of contraction and
   /// embedding).
   [[nodiscard]] std::vector<int> proc_of_task() const;
-
-  /// Processor hosting task t.
-  [[nodiscard]] int task_processor(int t) const;
 };
 
 }  // namespace oregami

@@ -135,26 +135,6 @@ const std::vector<long>& TaskGraph::task_label(int t) const {
   return task_labels_[static_cast<std::size_t>(t)];
 }
 
-std::optional<int> TaskGraph::comm_phase_index(
-    const std::string& name) const {
-  for (std::size_t i = 0; i < comm_phases_.size(); ++i) {
-    if (comm_phases_[i].name == name) {
-      return static_cast<int>(i);
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<int> TaskGraph::exec_phase_index(
-    const std::string& name) const {
-  for (std::size_t i = 0; i < exec_phases_.size(); ++i) {
-    if (exec_phases_[i].name == name) {
-      return static_cast<int>(i);
-    }
-  }
-  return std::nullopt;
-}
-
 int TaskGraph::num_comm_edges() const {
   int count = 0;
   for (const auto& phase : comm_phases_) {

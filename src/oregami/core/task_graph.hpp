@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -100,11 +99,6 @@ class TaskGraph {
   [[nodiscard]] bool declared_node_symmetric() const {
     return declared_node_symmetric_;
   }
-
-  [[nodiscard]] std::optional<int> comm_phase_index(
-      const std::string& name) const;
-  [[nodiscard]] std::optional<int> exec_phase_index(
-      const std::string& name) const;
 
   /// Total number of directed comm edges over all phases.
   [[nodiscard]] int num_comm_edges() const;

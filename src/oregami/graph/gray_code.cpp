@@ -8,24 +8,6 @@ namespace oregami {
 
 std::uint32_t gray_code(std::uint32_t i) { return i ^ (i >> 1); }
 
-std::uint32_t gray_rank(std::uint32_t code) {
-  std::uint32_t rank = 0;
-  for (; code != 0; code >>= 1) {
-    rank ^= code;
-  }
-  return rank;
-}
-
-std::vector<std::uint32_t> gray_sequence(int bits) {
-  OREGAMI_ASSERT(bits >= 0 && bits <= 30, "gray_sequence: bits out of range");
-  std::vector<std::uint32_t> seq;
-  seq.reserve(1u << bits);
-  for (std::uint32_t i = 0; i < (1u << bits); ++i) {
-    seq.push_back(gray_code(i));
-  }
-  return seq;
-}
-
 int popcount32(std::uint32_t x) { return std::popcount(x); }
 
 bool is_power_of_two(std::uint64_t x) { return x != 0 && (x & (x - 1)) == 0; }

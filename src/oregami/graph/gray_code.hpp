@@ -5,18 +5,11 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 namespace oregami {
 
 /// i-th codeword of the reflected binary Gray code.
 [[nodiscard]] std::uint32_t gray_code(std::uint32_t i);
-
-/// Inverse: the rank of codeword `code` in the reflected Gray sequence.
-[[nodiscard]] std::uint32_t gray_rank(std::uint32_t code);
-
-/// The full n-bit Gray sequence (2^n codewords). Requires n <= 30.
-[[nodiscard]] std::vector<std::uint32_t> gray_sequence(int bits);
 
 /// Number of 1-bits (Hamming weight).
 [[nodiscard]] int popcount32(std::uint32_t x);

@@ -8,20 +8,6 @@
 
 namespace oregami {
 
-CayleyGraph cayley_graph(const PermutationGroup& group) {
-  CayleyGraph cg;
-  cg.num_nodes = static_cast<int>(group.order());
-  const auto& gens = group.generator_indices();
-  for (std::size_t a = 0; a < group.order(); ++a) {
-    for (std::size_t gi = 0; gi < gens.size(); ++gi) {
-      const std::size_t b = group.compose(a, gens[gi]);
-      cg.edges.push_back({static_cast<int>(a), static_cast<int>(b),
-                          static_cast<int>(gi)});
-    }
-  }
-  return cg;
-}
-
 CayleyGraph quotient_cayley_graph(const PermutationGroup& group,
                                   const std::vector<int>& coset_of) {
   OREGAMI_ASSERT(coset_of.size() == group.order(),

@@ -49,6 +49,9 @@ struct Expr {
   BinOp bin_op = BinOp::Add; ///< Binary
   std::vector<ExprPtr> args; ///< Unary(1) / Binary(2) / Call(n)
   SourceLoc loc;
+  /// Levels above the leaves (0 for a literal or variable); the parser
+  /// caps it, since evaluation and destruction recurse over the tree.
+  int height = 0;
 
   static ExprPtr int_lit(long v, SourceLoc loc = {});
   static ExprPtr var(std::string name, SourceLoc loc = {});
@@ -111,6 +114,9 @@ struct PhaseExprNode {
   ExprPtr count;                        ///< Repeat
   std::vector<PhaseExprNode> children;  ///< Seq/Par/Repeat
   SourceLoc loc;
+  /// Levels above the leaves (0 for eps or a phase name); the parser
+  /// caps it, since lowering and destruction recurse over the tree.
+  int height = 0;
 
   [[nodiscard]] std::string to_string() const;
 };

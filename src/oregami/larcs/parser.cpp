@@ -29,6 +29,7 @@ ExprPtr Expr::unary(UnOp op, ExprPtr operand, SourceLoc loc) {
   auto e = std::make_shared<Expr>();
   e->kind = Kind::Unary;
   e->un_op = op;
+  e->height = operand->height + 1;
   e->args.push_back(std::move(operand));
   e->loc = loc;
   return e;
@@ -38,6 +39,7 @@ ExprPtr Expr::binary(BinOp op, ExprPtr lhs, ExprPtr rhs, SourceLoc loc) {
   auto e = std::make_shared<Expr>();
   e->kind = Kind::Binary;
   e->bin_op = op;
+  e->height = std::max(lhs->height, rhs->height) + 1;
   e->args.push_back(std::move(lhs));
   e->args.push_back(std::move(rhs));
   e->loc = loc;
@@ -50,6 +52,10 @@ ExprPtr Expr::call(std::string name, std::vector<ExprPtr> args,
   e->kind = Kind::Call;
   e->name = std::move(name);
   e->args = std::move(args);
+  for (const auto& arg : e->args) {
+    e->height = std::max(e->height, arg->height);
+  }
+  ++e->height;
   e->loc = loc;
   return e;
 }
@@ -181,20 +187,43 @@ class Parser {
 
  private:
   /// Deepest nesting the expression and phase-expression parsers
-  /// accept: each parenthesis, unary operator or call's argument list
-  /// opens a level. The cap bounds their recursion.
+  /// accept, in levels. The parser may stand inside at most this many
+  /// parentheses, unary operators and call argument lists, which bounds
+  /// its recursion; and no tree it builds may be taller, which bounds
+  /// the recursions of evaluation, phase lowering and the destructors
+  /// (a chain of n binary or `^` operators is a tree n levels tall).
   static constexpr int kMaxNesting = 256;
+
+  /// Throws at `loc` when `levels` passes kMaxNesting.
+  static void check_nesting(int levels, SourceLoc loc) {
+    if (levels > kMaxNesting) {
+      throw LarcsError("nesting deeper than " +
+                           std::to_string(kMaxNesting) + " levels",
+                       loc);
+    }
+  }
+
+  /// The node, once its height passes check_nesting.
+  static ExprPtr capped(ExprPtr e) {
+    check_nesting(e->height, e->loc);
+    return e;
+  }
+
+  /// Sets the node's height from its children; check_nesting then
+  /// passes it or throws at `loc`.
+  static void set_height(PhaseExprNode& node, SourceLoc loc) {
+    for (const auto& child : node.children) {
+      node.height = std::max(node.height, child.height + 1);
+    }
+    check_nesting(node.height, loc);
+  }
 
   /// Opens one nesting level for its scope; throws at the current token
   /// when that level would pass kMaxNesting.
   class Nested {
    public:
     explicit Nested(Parser& parser) : depth_(parser.depth_) {
-      if (++depth_ > kMaxNesting) {
-        throw LarcsError("nesting deeper than " +
-                             std::to_string(kMaxNesting) + " levels",
-                         parser.current().loc);
-      }
+      check_nesting(++depth_, parser.current().loc);
     }
     ~Nested() { --depth_; }
     Nested(const Nested&) = delete;
@@ -373,6 +402,7 @@ class Parser {
       expect(TokenKind::Semicolon);
       seq.children.push_back(parse_phase_par());
     }
+    set_height(seq, seq.loc);
     return seq;
   }
 
@@ -395,17 +425,21 @@ class Parser {
     while (accept(TokenKind::ParBar)) {
       par.children.push_back(parse_phase_rep());
     }
+    set_height(par, par.loc);
     return par;
   }
 
   PhaseExprNode parse_phase_rep() {
     PhaseExprNode body = parse_phase_atom();
-    while (accept(TokenKind::Caret)) {
+    while (at(TokenKind::Caret)) {
+      const SourceLoc caret = current().loc;
+      ++pos_;
       PhaseExprNode rep;
       rep.kind = PhaseExprNode::Kind::Repeat;
       rep.loc = body.loc;
       rep.count = parse_primary();  // INT | IDENT | ( expr )
       rep.children.push_back(std::move(body));
+      set_height(rep, caret);
       body = std::move(rep);
     }
     return body;
@@ -439,7 +473,7 @@ class Parser {
     while (at(TokenKind::KwOr)) {
       const SourceLoc loc = current().loc;
       ++pos_;
-      lhs = Expr::binary(BinOp::Or, std::move(lhs), parse_and(), loc);
+      lhs = capped(Expr::binary(BinOp::Or, std::move(lhs), parse_and(), loc));
     }
     return lhs;
   }
@@ -449,7 +483,7 @@ class Parser {
     while (at(TokenKind::KwAnd)) {
       const SourceLoc loc = current().loc;
       ++pos_;
-      lhs = Expr::binary(BinOp::And, std::move(lhs), parse_not(), loc);
+      lhs = capped(Expr::binary(BinOp::And, std::move(lhs), parse_not(), loc));
     }
     return lhs;
   }
@@ -459,7 +493,7 @@ class Parser {
       const Nested nested(*this);
       const SourceLoc loc = current().loc;
       ++pos_;
-      return Expr::unary(UnOp::Not, parse_not(), loc);
+      return capped(Expr::unary(UnOp::Not, parse_not(), loc));
     }
     return parse_cmp();
   }
@@ -479,7 +513,7 @@ class Parser {
     }
     const SourceLoc loc = current().loc;
     ++pos_;
-    return Expr::binary(op, std::move(lhs), parse_add(), loc);
+    return capped(Expr::binary(op, std::move(lhs), parse_add(), loc));
   }
 
   ExprPtr parse_add() {
@@ -495,7 +529,7 @@ class Parser {
       }
       const SourceLoc loc = current().loc;
       ++pos_;
-      lhs = Expr::binary(op, std::move(lhs), parse_mul(), loc);
+      lhs = capped(Expr::binary(op, std::move(lhs), parse_mul(), loc));
     }
   }
 
@@ -514,7 +548,7 @@ class Parser {
       }
       const SourceLoc loc = current().loc;
       ++pos_;
-      lhs = Expr::binary(op, std::move(lhs), parse_unary(), loc);
+      lhs = capped(Expr::binary(op, std::move(lhs), parse_unary(), loc));
     }
   }
 
@@ -523,7 +557,7 @@ class Parser {
       const Nested nested(*this);
       const SourceLoc loc = current().loc;
       ++pos_;
-      return Expr::unary(UnOp::Neg, parse_unary(), loc);
+      return capped(Expr::unary(UnOp::Neg, parse_unary(), loc));
     }
     return parse_primary();
   }
@@ -546,7 +580,7 @@ class Parser {
           }
         }
         expect(TokenKind::RParen);
-        return Expr::call(std::move(name), std::move(args), loc);
+        return capped(Expr::call(std::move(name), std::move(args), loc));
       }
       return Expr::var(std::move(name), loc);
     }

@@ -54,19 +54,4 @@ std::string to_string(TokenKind kind) {
   return "?";
 }
 
-bool starts_declaration(TokenKind kind) {
-  switch (kind) {
-    case TokenKind::KwImport:
-    case TokenKind::KwConst:
-    case TokenKind::KwNodetype:
-    case TokenKind::KwFamily:
-    case TokenKind::KwComphase:
-    case TokenKind::KwExphase:
-    case TokenKind::KwPhases:
-      return true;
-    default:
-      return false;
-  }
-}
-
 }  // namespace oregami::larcs

@@ -79,9 +79,4 @@ struct Token {
   SourceLoc loc;
 };
 
-/// True when `kind` is one of the declaration-starting keywords; the
-/// phase-expression parser uses this to find the end of a `phases`
-/// declaration.
-[[nodiscard]] bool starts_declaration(TokenKind kind);
-
 }  // namespace oregami::larcs

@@ -5,21 +5,9 @@
 #include <queue>
 #include <tuple>
 
-#include "oregami/arch/routes.hpp"
 #include "oregami/support/error.hpp"
 
 namespace oregami {
-
-Route AggregationTree::route_to_root(const Topology& topo, int p) const {
-  std::vector<int> nodes{p};
-  while (p != root) {
-    OREGAMI_ASSERT(parent[static_cast<std::size_t>(p)] != -1,
-                   "tree must reach the root");
-    p = parent[static_cast<std::size_t>(p)];
-    nodes.push_back(p);
-  }
-  return route_from_nodes(topo, std::move(nodes));
-}
 
 std::vector<std::int64_t> committed_link_load(
     const std::vector<PhaseRouting>& routing, int num_links) {

@@ -31,9 +31,6 @@ struct AggregationTree {
   std::vector<std::int64_t> tree_load;
   /// max over links of (existing + tree) load.
   std::int64_t bottleneck = 0;
-
-  /// Route from processor p to the root along the tree.
-  [[nodiscard]] Route route_to_root(const Topology& topo, int p) const;
 };
 
 /// Chooses the spanning tree. `existing_link_load` may be empty (all

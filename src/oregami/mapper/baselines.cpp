@@ -107,11 +107,4 @@ Embedding random_embedding(int num_clusters, const Topology& topo,
   return e;
 }
 
-Embedding identity_embedding(int num_clusters) {
-  Embedding e;
-  e.proc_of_cluster.resize(static_cast<std::size_t>(num_clusters));
-  std::iota(e.proc_of_cluster.begin(), e.proc_of_cluster.end(), 0);
-  return e;
-}
-
 }  // namespace oregami

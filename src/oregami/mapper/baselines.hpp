@@ -43,7 +43,4 @@ namespace oregami {
                                          const Topology& topo,
                                          std::uint64_t seed);
 
-/// Identity embedding: cluster c -> processor c.
-[[nodiscard]] Embedding identity_embedding(int num_clusters);
-
 }  // namespace oregami

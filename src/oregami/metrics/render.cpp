@@ -176,26 +176,4 @@ std::string render_task_graph_dot(const TaskGraph& graph) {
   return out;
 }
 
-std::string render_mapping_dot(const TaskGraph& graph,
-                               const std::vector<int>& proc_of_task,
-                               const Topology& topo) {
-  const auto by_proc =
-      tasks_by_proc(graph, proc_of_task, topo.num_procs());
-  std::string out = "graph mapping {\n  node [shape=box];\n";
-  for (int p = 0; p < topo.num_procs(); ++p) {
-    std::string label = "proc " + std::to_string(p) + " [" +
-                        topo.proc_label(p) + "]";
-    for (const int t : by_proc[static_cast<std::size_t>(p)]) {
-      label += "\\n" + graph.task_name(t);
-    }
-    out += "  p" + std::to_string(p) + " [label=\"" + label + "\"];\n";
-  }
-  for (const auto& e : topo.graph().edges()) {
-    out += "  p" + std::to_string(e.u) + " -- p" + std::to_string(e.v) +
-           ";\n";
-  }
-  out += "}\n";
-  return out;
-}
-
 }  // namespace oregami

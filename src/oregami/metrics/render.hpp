@@ -1,7 +1,7 @@
 // Text renderers standing in for the original METRICS colour displays
 // (see DESIGN.md substitution table): tabular metric reports, an ASCII
 // picture of mesh/ring placements, and Graphviz DOT export of the task
-// graph and its mapping.
+// graph.
 #pragma once
 
 #include <string>
@@ -31,11 +31,5 @@ namespace oregami {
 
 /// Graphviz DOT of the colored task graph (one edge color per phase).
 [[nodiscard]] std::string render_task_graph_dot(const TaskGraph& graph);
-
-/// Graphviz DOT of the mapping: processors as clusters of tasks, links
-/// as edges.
-[[nodiscard]] std::string render_mapping_dot(
-    const TaskGraph& graph, const std::vector<int>& proc_of_task,
-    const Topology& topo);
 
 }  // namespace oregami

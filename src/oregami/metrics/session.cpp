@@ -84,24 +84,6 @@ EditReport MetricsSession::reroute_edge(int phase_index, int edge_index,
   return report;
 }
 
-EditReport MetricsSession::apply_repair(const RepairResult& repair) {
-  std::vector<int> proc = repair.mapping.proc_of_task();
-  if (proc.size() != proc_of_task_.size() ||
-      repair.mapping.routing.size() != routing_.size()) {
-    throw MappingError(
-        "apply_repair: repaired mapping does not match this session's "
-        "graph");
-  }
-  EditReport report;
-  report.before = metrics_;
-  history_.push_back({proc_of_task_, routing_, metrics_});
-  proc_of_task_ = std::move(proc);
-  routing_ = repair.mapping.routing;
-  recompute_metrics();
-  report.after = metrics_;
-  return report;
-}
-
 bool MetricsSession::undo() {
   if (history_.empty()) {
     return false;

@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "oregami/mapper/repair.hpp"
 #include "oregami/metrics/metrics.hpp"
 
 namespace oregami {
@@ -53,13 +52,6 @@ class MetricsSession {
   /// with a user-supplied route; the route must be a valid walk between
   /// the current endpoint processors. Throws MappingError otherwise.
   EditReport reroute_edge(int phase_index, int edge_index, Route route);
-
-  /// Installs a repaired mapping (mapper/repair.hpp) as one undoable
-  /// session edit: the fault event plus the whole repair delta land in
-  /// the history as a single move, so undo() restores the pre-fault
-  /// placement, routing, and metrics exactly. The repair must be for
-  /// this session's graph and (base) topology.
-  EditReport apply_repair(const RepairResult& repair);
 
   /// Undoes the most recent edit; returns false when the history is
   /// empty.

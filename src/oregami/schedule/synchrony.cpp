@@ -78,50 +78,4 @@ std::string local_directive(const TaskGraph& graph,
   return graph.phase_expr().to_string(graph.comm_phases(), local_phases);
 }
 
-std::vector<PhaseRouting> synchrony_route(
-    const TaskGraph& graph, const std::vector<int>& proc_of_task,
-    const Topology& topo, const ScheduleResult& schedule,
-    const RouteOptions& options) {
-  // Present each phase's edges in synchrony order by building a
-  // reordered shadow graph, routing it, and mapping routes back.
-  TaskGraph shadow;
-  for (int t = 0; t < graph.num_tasks(); ++t) {
-    shadow.add_task(graph.task_name(t));
-  }
-  std::vector<std::vector<std::size_t>> original_index_of;
-  for (const auto& phase : graph.comm_phases()) {
-    const int p = shadow.add_comm_phase(phase.name);
-    std::vector<std::size_t> order(phase.edges.size());
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      order[i] = i;
-    }
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       const int sa = schedule.set_of_task[
-                           static_cast<std::size_t>(phase.edges[a].src)];
-                       const int sb = schedule.set_of_task[
-                           static_cast<std::size_t>(phase.edges[b].src)];
-                       return sa < sb;
-                     });
-    for (const std::size_t i : order) {
-      const auto& e = phase.edges[i];
-      shadow.add_comm_edge(p, e.src, e.dst, e.volume);
-    }
-    original_index_of.push_back(std::move(order));
-  }
-
-  const auto shadow_routing = mm_route(shadow, proc_of_task, topo, options);
-
-  std::vector<PhaseRouting> result(graph.comm_phases().size());
-  for (std::size_t k = 0; k < result.size(); ++k) {
-    result[k].route_of_edge.resize(
-        graph.comm_phases()[k].edges.size());
-    for (std::size_t pos = 0; pos < original_index_of[k].size(); ++pos) {
-      result[k].route_of_edge[original_index_of[k][pos]] =
-          shadow_routing[k].route_of_edge[pos];
-    }
-  }
-  return result;
-}
-
 }  // namespace oregami

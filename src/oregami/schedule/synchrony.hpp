@@ -4,20 +4,15 @@
 // pays to coordinate *which* of them executes when across the machine.
 //
 // A synchrony set is "a set of tasks, one on each processor, that
-// should be executing at the same time". This module derives the sets,
-// emits per-processor scheduling directives in a path-expression-like
-// notation (after [CH74], as the paper proposes), and uses the sets to
-// refine MM-Route: messages whose sources share a synchrony set are
-// matched to links together, wave by wave.
+// should be executing at the same time". This module derives the sets
+// and emits per-processor scheduling directives in a path-expression-
+// like notation (after [CH74], as the paper proposes).
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "oregami/arch/topology.hpp"
-#include "oregami/core/mapping.hpp"
 #include "oregami/core/task_graph.hpp"
-#include "oregami/mapper/mm_route.hpp"
 
 namespace oregami {
 
@@ -50,16 +45,5 @@ struct ScheduleResult {
 [[nodiscard]] std::string local_directive(const TaskGraph& graph,
                                           const ScheduleResult& schedule,
                                           int processor);
-
-/// Schedule-aware MM-Route: within every phase, messages are presented
-/// to the matcher in synchrony-set order of their source tasks, so each
-/// matching wave serves one synchrony set before the next (the §6
-/// "identification of these synchrony sets can be used to refine the
-/// routing algorithm"). Routes come back in the phase's original edge
-/// order.
-[[nodiscard]] std::vector<PhaseRouting> synchrony_route(
-    const TaskGraph& graph, const std::vector<int>& proc_of_task,
-    const Topology& topo, const ScheduleResult& schedule,
-    const RouteOptions& options = {});
 
 }  // namespace oregami

@@ -1,7 +1,8 @@
 # One stdin stream through oregami_serve, carrying one-line inputs that
 # kill a daemon without input bounds: topology specs past a factory's
 # precondition or the size caps, JSON nested 30,000 deep, and inline
-# LaRCS nested 30,000 deep in an expression and in a phase expression.
+# LaRCS nested 30,000 deep in an expression and in a phase expression,
+# or chaining 300,000 `+` or `^` operators into one left-deep tree.
 # Good jobs run in between. The daemon must answer every line, give
 # each bad line a code-2 or code-3 error line, and drain to exit 0.
 # Run via:  cmake -DOREGAMI_SERVE=... -DWORK_DIR=... -P daemon_survives.cmake
@@ -41,6 +42,13 @@ set(head "algorithm t(n); nodetype x[i: 0 .. n-1];")
 send("{\"id\":\"deep-expr\",\"larcs\":\"${head} comphase a { x(i) -> x((i+1) mod n) volume ${open}1${close}; } phases a;\",\"bind\":{\"n\":4},\"topology\":\"ring:4\"}" bad)
 send("${good}" good)
 send("{\"id\":\"deep-phases\",\"larcs\":\"${head} comphase a { x(i) -> x((i+1) mod n); } phases ${open}a${close};\",\"bind\":{\"n\":4},\"topology\":\"ring:4\"}" bad)
+send("${good}" good)
+
+string(REPEAT "+1" 299999 sum)
+send("{\"id\":\"long-sum\",\"larcs\":\"${head} comphase a { x(i) -> x((i+1) mod n) volume 1${sum}; } phases a;\",\"bind\":{\"n\":4},\"topology\":\"ring:4\"}" bad)
+send("${good}" good)
+string(REPEAT "^1" 300000 carets)
+send("{\"id\":\"long-repeat\",\"larcs\":\"${head} comphase a { x(i) -> x((i+1) mod n); } phases a${carets};\",\"bind\":{\"n\":4},\"topology\":\"ring:4\"}" bad)
 send("${good}" good)
 
 execute_process(COMMAND ${OREGAMI_SERVE} --deterministic

@@ -33,10 +33,14 @@ TEST(Aggregation, SpanningTreeOnHypercube) {
   const auto tree = choose_aggregation_tree(topo, 0);
   expect_valid_tree(tree, topo);
   // With no existing load the tree is hop-minimal: every processor's
-  // path length equals its cube distance to the root.
+  // parent chain is as long as its cube distance to the root.
   for (int v = 0; v < 8; ++v) {
-    const auto route = tree.route_to_root(topo, v);
-    EXPECT_EQ(route.hops(), topo.distance(v, 0));
+    int hops = 0;
+    for (int at = v; at != tree.root;
+         at = tree.parent[static_cast<std::size_t>(at)]) {
+      ++hops;
+    }
+    EXPECT_EQ(hops, topo.distance(v, 0));
   }
 }
 

@@ -123,17 +123,10 @@ TEST(GrayCode, ConsecutiveCodesDifferInOneBit) {
   }
 }
 
-TEST(GrayCode, RankIsInverse) {
-  for (std::uint32_t i = 0; i < 4096; ++i) {
-    EXPECT_EQ(gray_rank(gray_code(i)), i);
-  }
-}
-
 TEST(GrayCode, SequenceIsPermutation) {
-  const auto seq = gray_sequence(6);
-  ASSERT_EQ(seq.size(), 64u);
   std::vector<bool> seen(64, false);
-  for (const auto code : seq) {
+  for (std::uint32_t i = 0; i < 64; ++i) {
+    const auto code = gray_code(i);
     ASSERT_LT(code, 64u);
     EXPECT_FALSE(seen[code]);
     seen[code] = true;

@@ -205,26 +205,6 @@ TEST(PermGroup, SubgroupClosureGeneratesKlein) {
 
 // --- Cayley graphs --------------------------------------------------------
 
-TEST(Cayley, CayleyGraphOfZ6IsARing) {
-  const auto group = PermutationGroup::generate({rotation(6, 1)}, 6);
-  ASSERT_TRUE(group.has_value());
-  const auto cg = cayley_graph(*group);
-  EXPECT_EQ(cg.num_nodes, 6);
-  EXPECT_EQ(cg.edges.size(), 6u);  // one generator, one edge per element
-  // Every node has out-degree 1 and in-degree 1.
-  std::vector<int> out(6, 0);
-  std::vector<int> in(6, 0);
-  for (const auto& e : cg.edges) {
-    ++out[static_cast<std::size_t>(e.from)];
-    ++in[static_cast<std::size_t>(e.to)];
-    EXPECT_EQ(e.generator, 0);
-  }
-  for (int v = 0; v < 6; ++v) {
-    EXPECT_EQ(out[static_cast<std::size_t>(v)], 1);
-    EXPECT_EQ(in[static_cast<std::size_t>(v)], 1);
-  }
-}
-
 TEST(Cayley, QuotientCollapsesToCosets) {
   const auto group = PermutationGroup::generate({rotation(8, 1)}, 8);
   ASSERT_TRUE(group.has_value());

@@ -122,12 +122,5 @@ TEST(TokenKindNames, HumanReadable) {
   EXPECT_EQ(to_string(TokenKind::EndOfFile), "end of file");
 }
 
-TEST(StartsDeclaration, OnlyDeclKeywords) {
-  EXPECT_TRUE(starts_declaration(TokenKind::KwComphase));
-  EXPECT_TRUE(starts_declaration(TokenKind::KwPhases));
-  EXPECT_FALSE(starts_declaration(TokenKind::Identifier));
-  EXPECT_FALSE(starts_declaration(TokenKind::KwWhen));
-}
-
 }  // namespace
 }  // namespace oregami::larcs

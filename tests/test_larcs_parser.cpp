@@ -224,6 +224,15 @@ std::string nested(int depth, const std::string& open,
   return text;
 }
 
+/// `terms` copies of `term` joined by `op`.
+std::string chain(int terms, const std::string& term, const std::string& op) {
+  std::string text = term;
+  for (int i = 1; i < terms; ++i) {
+    text += op + term;
+  }
+  return text;
+}
+
 TEST(ParserErrors, NestingPastTheCapIsALocatedError) {
   // Each level is one recursive call, so 30,000 levels would overflow
   // the stack without the cap.
@@ -258,6 +267,22 @@ TEST(ParserErrors, NestingPastTheCapIsALocatedError) {
   expect_cap(rule_program("", nested(30000, "(", "a", ")")), 4,
              static_cast<int>(std::string("phases ").size()) + 257);
   expect_cap(rule_program("", "a^" + nested(30000, "(", "2", ")")), 4, 0);
+  // A chain of n binary or `^` operators is a tree n levels tall, which
+  // evaluation, lowering and the destructors recurse over: the error
+  // sits at the 257th operator.
+  expect_cap(rule_program("volume " + chain(300, "1", "+")), 3,
+             start + 2 * 257);
+  expect_cap(rule_program("volume " + chain(300, "1", "*")), 3,
+             start + 2 * 257);
+  expect_cap(rule_program("when " + chain(300, "i > 0", " and ")), 3, 0);
+  expect_cap(rule_program("when " + chain(300, "i > 0", " or ")), 3, 0);
+  expect_cap(rule_program("", "a" + nested(300, "^1", "", "")), 4,
+             static_cast<int>(std::string("phases ").size()) + 2 * 257);
+  // A parenthesised chain as the first operand of another chain adds
+  // its height.
+  expect_cap(rule_program("volume (" + chain(200, "1", "+") + ")*" +
+                          chain(100, "1", "*")),
+             3, 0);
   // 256 levels still parse.
   EXPECT_NO_THROW((void)parse_program(
       rule_program("volume " + nested(256, "(", "1", ")"))));
@@ -266,6 +291,12 @@ TEST(ParserErrors, NestingPastTheCapIsALocatedError) {
   EXPECT_NO_THROW((void)parse_expression(nested(256, "- ", "1", "")));
   EXPECT_THROW((void)parse_expression(nested(257, "- ", "1", "")),
                LarcsError);
+  EXPECT_NO_THROW((void)parse_program(
+      rule_program("volume " + chain(200, "1", "+"))));
+  EXPECT_NO_THROW(
+      (void)parse_program(rule_program("", "a" + nested(200, "^1", "", ""))));
+  EXPECT_NO_THROW((void)parse_expression(chain(257, "1", "-")));
+  EXPECT_THROW((void)parse_expression(chain(258, "1", "-")), LarcsError);
 }
 
 TEST(ParserErrors, ReportsLocation) {

@@ -233,10 +233,5 @@ TEST(Baselines, RandomEmbeddingIsInjective) {
   }
 }
 
-TEST(Baselines, IdentityEmbedding) {
-  const auto e = identity_embedding(4);
-  EXPECT_EQ(e.proc_of_cluster, (std::vector<int>{0, 1, 2, 3}));
-}
-
 }  // namespace
 }  // namespace oregami

@@ -93,14 +93,5 @@ TEST(Render, TaskGraphDotIsWellFormed) {
   EXPECT_NE(dot.find("}"), std::string::npos);
 }
 
-TEST(Render, MappingDotListsProcessorsAndLinks) {
-  const auto m = Mapped::nbody_on_cube();
-  const auto dot = render_mapping_dot(
-      m.graph, m.report.mapping.proc_of_task(), m.topo);
-  EXPECT_EQ(dot.rfind("graph mapping {", 0), 0u);
-  EXPECT_NE(dot.find("p0"), std::string::npos);
-  EXPECT_NE(dot.find(" -- "), std::string::npos);
-}
-
 }  // namespace
 }  // namespace oregami

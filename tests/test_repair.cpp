@@ -1,7 +1,6 @@
-// Degraded-mode repair tests, in three tiers:
+// Degraded-mode repair tests, in two tiers:
 //   * targeted ladder behaviour (migrate -> refine -> remap, deadlines,
 //     disabled rungs, determinism);
-//   * MetricsSession::apply_repair as an undoable edit;
 //   * a generated safety suite (>= 200 random program x topology x
 //     fault cases): repair either returns a valid mapping that places
 //     every task on a healthy processor with routes avoiding every dead
@@ -19,7 +18,6 @@
 #include "oregami/mapper/driver.hpp"
 #include "oregami/mapper/repair.hpp"
 #include "oregami/metrics/completion_model.hpp"
-#include "oregami/metrics/session.hpp"
 #include "oregami/support/error.hpp"
 #include "oregami/support/rng.hpp"
 
@@ -206,25 +204,6 @@ TEST(Repair, IndependentOfRemapWorkerCount) {
   const RepairResult wide = repair_mapping(graph, ft, report.mapping, opts);
   EXPECT_EQ(serial.mapping.proc_of_task(), wide.mapping.proc_of_task());
   EXPECT_EQ(serial.degraded_completion, wide.degraded_completion);
-}
-
-TEST(Repair, SessionApplyRepairIsUndoable) {
-  const TaskGraph graph = grid_graph(4, 4);
-  const Topology topo = Topology::mesh(4, 4);
-  const auto report = map_computation(graph, topo);
-  const FaultedTopology ft(topo, FaultSpec::parse("p5", topo));
-  const RepairResult repaired = repair_mapping(graph, ft, report.mapping);
-
-  MetricsSession session(graph, topo, report.mapping);
-  const auto before = session.metrics();
-  const EditReport edit = session.apply_repair(repaired);
-  EXPECT_EQ(session.metrics().completion,
-            completion_time(graph, repaired.mapping.proc_of_task(),
-                            repaired.mapping.routing, topo));
-  (void)edit;
-  ASSERT_TRUE(session.undo());
-  EXPECT_EQ(session.metrics().completion, before.completion);
-  EXPECT_EQ(session.metrics().total_ipc, before.total_ipc);
 }
 
 TEST(Repair, DegradedMappingThroughMapperOptions) {

@@ -2,7 +2,6 @@
 
 #include <set>
 
-#include "oregami/arch/routes.hpp"
 #include "oregami/larcs/compiler.hpp"
 #include "oregami/larcs/programs.hpp"
 #include "oregami/mapper/driver.hpp"
@@ -99,63 +98,6 @@ TEST(Synchrony, DirectiveForIdleProcessorSaysIdle) {
   g.set_phase_expr(PhaseTree::exec(0));
   const auto schedule = derive_synchrony_sets(g, {0}, 3);
   EXPECT_EQ(local_directive(g, schedule, 2), "idle");
-}
-
-TEST(SynchronyRoute, RoutesValidAndAlignedWithOriginalEdges) {
-  const Fixture f;
-  const auto schedule =
-      derive_synchrony_sets(f.cp.graph, f.procs, f.topo.num_procs());
-  const auto routing =
-      synchrony_route(f.cp.graph, f.procs, f.topo, schedule);
-  ASSERT_EQ(routing.size(), f.cp.graph.comm_phases().size());
-  for (std::size_t k = 0; k < routing.size(); ++k) {
-    const auto& phase = f.cp.graph.comm_phases()[k];
-    ASSERT_EQ(routing[k].route_of_edge.size(), phase.edges.size());
-    for (std::size_t i = 0; i < phase.edges.size(); ++i) {
-      const auto& e = phase.edges[i];
-      EXPECT_TRUE(is_shortest_route(
-          f.topo, routing[k].route_of_edge[i],
-          f.procs[static_cast<std::size_t>(e.src)],
-          f.procs[static_cast<std::size_t>(e.dst)]))
-          << "phase " << phase.name << " edge " << i;
-    }
-  }
-}
-
-TEST(SynchronyRoute, Deterministic) {
-  const Fixture f;
-  const auto schedule =
-      derive_synchrony_sets(f.cp.graph, f.procs, f.topo.num_procs());
-  const auto a = synchrony_route(f.cp.graph, f.procs, f.topo, schedule);
-  const auto b = synchrony_route(f.cp.graph, f.procs, f.topo, schedule);
-  for (std::size_t k = 0; k < a.size(); ++k) {
-    for (std::size_t i = 0; i < a[k].route_of_edge.size(); ++i) {
-      EXPECT_EQ(a[k].route_of_edge[i].links, b[k].route_of_edge[i].links);
-    }
-  }
-}
-
-TEST(SynchronyRoute, ContentionComparableToPlainMmRoute) {
-  const Fixture f;
-  const auto schedule =
-      derive_synchrony_sets(f.cp.graph, f.procs, f.topo.num_procs());
-  const auto sync = synchrony_route(f.cp.graph, f.procs, f.topo, schedule);
-  const auto plain = mm_route(f.cp.graph, f.procs, f.topo);
-  auto max_contention = [&](const std::vector<PhaseRouting>& routing) {
-    int worst = 0;
-    for (const auto& pr : routing) {
-      std::vector<int> count(
-          static_cast<std::size_t>(f.topo.num_links()), 0);
-      for (const auto& r : pr.route_of_edge) {
-        for (const int link : r.links) {
-          worst = std::max(worst, ++count[static_cast<std::size_t>(link)]);
-        }
-      }
-    }
-    return worst;
-  };
-  // Reordering must not blow up contention (same matching machinery).
-  EXPECT_LE(max_contention(sync), max_contention(plain) + 1);
 }
 
 }  // namespace

@@ -31,9 +31,6 @@ TEST(TaskGraph, BasicAccessors) {
   EXPECT_EQ(g.comm_phases().size(), 2u);
   EXPECT_EQ(g.num_comm_edges(), 6);
   EXPECT_EQ(g.total_volume(), 4 * 2 + 2 * 5);
-  EXPECT_EQ(g.comm_phase_index("chord"), 1);
-  EXPECT_FALSE(g.comm_phase_index("nope").has_value());
-  EXPECT_EQ(g.exec_phase_index("work"), 0);
 }
 
 TEST(TaskGraph, AggregateGraphCollapsesAntiparallelEdges) {
@@ -157,7 +154,6 @@ TEST(Mapping, ProcOfTaskComposes) {
   m.contraction.cluster_of_task = {0, 1, 0, 1};
   m.embedding.proc_of_cluster = {7, 3};
   EXPECT_EQ(m.proc_of_task(), (std::vector<int>{7, 3, 7, 3}));
-  EXPECT_EQ(m.task_processor(2), 7);
 }
 
 TEST(Route, HopCount) {
