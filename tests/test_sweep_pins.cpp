@@ -18,6 +18,7 @@
 #include "mapping_text.hpp"
 #include "oregami/arch/fault_model.hpp"
 #include "oregami/arch/topology_spec.hpp"
+#include "oregami/core/synthetic.hpp"
 #include "oregami/larcs/compiler.hpp"
 #include "oregami/larcs/parser.hpp"
 #include "oregami/larcs/programs.hpp"
@@ -269,15 +270,29 @@ TEST(DegradedMapPins, JacobiDeadProcessorAndLink) {
 
 // ------------------------------------------------------- map_multilevel
 
-Pinned<MapperReport> multilevel_stencil(int max_levels) {
+/// The torus_stencil program at r=c=64 (4096 tasks) mapped onto `spec`
+/// by the V-cycle with `ml`.
+Pinned<MapperReport> multilevel_stencil(const std::string& spec,
+                                        const MultilevelOptions& ml) {
   const Compiled c =
       compile_named("torus_stencil", {{"r", 64}, {"c", 64}, {"iters", 1}});
-  const Topology topo = parse_topology_spec("torus:8x8");
-  MultilevelOptions ml;
-  ml.max_levels = max_levels;
+  const Topology topo = parse_topology_spec(spec);
   MapperReport report = map_multilevel(c.cp.graph, topo, ml);
   const std::uint64_t d = digest(c.cp.graph, topo, report.mapping);
   return {std::move(report), d};
+}
+
+Pinned<MapperReport> multilevel_stencil(int max_levels) {
+  MultilevelOptions ml;
+  ml.max_levels = max_levels;
+  return multilevel_stencil("torus:8x8", ml);
+}
+
+Pinned<MapperReport> multilevel_rounds(int refine_rounds) {
+  MultilevelOptions ml;
+  ml.max_levels = 2;
+  ml.refine_rounds = refine_rounds;
+  return multilevel_stencil("torus:8x8", ml);
 }
 
 TEST(MultilevelPins, TorusStencilAutoDepth) {
@@ -294,6 +309,115 @@ TEST(MultilevelPins, TorusStencilLevelCap) {
   EXPECT_EQ(report.details,
             "multilevel V-cycle: 3 level(s), 4096 -> 1214 super-tasks; "
             "coarsest map round-robin; 191 refining moves");
+}
+
+// One row per distance oracle the V-cycle's route walks and proposals
+// read: the torus rows above, and here the mesh, hypercube, ring,
+// tree, butterfly and 3-D mesh closed forms.
+TEST(MultilevelPins, TorusStencilOnMesh) {
+  const auto [report, mapping_digest] = multilevel_stencil("mesh:8x8", {});
+  EXPECT_EQ(mapping_digest, 0x0032ffec8f4baa47ULL);
+  EXPECT_EQ(report.details,
+            "multilevel V-cycle: 8 level(s), 4096 -> 64 super-tasks; coarsest "
+            "map NN-Embed; 11 refining moves");
+}
+
+TEST(MultilevelPins, TorusStencilOnHypercube) {
+  const auto [report, mapping_digest] =
+      multilevel_stencil("hypercube:6", {});
+  EXPECT_EQ(mapping_digest, 0x685aab6f297abe02ULL);
+  EXPECT_EQ(report.details,
+            "multilevel V-cycle: 8 level(s), 4096 -> 64 super-tasks; coarsest "
+            "map NN-Embed; 11 refining moves");
+}
+
+TEST(MultilevelPins, TorusStencilOnRing) {
+  const auto [report, mapping_digest] = multilevel_stencil("ring:64", {});
+  EXPECT_EQ(mapping_digest, 0xae721b9c333ef395ULL);
+  EXPECT_EQ(report.details,
+            "multilevel V-cycle: 8 level(s), 4096 -> 64 super-tasks; coarsest "
+            "map NN-Embed; 14 refining moves");
+}
+
+TEST(MultilevelPins, TorusStencilOnTree) {
+  const auto [report, mapping_digest] = multilevel_stencil("cbt:6", {});
+  EXPECT_EQ(mapping_digest, 0x556e3381854fdb59ULL);
+  EXPECT_EQ(report.details,
+            "multilevel V-cycle: 8 level(s), 4096 -> 63 super-tasks; coarsest "
+            "map NN-Embed; 29 refining moves");
+}
+
+TEST(MultilevelPins, TorusStencilOnButterfly) {
+  const auto [report, mapping_digest] =
+      multilevel_stencil("butterfly:4", {});
+  EXPECT_EQ(mapping_digest, 0x88df94035e705322ULL);
+  EXPECT_EQ(report.details,
+            "multilevel V-cycle: 8 level(s), 4096 -> 80 super-tasks; coarsest "
+            "map NN-Embed; 15 refining moves");
+}
+
+TEST(MultilevelPins, TorusStencilOnMesh3D) {
+  const auto [report, mapping_digest] =
+      multilevel_stencil("mesh3d:4x4x4", {});
+  EXPECT_EQ(mapping_digest, 0x8109da1df31f2fcfULL);
+  EXPECT_EQ(report.details,
+            "multilevel V-cycle: 8 level(s), 4096 -> 64 super-tasks; coarsest "
+            "map NN-Embed; 14 refining moves");
+}
+
+// Other round counts, on the level-capped cycle: at auto depth the
+// second round already commits nothing, while here each level keeps
+// moving, so its proposals carry over through several commits.
+TEST(MultilevelPins, TorusStencilOneRound) {
+  const auto [report, mapping_digest] = multilevel_rounds(1);
+  EXPECT_EQ(mapping_digest, 0xc70a424a9b0a577bULL);
+  EXPECT_EQ(report.details,
+            "multilevel V-cycle: 3 level(s), 4096 -> 1214 super-tasks; "
+            "coarsest map round-robin; 179 refining moves");
+}
+
+TEST(MultilevelPins, TorusStencilFourRounds) {
+  const auto [report, mapping_digest] = multilevel_rounds(4);
+  EXPECT_EQ(mapping_digest, 0xb85180517ff5c4cfULL);
+  EXPECT_EQ(report.details,
+            "multilevel V-cycle: 3 level(s), 4096 -> 1214 super-tasks; "
+            "coarsest map round-robin; 191 refining moves");
+}
+
+TEST(MultilevelPins, TorusStencilEightRounds) {
+  const auto [report, mapping_digest] = multilevel_rounds(8);
+  EXPECT_EQ(mapping_digest, 0xb85180517ff5c4cfULL);
+  EXPECT_EQ(report.details,
+            "multilevel V-cycle: 3 level(s), 4096 -> 1214 super-tasks; "
+            "coarsest map round-robin; 191 refining moves");
+}
+
+// The driver's redirect runs the V-cycle on the healthy sub-machine, a
+// Custom topology, so its distances come from the BFS table.
+TEST(MultilevelPins, TorusStencilDeadProcessor) {
+  const Compiled c =
+      compile_named("torus_stencil", {{"r", 64}, {"c", 64}, {"iters", 1}});
+  const Topology topo = parse_topology_spec("torus:8x8");
+  const FaultedTopology ft(topo, FaultSpec::parse("p9", topo));
+  MapperOptions options;
+  options.faults = &ft;
+  options.multilevel = -1;
+  const MapperReport report = map_program(c.ast, c.cp, topo, options);
+  EXPECT_EQ(digest(c.cp.graph, topo, report.mapping), 0xc0b8b70b826fcc30ULL);
+  EXPECT_EQ(report.details,
+            "degraded machine (p9; 63/64 processors healthy); multilevel "
+            "V-cycle: 8 level(s), 4096 -> 63 super-tasks; coarsest map "
+            "NN-Embed; 13 refining moves");
+}
+
+TEST(MultilevelPins, PowerLawTenThousand) {
+  const TaskGraph graph = make_power_law(10000, 3, 0x317EULL);
+  const Topology topo = parse_topology_spec("torus:8x8");
+  const MapperReport report = map_multilevel(graph, topo);
+  EXPECT_EQ(digest(graph, topo, report.mapping), 0xae866a16b3836d27ULL);
+  EXPECT_EQ(report.details,
+            "multilevel V-cycle: 12 level(s), 10000 -> 64 super-tasks; "
+            "coarsest map NN-Embed; 565 refining moves");
 }
 
 // ------------------------------------------------------ the map dispatch
