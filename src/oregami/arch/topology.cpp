@@ -1,7 +1,6 @@
 #include "oregami/arch/topology.hpp"
 
 #include <algorithm>
-#include <bit>
 
 #include "oregami/graph/gray_code.hpp"
 #include "oregami/graph/shortest_paths.hpp"
@@ -241,169 +240,6 @@ const Topology::CustomDistances& Topology::custom_distances() const {
 
 namespace {
 
-int abs_diff(int a, int b) { return a < b ? b - a : a - b; }
-
-/// Row loops tabulate per-column terms this many columns at a time.
-constexpr int kRowChunk = 64;
-
-// Per-family distance oracles: operator()(u, v) is the family's closed
-// form. The mesh, torus, mesh3d and hypercube oracles are also
-// separable: processor v = outer * inner_size() + inner, and
-// distance(u, v) = outer_dist(u, outer) + inner_dist(u, inner). A
-// weighted row then needs neither a division nor a multiply per
-// element (see accumulate_row).
-
-struct RingOracle {
-  int p;
-  int operator()(int u, int v) const {
-    const int d = abs_diff(u, v);
-    return std::min(d, p - d);
-  }
-};
-
-struct ChainOracle {
-  int operator()(int u, int v) const { return abs_diff(u, v); }
-};
-
-/// Mesh (Wrap = false) and torus (Wrap = true): per-axis distances,
-/// with wraparound on the torus, summed.
-template <bool Wrap>
-struct GridOracle {
-  int rows;
-  int cols;
-  static int axis(int a, int b, int size) {
-    const int d = abs_diff(a, b);
-    return Wrap ? std::min(d, size - d) : d;
-  }
-  int outer_size() const { return rows; }
-  int inner_size() const { return cols; }
-  int outer_dist(int u, int r) const { return axis(u / cols, r, rows); }
-  int inner_dist(int u, int c) const { return axis(u % cols, c, cols); }
-  int operator()(int u, int v) const {
-    return outer_dist(u, v / cols) + inner_dist(u, v % cols);
-  }
-};
-
-/// Hypercube: the popcount of u ^ v; a row splits it into the high
-/// address bits (outer) and the low six (inner).
-struct HypercubeOracle {
-  int dim;
-  int low_bits() const { return std::min(dim, 6); }
-  int outer_size() const { return 1 << (dim - low_bits()); }
-  int inner_size() const { return 1 << low_bits(); }
-  int outer_dist(int u, int high) const {
-    return std::popcount(static_cast<unsigned>((u >> low_bits()) ^ high));
-  }
-  int inner_dist(int u, int low) const {
-    return std::popcount(
-        static_cast<unsigned>((u ^ low) & (inner_size() - 1)));
-  }
-  int operator()(int u, int v) const {
-    return std::popcount(static_cast<unsigned>(u ^ v));
-  }
-};
-
-struct TreeOracle {
-  // Heap numbering (children of v are 2v+1, 2v+2): node v + 1 in
-  // binary is the path from the root (a leading 1, then one bit per
-  // level, 0 = left), so its depth is bit_width(v + 1) - 1. Shifting
-  // the deeper node up to the other's depth, the two paths agree above
-  // the highest differing bit, which gives the LCA's depth.
-  int operator()(int u, int v) const {
-    const auto a = static_cast<unsigned>(u) + 1u;
-    const auto b = static_cast<unsigned>(v) + 1u;
-    const int da = static_cast<int>(std::bit_width(a)) - 1;
-    const int db = static_cast<int>(std::bit_width(b)) - 1;
-    const int common = std::min(da, db);
-    const unsigned diverge = (a >> (da - common)) ^ (b >> (db - common));
-    const int lca = common - static_cast<int>(std::bit_width(diverge));
-    return da + db - 2 * lca;
-  }
-};
-
-struct StarOracle {
-  int operator()(int u, int v) const {
-    return u == v ? 0 : (u == 0 || v == 0 ? 1 : 2);
-  }
-};
-
-struct CompleteOracle {
-  int operator()(int u, int v) const { return u == v ? 0 : 1; }
-};
-
-struct ButterflyOracle {
-  int k;  ///< node = rank * 2^k + column
-  // The only edges sit between consecutive ranks, and crossing the
-  // (b, b+1) transition may flip column bit b. A walk from rank r1 to
-  // r2 that fixes the differing bits must therefore cover the ranks
-  // from low = min(r1, r2, lowest differing bit) to high = max(r1, r2,
-  // highest differing bit + 1). Sweeping down first or up first, the
-  // shorter walk takes 2 * (high - low) - |r1 - r2| hops. Equal columns
-  // need no help: countr_zero(0) = 32 and bit_width(0) = 0 leave low
-  // and high at the ranks themselves.
-  static int walk(int r1, int r2, int lowest_bit, int highest_bit) {
-    const int low = std::min({r1, r2, lowest_bit});
-    const int high = std::max({r1, r2, highest_bit});
-    return 2 * (high - low) - abs_diff(r1, r2);
-  }
-  static int lowest_bit(unsigned diff) { return std::countr_zero(diff); }
-  static int highest_bit(unsigned diff) {
-    return static_cast<int>(std::bit_width(diff));
-  }
-  int operator()(int u, int v) const {
-    const auto diff = static_cast<unsigned>((u ^ v) & ((1 << k) - 1));
-    return walk(u >> k, v >> k, lowest_bit(diff), highest_bit(diff));
-  }
-  // The row's column terms (the differing bits) are found once per
-  // column, then reused by every rank.
-  void accumulate_row(int u, std::int64_t weight, std::int64_t* out) const {
-    int lowest[kRowChunk];
-    int highest[kRowChunk];
-    const int cols = 1 << k;
-    for (int c0 = 0; c0 < cols; c0 += kRowChunk) {
-      const int n = std::min(kRowChunk, cols - c0);
-      for (int i = 0; i < n; ++i) {
-        const auto diff = static_cast<unsigned>((u ^ (c0 + i)) & (cols - 1));
-        lowest[i] = lowest_bit(diff);
-        highest[i] = highest_bit(diff);
-      }
-      for (int rank = 0; rank <= k; ++rank) {
-        std::int64_t* block = out + rank * cols + c0;
-        for (int i = 0; i < n; ++i) {
-          block[i] += weight * walk(u >> k, rank, lowest[i], highest[i]);
-        }
-      }
-    }
-  }
-};
-
-/// 3-D mesh: outer = the (x, y) pair, inner = z.
-struct Mesh3DOracle {
-  int nx;
-  int ny;
-  int nz;
-  int outer_size() const { return nx * ny; }
-  int inner_size() const { return nz; }
-  int outer_dist(int u, int xy) const {
-    const int uxy = u / nz;
-    return abs_diff(uxy / ny, xy / ny) + abs_diff(uxy % ny, xy % ny);
-  }
-  int inner_dist(int u, int z) const { return abs_diff(u % nz, z); }
-  int operator()(int u, int v) const {
-    return outer_dist(u, v / nz) + inner_dist(u, v % nz);
-  }
-};
-
-/// Custom: the flat BFS table.
-struct TableOracle {
-  const int* flat;
-  int p;
-  int operator()(int u, int v) const {
-    return flat[static_cast<std::size_t>(u) * static_cast<std::size_t>(p) +
-                static_cast<std::size_t>(v)];
-  }
-};
-
 /// out[v] += weight * d(u, v) for every v in [0, p): chunked for a
 /// separable oracle, the oracle's own loop when it has one, else one
 /// inline oracle call per element.
@@ -413,6 +249,7 @@ void accumulate_row(const Oracle& d, int u, int p, std::int64_t weight,
   if constexpr (requires { d.inner_size(); }) {
     // Weight a chunk of inner terms once; each outer block then adds
     // its own weighted term to them, with no multiply per element.
+    using distance_oracle::kRowChunk;
     std::int64_t inner_term[kRowChunk];
     const int inner = d.inner_size();
     for (int i0 = 0; i0 < inner; i0 += kRowChunk) {
@@ -439,35 +276,6 @@ void accumulate_row(const Oracle& d, int u, int p, std::int64_t weight,
 
 }  // namespace
 
-template <class Fn>
-decltype(auto) Topology::with_oracle(Fn&& fn) const {
-  switch (family_) {
-    case TopoFamily::Ring:
-      return fn(RingOracle{shape_[0]});
-    case TopoFamily::Chain:
-      return fn(ChainOracle{});
-    case TopoFamily::Mesh:
-      return fn(GridOracle<false>{shape_[0], shape_[1]});
-    case TopoFamily::Torus:
-      return fn(GridOracle<true>{shape_[0], shape_[1]});
-    case TopoFamily::Hypercube:
-      return fn(HypercubeOracle{shape_[0]});
-    case TopoFamily::CompleteBinaryTree:
-      return fn(TreeOracle{});
-    case TopoFamily::Star:
-      return fn(StarOracle{});
-    case TopoFamily::Complete:
-      return fn(CompleteOracle{});
-    case TopoFamily::Butterfly:
-      return fn(ButterflyOracle{shape_[0]});
-    case TopoFamily::Mesh3D:
-      return fn(Mesh3DOracle{shape_[0], shape_[1], shape_[2]});
-    case TopoFamily::Custom:
-      break;
-  }
-  return fn(TableOracle{custom_distances().flat.data(), num_procs()});
-}
-
 int Topology::distance(int u, int v) const {
   OREGAMI_ASSERT(u >= 0 && u < num_procs() && v >= 0 && v < num_procs(),
                  "processor id out of range");
@@ -482,16 +290,6 @@ void Topology::accumulate_distance_row(int u, std::int64_t weight,
   with_oracle([&](const auto& d) {
     accumulate_row(d, u, num_procs(), weight, acc.data());
   });
-}
-
-DistanceRow Topology::distance_row(int u) const {
-  OREGAMI_ASSERT(u >= 0 && u < num_procs(), "processor id out of range");
-  const int* row = nullptr;
-  if (family_ == TopoFamily::Custom) {
-    row = custom_distances().flat.data() +
-          static_cast<std::size_t>(u) * static_cast<std::size_t>(num_procs());
-  }
-  return DistanceRow(*this, u, row);
 }
 
 int Topology::diameter() const {

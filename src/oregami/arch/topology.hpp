@@ -6,11 +6,12 @@
 // family metadata (so canned mappings and dimension-order routing can
 // exploit structure). Hop distances come from closed-form O(1) oracles
 // for every regular family (index arithmetic, per-axis Manhattan,
-// popcount, LCA depth, butterfly rank arithmetic); only Custom
-// topologies fall back to a BFS all-pairs table, stored as one flat
-// row-major allocation and filled exactly once under std::call_once.
-// Every const distance query is therefore allocation-free and safe to
-// call concurrently from multiple threads.
+// popcount, LCA depth, butterfly rank arithmetic; see
+// distance_oracle.hpp); only Custom topologies fall back to a BFS
+// all-pairs table, stored as one flat row-major allocation and filled
+// exactly once under std::call_once. Every const distance query is
+// therefore allocation-free and safe to call concurrently from multiple
+// threads.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "oregami/arch/distance_oracle.hpp"
 #include "oregami/graph/graph.hpp"
 
 namespace oregami {
@@ -40,30 +42,6 @@ enum class TopoFamily {
 };
 
 [[nodiscard]] std::string to_string(TopoFamily family);
-
-class Topology;
-
-/// View of one source row of the hop-distance matrix. For Custom
-/// topologies it points straight into the flat BFS table; for regular
-/// families each access evaluates the closed-form oracle. Cheap to
-/// copy, valid as long as the Topology it came from.
-class DistanceRow {
- public:
-  [[nodiscard]] int operator[](int v) const;
-  [[nodiscard]] int operator[](std::size_t v) const {
-    return (*this)[static_cast<int>(v)];
-  }
-  [[nodiscard]] int source() const { return u_; }
-
- private:
-  friend class Topology;
-  DistanceRow(const Topology& topo, int u, const int* row)
-      : topo_(&topo), u_(u), row_(row) {}
-
-  const Topology* topo_;
-  int u_;
-  const int* row_;  ///< flat table row (Custom) or nullptr (closed form)
-};
 
 class Topology {
  public:
@@ -101,8 +79,12 @@ class Topology {
   /// bfs_distances().
   [[nodiscard]] int distance(int u, int v) const;
 
-  /// Distance row view from `u` (see DistanceRow).
-  [[nodiscard]] DistanceRow distance_row(int u) const;
+  /// Returns fn(oracle) with this topology's distance oracle
+  /// (distance_oracle.hpp): oracle(u, v) == distance(u, v) for every
+  /// pair in range, unchecked. A loop that reads many distances picks
+  /// the family once here and evaluates the formula inline.
+  template <class Fn>
+  decltype(auto) with_oracle(Fn&& fn) const;
 
   /// Weighted row: acc[v] += weight * distance(u, v) for every
   /// processor v (acc.size() == num_procs()). The family is dispatched
@@ -143,12 +125,6 @@ class Topology {
 
   [[nodiscard]] const CustomDistances& custom_distances() const;
 
-  /// Returns fn(oracle) for this topology's family oracle: the one
-  /// place each family's distance formula is written, shared by
-  /// distance() and accumulate_distance_row().
-  template <class Fn>
-  decltype(auto) with_oracle(Fn&& fn) const;
-
   std::string name_;
   TopoFamily family_;
   std::vector<int> shape_;
@@ -158,8 +134,34 @@ class Topology {
   mutable std::shared_ptr<CustomDistances> custom_dist_;
 };
 
-inline int DistanceRow::operator[](int v) const {
-  return row_ != nullptr ? row_[v] : topo_->distance(u_, v);
+template <class Fn>
+decltype(auto) Topology::with_oracle(Fn&& fn) const {
+  namespace oracle = distance_oracle;
+  switch (family_) {
+    case TopoFamily::Ring:
+      return fn(oracle::Ring{shape_[0]});
+    case TopoFamily::Chain:
+      return fn(oracle::Chain{});
+    case TopoFamily::Mesh:
+      return fn(oracle::Grid<false>{shape_[0], shape_[1]});
+    case TopoFamily::Torus:
+      return fn(oracle::Grid<true>{shape_[0], shape_[1]});
+    case TopoFamily::Hypercube:
+      return fn(oracle::Hypercube{shape_[0]});
+    case TopoFamily::CompleteBinaryTree:
+      return fn(oracle::Tree{});
+    case TopoFamily::Star:
+      return fn(oracle::Star{});
+    case TopoFamily::Complete:
+      return fn(oracle::Complete{});
+    case TopoFamily::Butterfly:
+      return fn(oracle::Butterfly{shape_[0]});
+    case TopoFamily::Mesh3D:
+      return fn(oracle::Mesh3D{shape_[0], shape_[1], shape_[2]});
+    case TopoFamily::Custom:
+      break;
+  }
+  return fn(oracle::Table{custom_distances().flat.data(), num_procs()});
 }
 
 }  // namespace oregami

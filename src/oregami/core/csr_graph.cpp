@@ -11,55 +11,80 @@ namespace oregami {
 
 namespace {
 
-// Builds CSR arrays from a list of undirected (u, v, w) records with
-// u != v, possibly containing duplicates (which merge by summing).
-// Mutates `edges` (sorts it). O(m log m).
-void build_csr_from_pairs(int n,
-                          std::vector<std::pair<std::int64_t, std::int64_t>>& edges,
-                          CsrTaskGraph& out) {
-  // Each record is packed as (min<<32|max, weight); sorting groups
-  // duplicates so a single linear merge pass dedups them.
-  std::sort(edges.begin(), edges.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::size_t merged = 0;
-  for (std::size_t i = 0; i < edges.size();) {
-    std::int64_t key = edges[i].first;
-    std::int64_t w = 0;
-    while (i < edges.size() && edges[i].first == key) {
-      w += edges[i].second;
-      ++i;
-    }
-    edges[merged++] = {key, w};
-  }
-  edges.resize(merged);
-
+// Builds the CSR arrays from undirected (u, v, w) records, possibly
+// with duplicates (parallel or antiparallel records, which merge by
+// summing), without sorting them as a whole. `for_each_record(emit)`
+// must call emit(u, v, w) for the same records each time it runs; it
+// runs twice. Pass 1 counts each vertex's half-edges; pass 2 scatters
+// them straight into `neighbors`/`edge_weight`. Each vertex's range is
+// then sorted by neighbour, its duplicates summed, and the ranges
+// packed down in place, so every range comes out ascending, which
+// coarsening's tie-break relies on. A record with u == v adds no edge;
+// returns the total weight of those records. O(m + sum of d log d).
+template <class ForEachRecord>
+std::int64_t build_csr(int n, ForEachRecord&& for_each_record,
+                       CsrTaskGraph& out) {
   out.offsets.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (const auto& [key, w] : edges) {
-    ++out.offsets[static_cast<std::size_t>(key >> 32) + 1];
-    ++out.offsets[static_cast<std::size_t>(key & 0xffffffff) + 1];
-  }
+  for_each_record([&out](int u, int v, std::int64_t /*w*/) {
+    if (u == v) return;
+    ++out.offsets[static_cast<std::size_t>(u) + 1];
+    ++out.offsets[static_cast<std::size_t>(v) + 1];
+  });
   for (std::size_t v = 1; v < out.offsets.size(); ++v) {
     out.offsets[v] += out.offsets[v - 1];
   }
 
-  out.neighbors.resize(edges.size() * 2);
-  out.edge_weight.resize(edges.size() * 2);
+  const auto half_edges = static_cast<std::size_t>(out.offsets.back());
+  out.neighbors.resize(half_edges);
+  out.edge_weight.resize(half_edges);
   std::vector<std::int32_t> cursor(out.offsets.begin(),
                                    out.offsets.end() - 1);
+  std::int64_t self_weight = 0;
   out.total_edge_weight = 0;
-  for (const auto& [key, w] : edges) {
-    const auto u = static_cast<std::size_t>(key >> 32);
-    const auto v = static_cast<std::size_t>(key & 0xffffffff);
-    const auto at_u = static_cast<std::size_t>(cursor[u]++);
-    out.neighbors[at_u] = static_cast<std::int32_t>(v);
+  for_each_record([&](int u, int v, std::int64_t w) {
+    if (u == v) {
+      self_weight += w;
+      return;
+    }
+    const auto at_u = static_cast<std::size_t>(cursor[static_cast<std::size_t>(u)]++);
+    out.neighbors[at_u] = v;
     out.edge_weight[at_u] = w;
-    const auto at_v = static_cast<std::size_t>(cursor[v]++);
-    out.neighbors[at_v] = static_cast<std::int32_t>(u);
+    const auto at_v = static_cast<std::size_t>(cursor[static_cast<std::size_t>(v)]++);
+    out.neighbors[at_v] = u;
     out.edge_weight[at_v] = w;
     out.total_edge_weight += w;
+  });
+
+  // Sort and merge each range, writing it down to `packed`; a range
+  // never grows, so the write never overtakes the next unread range.
+  std::vector<std::pair<std::int32_t, std::int64_t>> range;
+  std::size_t packed = 0;
+  for (std::size_t v = 0; v + 1 < out.offsets.size(); ++v) {
+    const auto begin = static_cast<std::size_t>(out.offsets[v]);
+    const auto end = static_cast<std::size_t>(out.offsets[v + 1]);
+    out.offsets[v] = static_cast<std::int32_t>(packed);
+    range.clear();
+    for (std::size_t i = begin; i < end; ++i) {
+      range.emplace_back(out.neighbors[i], out.edge_weight[i]);
+    }
+    std::sort(range.begin(), range.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (std::size_t i = 0; i < range.size(); ++i) {
+      if (i > 0 && range[i].first == range[i - 1].first) {
+        out.edge_weight[packed - 1] += range[i].second;
+      } else {
+        out.neighbors[packed] = range[i].first;
+        out.edge_weight[packed] = range[i].second;
+        ++packed;
+      }
+    }
   }
-  // Sorted input keys mean each vertex's neighbor range comes out
-  // ascending, which coarsening's tie-break relies on.
+  out.offsets.back() = static_cast<std::int32_t>(packed);
+  out.neighbors.resize(packed);
+  out.neighbors.shrink_to_fit();
+  out.edge_weight.resize(packed);
+  out.edge_weight.shrink_to_fit();
+  return self_weight;
 }
 
 }  // namespace
@@ -73,19 +98,18 @@ CsrTaskGraph CsrTaskGraph::from_task_graph(const TaskGraph& graph) {
   out.total_vertex_weight = 0;
   for (std::int64_t w : out.vertex_weight) out.total_vertex_weight += w;
 
-  std::vector<std::pair<std::int64_t, std::int64_t>> pairs;
-  pairs.reserve(static_cast<std::size_t>(graph.num_comm_edges()));
-  for (std::size_t k = 0; k < graph.comm_phases().size(); ++k) {
-    if (comm_mult[k] == 0) continue;
-    for (const CommEdge& e : graph.comm_phases()[k].edges) {
-      if (e.src == e.dst) continue;  // intra-task traffic is free
-      const int u = std::min(e.src, e.dst);
-      const int v = std::max(e.src, e.dst);
-      pairs.emplace_back((static_cast<std::int64_t>(u) << 32) | v,
-                         e.volume * comm_mult[k]);
-    }
-  }
-  build_csr_from_pairs(n, pairs, out);
+  build_csr(
+      n,
+      [&](const auto& emit) {
+        for (std::size_t k = 0; k < graph.comm_phases().size(); ++k) {
+          if (comm_mult[k] == 0) continue;
+          for (const CommEdge& e : graph.comm_phases()[k].edges) {
+            if (e.src == e.dst) continue;  // intra-task traffic is free
+            emit(e.src, e.dst, e.volume * comm_mult[k]);
+          }
+        }
+      },
+      out);
   return out;
 }
 
@@ -180,26 +204,21 @@ CoarsenResult coarsen_heavy_edge(const CsrTaskGraph& g, std::uint64_t seed,
   }
   coarse.total_vertex_weight = g.total_vertex_weight;
 
-  std::vector<std::pair<std::int64_t, std::int64_t>> pairs;
-  pairs.reserve(static_cast<std::size_t>(g.num_edges()));
-  result.internalized_weight = 0;
-  for (int v = 0; v < n; ++v) {
-    const int cv = result.coarse_of_fine[static_cast<std::size_t>(v)];
-    for (std::size_t i = g.edge_begin(v); i < g.edge_end(v); ++i) {
-      const int u = g.neighbors[i];
-      if (u <= v) continue;  // visit each undirected edge once
-      const int cu = result.coarse_of_fine[static_cast<std::size_t>(u)];
-      if (cu == cv) {
-        result.internalized_weight += g.edge_weight[i];
-        continue;
-      }
-      const int a = std::min(cu, cv);
-      const int b = std::max(cu, cv);
-      pairs.emplace_back((static_cast<std::int64_t>(a) << 32) | b,
-                         g.edge_weight[i]);
-    }
-  }
-  build_csr_from_pairs(next_id, pairs, coarse);
+  // A fine edge inside one super-vertex is a self record: internalized.
+  result.internalized_weight = build_csr(
+      next_id,
+      [&](const auto& emit) {
+        for (int v = 0; v < n; ++v) {
+          const int cv = result.coarse_of_fine[static_cast<std::size_t>(v)];
+          for (std::size_t i = g.edge_begin(v); i < g.edge_end(v); ++i) {
+            const int u = g.neighbors[i];
+            if (u <= v) continue;  // visit each undirected edge once
+            emit(cv, result.coarse_of_fine[static_cast<std::size_t>(u)],
+                 g.edge_weight[i]);
+          }
+        }
+      },
+      coarse);
   OREGAMI_ASSERT(
       coarse.total_edge_weight + result.internalized_weight ==
           g.total_edge_weight,

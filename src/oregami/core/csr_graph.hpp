@@ -59,7 +59,9 @@ struct CsrTaskGraph {
   /// Builds the CSR aggregate of `graph`: volumes are weighted by each
   /// comm phase's multiplicity, exec costs by each exec phase's
   /// multiplicity (so a phase repeated ^8 counts 8x — the same folding
-  /// the completion model applies). O(m log m).
+  /// the completion model applies). Built without a global sort: the
+  /// records are counted, scattered into place, and each vertex's
+  /// range sorted and merged on its own. O(m + sum of d log d).
   static CsrTaskGraph from_task_graph(const TaskGraph& graph);
 
   /// Converts to the adjacency-list `Graph` the seed matchers/embedders
@@ -94,7 +96,8 @@ struct CoarsenResult {
 /// the contracted size would drop below `target_vertices` (pass 0 for
 /// "match as much as possible"). Coarse ids are assigned by ascending
 /// minimum fine id, so the numbering is independent of the visit order.
-/// Deterministic for a fixed (graph, seed, target). O(m log m).
+/// Deterministic for a fixed (graph, seed, target). O(m + sum of
+/// d log d), the CSR build of from_task_graph.
 [[nodiscard]] CoarsenResult coarsen_heavy_edge(const CsrTaskGraph& g,
                                                std::uint64_t seed,
                                                int target_vertices);

@@ -34,18 +34,19 @@ namespace {
 /// Nearest healthy processor to `from` by base-topology hop distance
 /// (ties: lowest processor id; unreachable-in-base pairs sort last).
 int nearest_healthy(const FaultedTopology& faults, int from) {
-  const DistanceRow row = faults.base().distance_row(from);
-  int best = -1;
-  long best_d = std::numeric_limits<long>::max();
-  for (const int q : faults.healthy_procs()) {
-    const int d = row[q];
-    const long key = d < 0 ? std::numeric_limits<long>::max() - 1 : d;
-    if (key < best_d) {
-      best_d = key;
-      best = q;
+  return faults.base().with_oracle([&](const auto& dist) {
+    int best = -1;
+    long best_d = std::numeric_limits<long>::max();
+    for (const int q : faults.healthy_procs()) {
+      const int d = dist(from, q);
+      const long key = d < 0 ? std::numeric_limits<long>::max() - 1 : d;
+      if (key < best_d) {
+        best_d = key;
+        best = q;
+      }
     }
-  }
-  return best;
+    return best;
+  });
 }
 
 }  // namespace
@@ -115,13 +116,14 @@ RepairResult repair_mapping(const TaskGraph& graph,
         inc, displaced,
         [&](int t, int pass, std::vector<int>& out) {
           const int radius = 1 << pass;
-          const DistanceRow row = sub.topo.distance_row(
-              inc.proc_of_task()[static_cast<std::size_t>(t)]);
-          for (int q = 0; q < sub.topo.num_procs(); ++q) {
-            if (row[q] <= radius) {
-              out.push_back(q);
+          const int here = inc.proc_of_task()[static_cast<std::size_t>(t)];
+          sub.topo.with_oracle([&](const auto& dist) {
+            for (int q = 0; q < sub.topo.num_procs(); ++q) {
+              if (dist(here, q) <= radius) {
+                out.push_back(q);
+              }
             }
-          }
+          });
         },
         /*load_bound=*/0, kMaxSweeps, deadline);
     result.attempts = sweep.passes;

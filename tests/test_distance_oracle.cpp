@@ -1,6 +1,7 @@
-// Exhaustive equivalence of the closed-form distance oracles against
-// BFS ground truth (a Custom topology built from the same link graph),
-// for every TopoFamily across a sweep of shapes reaching P >= 256 per
+// Exhaustive equivalence of the closed-form distance oracles, read both
+// through distance() and through the with_oracle visitor, against BFS
+// ground truth (a Custom topology built from the same link graph), for
+// every TopoFamily across a sweep of shapes reaching P >= 256 per
 // family, plus diameter() cross-checks, the weighted-row primitive
 // against pairwise distance(), and a concurrency test on the unwarmed
 // Custom lazy table.
@@ -20,23 +21,25 @@ namespace oregami {
 namespace {
 
 /// Checks every pair (u, v) of `topo` against BFS on its own link
-/// graph, plus diameter() and DistanceRow consistency.
+/// graph, through both distance() and the with_oracle visitor, plus
+/// diameter().
 void expect_oracle_matches_bfs(const Topology& topo) {
   SCOPED_TRACE(topo.name());
   const int p = topo.num_procs();
   int true_diameter = 0;
   for (int u = 0; u < p; ++u) {
     const std::vector<int> truth = bfs_distances(topo.graph(), u);
-    const DistanceRow row = topo.distance_row(u);
-    EXPECT_EQ(row.source(), u);
-    for (int v = 0; v < p; ++v) {
-      ASSERT_EQ(topo.distance(u, v), truth[static_cast<std::size_t>(v)])
-          << "u=" << u << " v=" << v;
-      ASSERT_EQ(row[v], truth[static_cast<std::size_t>(v)])
-          << "u=" << u << " v=" << v;
-      true_diameter =
-          std::max(true_diameter, truth[static_cast<std::size_t>(v)]);
-    }
+    topo.with_oracle([&](const auto& dist) {
+      for (int v = 0; v < p; ++v) {
+        ASSERT_EQ(topo.distance(u, v), truth[static_cast<std::size_t>(v)])
+            << "u=" << u << " v=" << v;
+        ASSERT_EQ(dist(u, v), truth[static_cast<std::size_t>(v)])
+            << "u=" << u << " v=" << v;
+        true_diameter =
+            std::max(true_diameter, truth[static_cast<std::size_t>(v)]);
+      }
+    });
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
     ASSERT_EQ(topo.distance(u, u), 0);
   }
   EXPECT_EQ(topo.diameter(), true_diameter);
@@ -130,6 +133,11 @@ TEST(DistanceOracle, CustomDisconnectedReportsMinusOne) {
   EXPECT_EQ(topo.distance(0, 1), 1);
   EXPECT_EQ(topo.distance(0, 2), -1);
   EXPECT_EQ(topo.distance(3, 1), -1);
+  topo.with_oracle([](const auto& dist) {
+    EXPECT_EQ(dist(0, 1), 1);
+    EXPECT_EQ(dist(0, 2), -1);
+    EXPECT_EQ(dist(3, 1), -1);
+  });
 }
 
 TEST(DistanceOracle, CopiesShareTheCustomTable) {
@@ -227,7 +235,7 @@ TEST(DistanceOracleThreads, UnwarmedConcurrentQueries) {
     g.add_edge(i, (i + 7) % 64);
   }
   // Two separate tables, each filled first by whichever thread gets
-  // there: one through distance rows, one through weighted rows.
+  // there: one through the oracle visitor, one through weighted rows.
   const Topology custom = Topology::custom("chordal64", g);
   const Topology custom_rows = Topology::custom("chordal64", std::move(g));
   const Topology mesh = Topology::mesh(8, 8);
@@ -241,11 +249,12 @@ TEST(DistanceOracleThreads, UnwarmedConcurrentQueries) {
       std::int64_t sum = 0;
       std::vector<std::int64_t> acc(64, 0);
       for (int u = 0; u < 64; ++u) {
-        const DistanceRow row = custom.distance_row(u);
         custom_rows.accumulate_distance_row(u, u + 1, acc);
-        for (int v = 0; v < 64; ++v) {
-          sum += row[v] + mesh.distance(u, v);
-        }
+        custom.with_oracle([&](const auto& dist) {
+          for (int v = 0; v < 64; ++v) {
+            sum += dist(u, v) + mesh.distance(u, v);
+          }
+        });
       }
       for (const std::int64_t a : acc) {
         sum += a;
