@@ -1,19 +1,25 @@
-// Seeded mutation harness for the daemon's input grammars, on the
-// pattern of test_larcs_robustness.cpp: seeded bit flips, deletions and
+// Seeded mutation harness for the input grammars, on the pattern of
+// test_larcs_robustness.cpp: seeded bit flips, deletions and
 // truncations of CI server-smoke's job lines must parse or throw a
-// WireError, and of one topology spec per family must parse or throw a
-// MappingError. Any other exception, or a crash, is a bug: every byte
-// of a job line comes from a client.
+// WireError, of one topology spec per family and of fault specs on
+// mesh:4x4 must parse or throw a MappingError, and of failpoint
+// schedules must arm or throw std::invalid_argument. Any other
+// exception, a crash or a hang is a bug: every byte of a job line comes
+// from a client, and fault specs and schedules come from the command
+// line.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <exception>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "oregami/arch/fault_model.hpp"
 #include "oregami/arch/topology_spec.hpp"
 #include "oregami/server/wire.hpp"
 #include "oregami/support/error.hpp"
+#include "oregami/support/failpoint.hpp"
 #include "oregami/support/rng.hpp"
 
 namespace oregami {
@@ -87,6 +93,47 @@ TEST(InputMutation, TopologySpecsParseOrThrowMappingError) {
       "butterfly:3", "mesh3d:2x3x4"};
   expect_mutants_parse_or_throw<MappingError>(
       specs, [](const std::string& spec) { (void)parse_topology_spec(spec); });
+}
+
+TEST(InputMutation, FaultSpecsParseOrThrowMappingError) {
+  // Every token kind: pN, lN, lU-V, sN:F, sU-V:F and rand:PxLxS.
+  const std::vector<std::string> specs = {
+      "p5",         "l3",          "l0-1",        "s1:8",
+      "s0-4:3",     "rand:2x3x1",  "p5,l3,s1:8",  "l0-1,l0-4",
+      "rand:1x1x0,p2,s4-5:2",      "p0,p15,l23,s12:9"};
+  const Topology topo = parse_topology_spec("mesh:4x4");
+  for (const std::string& spec : specs) {
+    EXPECT_NO_THROW((void)FaultSpec::parse(spec, topo, 7)) << spec;
+  }
+  expect_mutants_parse_or_throw<MappingError>(
+      specs, [&topo](const std::string& spec) {
+        (void)FaultSpec::parse(spec, topo, 7);
+      });
+}
+
+TEST(InputMutation, FailpointSchedulesArmOrThrowInvalidArgument) {
+  // Every action and spec form: err, short, throw, hang with and
+  // without an argument; @N, @N+, @*, @pPCTsSEED and no spec.
+  const std::vector<std::string> schedules = {
+      "persist.write:err@3",
+      "job.run:hang(200)@7",
+      "persist.write:short@2+",
+      "job.run:throw@*",
+      "persist.fsync:err@p50s7",
+      "persist.write:err@3,job.run:hang(200)@7",
+      "job.run:hang",
+      "persist.compact:short,persist.write:throw@1+,job.run:err@p5s99"};
+  for (const std::string& schedule : schedules) {
+    EXPECT_NO_THROW(failpoint::configure(schedule)) << schedule;
+    failpoint::clear();
+  }
+  expect_mutants_parse_or_throw<std::invalid_argument>(
+      schedules, [](const std::string& schedule) {
+        struct Disarm {
+          ~Disarm() { failpoint::clear(); }
+        } disarm;
+        failpoint::configure(schedule);
+      });
 }
 
 }  // namespace
