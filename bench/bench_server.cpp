@@ -175,36 +175,54 @@ void print_figures_and_json() {
 /// disabled vs enabled, plus single-site record costs. The enabled
 /// warm replay carries every server metric site live -- counters,
 /// gauges, and five histograms per job.
+///
+/// A warm hit takes microseconds, so one short replay is noisier than
+/// the effect measured. Each pair replays 2000 warm lines once with
+/// metrics off and once on, and the figure is the median of the pairs'
+/// overheads with its quartiles.
 void print_telemetry_figures() {
   bench::print_header(
       "telemetry overhead: warm replay, metrics disabled vs enabled");
 
-  const std::string stream = replay_stream(kTotalJobs);
+  constexpr int kWarmLines = 2000;
+  constexpr int kPairs = 11;
+  const std::string stream = replay_stream(kWarmLines);
   server::ResultCache cache(1024, 8);
-  (void)replay(stream, cache, 1);  // prime the cache once, untimed
-
-  // Best-of-3 each way: CI-runner noise on a 100-job replay is larger
-  // than the effect under measurement.
-  const auto best_rate = [&](int rounds) {
-    double best = 0.0;
-    for (int i = 0; i < rounds; ++i) {
-      best = std::max(best, replay(stream, cache, 1).mappings_per_sec);
-    }
-    return best;
-  };
   metrics::disable();
-  const double base = best_rate(3);
+  (void)replay(stream, cache, 1);  // prime the cache once, untimed
   server::server_metrics();  // register every series before timing
   metrics::reset_values();
-  metrics::enable();
-  const double telemetry = best_rate(3);
-  metrics::disable();
 
-  const double overhead_pct =
-      base > 0.0 ? 100.0 * (base - telemetry) / base : 0.0;
-  std::printf("warm replay: %.1f/s disabled, %.1f/s enabled "
-              "(overhead %.2f%%)\n",
-              base, telemetry, overhead_pct);
+  std::vector<double> base_rates;
+  std::vector<double> telemetry_rates;
+  std::vector<double> overheads_pct;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    double rate[2] = {0.0, 0.0};  // [metrics off, metrics on]
+    // Alternate which side goes first, so drift within a pair cancels.
+    for (const int on : {pair % 2, 1 - pair % 2}) {
+      if (on == 1) {
+        metrics::enable();
+      } else {
+        metrics::disable();
+      }
+      rate[on] = replay(stream, cache, 1).mappings_per_sec;
+    }
+    metrics::disable();
+    base_rates.push_back(rate[0]);
+    telemetry_rates.push_back(rate[1]);
+    overheads_pct.push_back(
+        rate[0] > 0.0 ? 100.0 * (rate[0] - rate[1]) / rate[0] : 0.0);
+  }
+  const double base = percentile(base_rates, 0.50);
+  const double telemetry = percentile(telemetry_rates, 0.50);
+  const double overhead_pct = percentile(overheads_pct, 0.50);
+  const double overhead_q1 = percentile(overheads_pct, 0.25);
+  const double overhead_q3 = percentile(overheads_pct, 0.75);
+  std::printf("warm replay (%d lines, median of %d off/on pairs): "
+              "%.1f/s disabled, %.1f/s enabled (overhead %.2f%%, "
+              "quartiles %.2f%% .. %.2f%%)\n",
+              kWarmLines, kPairs, base, telemetry, overhead_pct,
+              overhead_q1, overhead_q3);
 
   // Single-site costs, amortised over a tight loop.
   metrics::enable();
@@ -239,6 +257,8 @@ void print_telemetry_figures() {
   json.add("metrics_warm_base_mappings_per_sec", base, "1/s");
   json.add("metrics_warm_telemetry_mappings_per_sec", telemetry, "1/s");
   json.add("metrics_warm_overhead_pct", overhead_pct, "%");
+  json.add("metrics_warm_overhead_q1_pct", overhead_q1, "%");
+  json.add("metrics_warm_overhead_q3_pct", overhead_q3, "%");
   json.add("metrics_counter_add_ns", counter_ns, "ns");
   json.add("metrics_histogram_record_ns", histogram_ns, "ns");
   json.add("metrics_disabled_site_ns", disabled_ns, "ns");

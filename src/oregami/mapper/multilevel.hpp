@@ -22,7 +22,9 @@
 //      through the shared greedy sweep (refine.hpp): each is re-probed
 //      exactly with `IncrementalCompletion::delta_move` (the
 //      completion model at its default costs) and applied only when
-//      strictly improving.
+//      strictly improving. A proposal depends only on the task's and
+//      its neighbours' processors, so a later round re-proposes only
+//      the tasks that moved and their neighbours.
 //
 // Determinism contract: proposals are pure functions of the frozen
 // placement, commits are serial and ordered, and all randomness flows
