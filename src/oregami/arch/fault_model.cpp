@@ -256,20 +256,26 @@ FaultSpec FaultSpec::parse(const std::string& text, const Topology& topo,
 
 std::string FaultSpec::to_string() const {
   std::string out;
-  auto append = [&out](const std::string& token) {
+  // Opens a token: a comma after the first one, then its kind letter.
+  auto start = [&out](char kind) {
     if (!out.empty()) {
       out += ',';
     }
-    out += token;
+    out += kind;
   };
   for (const int p : dead_procs) {
-    append("p" + std::to_string(p));
+    start('p');
+    out += std::to_string(p);
   }
   for (const int l : dead_links) {
-    append("l" + std::to_string(l));
+    start('l');
+    out += std::to_string(l);
   }
   for (const SlowLink& s : slow_links) {
-    append("s" + std::to_string(s.link) + ":" + std::to_string(s.factor));
+    start('s');
+    out += std::to_string(s.link);
+    out += ':';
+    out += std::to_string(s.factor);
   }
   return out;
 }
@@ -325,7 +331,6 @@ FaultedTopology::FaultedTopology(const Topology& base, FaultSpec spec)
   std::vector<int> comp_size(static_cast<std::size_t>(num_procs), 0);
   for (int p = 0; p < num_procs; ++p) {
     if (proc_alive(p)) {
-      ++num_alive_procs_;
       ++comp_size[static_cast<std::size_t>(components.find(p))];
     }
   }

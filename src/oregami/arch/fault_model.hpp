@@ -126,14 +126,7 @@ class FaultedTopology {
     return slowdown_;
   }
 
-  [[nodiscard]] int num_alive_procs() const { return num_alive_procs_; }
   [[nodiscard]] int num_alive_links() const { return num_alive_links_; }
-
-  /// True when every alive processor sits in one connected component
-  /// of the surviving links.
-  [[nodiscard]] bool fully_connected() const {
-    return static_cast<int>(healthy_procs().size()) == num_alive_procs_;
-  }
 
   /// True when a route (base link ids) crosses no dead link and no
   /// link with a dead endpoint. A 0-hop route touches only its task's
@@ -179,7 +172,6 @@ class FaultedTopology {
   std::vector<char> dead_proc_;          ///< per base proc
   std::vector<char> dead_link_;          ///< per base link (incl. links at dead procs)
   std::vector<std::int64_t> slowdown_;   ///< per base link, >= 1
-  int num_alive_procs_ = 0;
   int num_alive_links_ = 0;
   HealthySub sub_;
 };

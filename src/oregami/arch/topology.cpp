@@ -331,7 +331,12 @@ std::string Topology::proc_label(int p) const {
     case TopoFamily::Mesh:
     case TopoFamily::Torus: {
       const auto [r, c] = coords2d(p);
-      return "(" + std::to_string(r) + "," + std::to_string(c) + ")";
+      std::string label = "(";
+      label += std::to_string(r);
+      label += ',';
+      label += std::to_string(c);
+      label += ')';
+      return label;
     }
     case TopoFamily::Hypercube: {
       const int dim = shape_[0];

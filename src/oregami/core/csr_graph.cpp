@@ -127,7 +127,9 @@ Graph CsrTaskGraph::to_graph() const {
 TaskGraph CsrTaskGraph::to_task_graph() const {
   TaskGraph g;
   for (int v = 0; v < num_vertices(); ++v) {
-    g.add_task("s" + std::to_string(v));
+    std::string name = "s";
+    name += std::to_string(v);
+    g.add_task(std::move(name));
   }
   const int comm = g.add_comm_phase("agg");
   for (int v = 0; v < num_vertices(); ++v) {

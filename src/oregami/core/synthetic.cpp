@@ -18,7 +18,11 @@ TaskGraph finish_graph(int n, const char* phase_name,
                        const std::vector<CommEdge>& edges,
                        SplitMix64& rng) {
   TaskGraph g;
-  for (int i = 0; i < n; ++i) g.add_task("t" + std::to_string(i));
+  for (int i = 0; i < n; ++i) {
+    std::string name = "t";
+    name += std::to_string(i);
+    g.add_task(std::move(name));
+  }
   const int comm = g.add_comm_phase(phase_name);
   for (const CommEdge& e : edges) g.add_comm_edge(comm, e.src, e.dst, e.volume);
   std::vector<std::int64_t> cost(static_cast<std::size_t>(n));

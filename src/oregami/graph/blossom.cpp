@@ -8,16 +8,6 @@
 
 namespace oregami {
 
-int GeneralMatching::num_pairs() const {
-  int count = 0;
-  for (const int m : mate) {
-    if (m != -1) {
-      ++count;
-    }
-  }
-  return count / 2;
-}
-
 namespace {
 
 /// Primal-dual blossom solver. Internally 1-indexed with vertex ids

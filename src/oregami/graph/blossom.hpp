@@ -21,8 +21,6 @@ namespace oregami {
 struct GeneralMatching {
   std::vector<int> mate;
   std::int64_t total_weight = 0;
-
-  [[nodiscard]] int num_pairs() const;
 };
 
 /// Computes a maximum-weight matching of `g`. Edge weights must be

@@ -59,11 +59,6 @@ class Graph {
   /// Weight of edge {u, v}, or nullopt when absent. O(deg).
   [[nodiscard]] std::optional<std::int64_t> edge_weight(int u, int v) const;
 
-  /// True when {u, v} is an edge.
-  [[nodiscard]] bool has_edge(int u, int v) const {
-    return edge_weight(u, v).has_value();
-  }
-
   /// Degree of `v`.
   [[nodiscard]] int degree(int v) const {
     return static_cast<int>(neighbors(v).size());

@@ -79,8 +79,7 @@ void for_each_tuple(const std::vector<long>& lo, const std::vector<long>& hi,
 }  // namespace
 
 CompiledProgram compile(const Program& program,
-                        const std::map<std::string, long>& bindings,
-                        const CompileOptions& options) {
+                        const std::map<std::string, long>& bindings) {
   const trace::Span span("compile");
   CompiledProgram out;
   out.family_hint = program.family_hint;
@@ -136,13 +135,13 @@ CompiledProgram compile(const Program& program,
       layout.lo.push_back(lo);
       layout.hi.push_back(hi);
       layout.count *= (hi - lo + 1);
-      if (layout.count > options.max_tasks) {
+      if (layout.count > kMaxTasks) {
         throw LarcsError("nodetype '" + nt.name + "' exceeds task limit",
                          nt.loc);
       }
     }
     total_tasks += layout.count;
-    if (total_tasks > options.max_tasks) {
+    if (total_tasks > kMaxTasks) {
       throw LarcsError("program exceeds the task limit", nt.loc);
     }
     for_each_tuple(layout.lo, layout.hi, [&](const std::vector<long>& t) {
@@ -258,9 +257,8 @@ CompiledProgram compile(const Program& program,
 }
 
 CompiledProgram compile_source(std::string_view source,
-                               const std::map<std::string, long>& bindings,
-                               const CompileOptions& options) {
-  return compile(parse_program(source), bindings, options);
+                               const std::map<std::string, long>& bindings) {
+  return compile(parse_program(source), bindings);
 }
 
 }  // namespace oregami::larcs

@@ -17,11 +17,10 @@
 
 namespace oregami::larcs {
 
-struct CompileOptions {
-  /// Upper bound on the number of tasks a program may expand to
-  /// (guards against runaway domains from bad parameter values).
-  long max_tasks = 1'000'000;
-};
+/// Upper bound on the number of tasks a program may expand to (guards
+/// against runaway domains from bad parameter values). Checked on each
+/// nodetype's domain before any of its tasks is built.
+inline constexpr long kMaxTasks = 1'000'000;
 
 /// Evaluated layout of one nodetype's label domain: rectangular box
 /// [lo[d], hi[d]] per dimension, tasks numbered row-major (last
@@ -54,14 +53,12 @@ struct CompiledProgram {
 /// Compiles `program` with `bindings` supplying every algorithm
 /// parameter and imported variable. Throws LarcsError on missing or
 /// inconsistent bindings, empty domains, out-of-range rule targets,
-/// self-loop edges, or task-count overflow.
+/// self-loop edges, or more than kMaxTasks tasks.
 [[nodiscard]] CompiledProgram compile(
-    const Program& program, const std::map<std::string, long>& bindings,
-    const CompileOptions& options = {});
+    const Program& program, const std::map<std::string, long>& bindings);
 
 /// Convenience: parse + compile.
 [[nodiscard]] CompiledProgram compile_source(
-    std::string_view source, const std::map<std::string, long>& bindings,
-    const CompileOptions& options = {});
+    std::string_view source, const std::map<std::string, long>& bindings);
 
 }  // namespace oregami::larcs

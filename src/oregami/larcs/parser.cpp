@@ -92,9 +92,16 @@ std::string Expr::to_string() const {
     case Kind::Unary:
       return (un_op == UnOp::Neg ? "-" : "not ") +
              std::string("(") + args[0]->to_string() + ")";
-    case Kind::Binary:
-      return "(" + args[0]->to_string() + " " + bin_op_text(bin_op) + " " +
-             args[1]->to_string() + ")";
+    case Kind::Binary: {
+      std::string out = "(";
+      out += args[0]->to_string();
+      out += ' ';
+      out += bin_op_text(bin_op);
+      out += ' ';
+      out += args[1]->to_string();
+      out += ')';
+      return out;
+    }
     case Kind::Call: {
       std::string out = name + "(";
       for (std::size_t i = 0; i < args.size(); ++i) {

@@ -286,14 +286,6 @@ MapperReport map_general_seeded(const TaskGraph& graph, const Topology& topo,
 
 namespace {
 
-MultilevelOptions multilevel_options_from(const MapperOptions& options) {
-  MultilevelOptions ml;
-  ml.max_levels = options.multilevel > 0 ? options.multilevel : 0;
-  ml.seed = options.portfolio_seed;
-  ml.time_budget_ms = options.time_budget_ms;
-  return ml;
-}
-
 MapperReport dispatch(const TaskGraph& graph, const Topology& topo,
                       const MapperOptions& options,
                       const larcs::Program* program,
@@ -351,7 +343,7 @@ MapperReport dispatch(const TaskGraph& graph, const Topology& topo,
   if (options.multilevel != 0) {
     // Large-graph path: the systolic/canned recognisers are built for
     // paper-scale structure; the V-cycle takes over the whole pipeline.
-    return map_multilevel(graph, topo, multilevel_options_from(options));
+    return map_multilevel(graph, topo, options);
   }
   if (options.portfolio > 0) {
     PortfolioReport searched =

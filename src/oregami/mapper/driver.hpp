@@ -75,12 +75,15 @@ struct MapperOptions {
   /// V-cycle runs on the healthy sub-topology.
   int multilevel = 0;
   /// Wall-clock budget in milliseconds for the portfolio search
-  /// (PortfolioOptions::time_budget_ms) and the multilevel refinement
-  /// sweeps (support/deadline.hpp idiom: 0 = none, < 0 = already
+  /// (PortfolioOptions::time_budget_ms), the multilevel refinement
+  /// sweeps and, as RepairOptions::remap_options, the whole repair
+  /// ladder (support/deadline.hpp idiom: 0 = none, < 0 = already
   /// expired). The single-shot Fig-3 pipeline ignores it.
   std::int64_t time_budget_ms = 0;
   int jobs = 1;  ///< portfolio workers; 0 = hardware_concurrency
-  std::uint64_t portfolio_seed = 0x09E6A311u;  ///< candidate RNG base seed
+  /// Base seed of the portfolio's candidate RNG streams and of the
+  /// multilevel V-cycle's coarsening shuffles and coarsest NN-Embed.
+  std::uint64_t portfolio_seed = 0x09E6A311u;
   /// Degraded-mode mapping (not owned; must outlive the call). When set
   /// with a non-empty FaultSpec, map_computation/map_program run the
   /// whole pipeline on the compacted healthy sub-topology and translate

@@ -29,6 +29,10 @@ struct Level {
 // propose_move's answer when no move gains.
 constexpr int kNoMove = -1;
 
+// Boundary-refinement rounds per level. Eight rounds end map_100k at
+// the same completion as two.
+constexpr int kRefineRounds = 2;
+
 // Best strictly-gainful destination for `v` under the frozen
 // `placement`, or kNoMove. Gain is the weighted-distance improvement of v's
 // own incident edges (the same objective NN-Embed greedily optimises);
@@ -97,8 +101,7 @@ int propose_move(const CsrTaskGraph& csr, const Topology& topo,
 // moved iff its processor now equals its proposal (the sweep moves it
 // there or nowhere).
 long refine_level(const CsrTaskGraph& csr, IncrementalCompletion& inc,
-                  const Topology& topo, int rounds,
-                  const Deadline& deadline) {
+                  const Topology& topo, const Deadline& deadline) {
   const int n = csr.num_vertices();
   const std::vector<int>& placement = inc.proc_of_task();
   long total_moves = 0;
@@ -130,7 +133,7 @@ long refine_level(const CsrTaskGraph& csr, IncrementalCompletion& inc,
   };
   std::vector<int> stale;
   std::vector<int> movers;
-  for (int round = 0; round < rounds; ++round) {
+  for (int round = 0; round < kRefineRounds; ++round) {
     if (deadline.passed()) break;
 
     proposed = 0;
@@ -180,7 +183,7 @@ long refine_level(const CsrTaskGraph& csr, IncrementalCompletion& inc,
 }  // namespace
 
 MapperReport map_multilevel(const TaskGraph& graph, const Topology& topo,
-                            const MultilevelOptions& options) {
+                            const MapperOptions& options) {
   if (graph.num_tasks() == 0) {
     throw MappingError("multilevel: empty task graph");
   }
@@ -195,15 +198,15 @@ MapperReport map_multilevel(const TaskGraph& graph, const Topology& topo,
   // stalled matching — an edgeless graph matches nothing).
   std::vector<Level> levels;
   levels.push_back({CsrTaskGraph::from_task_graph(graph), {}});
-  const int max_levels = options.max_levels <= 0
-                             ? std::numeric_limits<int>::max()
-                             : options.max_levels;
+  const int max_levels = options.multilevel > 0
+                             ? options.multilevel
+                             : std::numeric_limits<int>::max();
   while (static_cast<int>(levels.size()) - 1 < max_levels) {
     const CsrTaskGraph& cur = levels.back().csr;
     if (cur.num_vertices() <= num_procs) break;
     trace::Span coarsen_span("coarsen#" + std::to_string(levels.size() - 1));
     CoarsenResult step = coarsen_heavy_edge(
-        cur, options.seed + levels.size() - 1, num_procs);
+        cur, options.portfolio_seed + levels.size() - 1, num_procs);
     if (step.coarse.num_vertices() == cur.num_vertices()) break;
     trace::counter("vertices", step.coarse.num_vertices());
     trace::counter("edges", step.coarse.num_edges());
@@ -222,7 +225,7 @@ MapperReport map_multilevel(const TaskGraph& graph, const Topology& topo,
     placement.assign(static_cast<std::size_t>(nc), 0);
     if (nc <= num_procs) {
       const Embedding embedding =
-          nn_embed_seeded(coarsest.to_graph(), topo, options.seed);
+          nn_embed_seeded(coarsest.to_graph(), topo, options.portfolio_seed);
       for (int c = 0; c < nc; ++c) {
         placement[static_cast<std::size_t>(c)] =
             embedding.proc_of_cluster[static_cast<std::size_t>(c)];
@@ -249,37 +252,27 @@ MapperReport map_multilevel(const TaskGraph& graph, const Topology& topo,
   Mapping mapping;
   for (int k = static_cast<int>(levels.size()) - 1; k >= 0; --k) {
     trace::Span level_span("level#" + std::to_string(k));
-    trace::counter("vertices", levels[static_cast<std::size_t>(k)]
-                                   .csr.num_vertices());
+    Level& level = levels[static_cast<std::size_t>(k)];
+    trace::counter("vertices", level.csr.num_vertices());
+    // The finest level scores the *real* task graph (all phases, the
+    // true phase expression), so the last sweeps optimise the exact
+    // completion objective. A coarse level scores its aggregate (one
+    // folded comm + exec phase): the same bottleneck structure, far
+    // fewer vertices.
+    const TaskGraph folded = k == 0 ? TaskGraph{} : level.csr.to_task_graph();
+    const TaskGraph& level_graph = k == 0 ? graph : folded;
+    std::vector<PhaseRouting> routing =
+        route_greedy_shortest(level_graph, placement, topo);
+    IncrementalCompletion inc(level_graph, topo, placement,
+                              std::move(routing));
+    if (!deadline.passed()) {
+      total_moves += refine_level(level.csr, inc, topo, deadline);
+    }
     if (k == 0) {
-      // Finest level scores the *real* task graph (all phases, the
-      // true phase expression), so the last sweeps optimise the exact
-      // completion objective.
-      std::vector<PhaseRouting> routing =
-          route_greedy_shortest(graph, placement, topo);
-      IncrementalCompletion inc(graph, topo, placement, std::move(routing));
-      if (!deadline.passed()) {
-        total_moves += refine_level(levels[0].csr, inc, topo,
-                                    options.refine_rounds, deadline);
-      }
       trace::counter("completion", inc.completion());
       mapping = mapping_from_placement(
           inc.proc_of_task(), std::move(inc).routing(), num_procs);
     } else {
-      // Intermediate levels score the coarse aggregate (single folded
-      // comm + exec phase) — same bottleneck structure, far fewer
-      // vertices.
-      const TaskGraph level_graph =
-          levels[static_cast<std::size_t>(k)].csr.to_task_graph();
-      std::vector<PhaseRouting> routing =
-          route_greedy_shortest(level_graph, placement, topo);
-      IncrementalCompletion inc(level_graph, topo, placement,
-                                std::move(routing));
-      if (!deadline.passed()) {
-        total_moves += refine_level(levels[static_cast<std::size_t>(k)].csr,
-                                    inc, topo, options.refine_rounds,
-                                    deadline);
-      }
       std::vector<std::int32_t>& projection =
           levels[static_cast<std::size_t>(k - 1)].coarse_of_fine;
       std::vector<int> fine(projection.size());
@@ -287,7 +280,7 @@ MapperReport map_multilevel(const TaskGraph& graph, const Topology& topo,
         fine[v] = inc.proc_of_task()[static_cast<std::size_t>(projection[v])];
       }
       placement = std::move(fine);
-      levels[static_cast<std::size_t>(k)] = Level{};
+      level = Level{};
       projection = std::vector<std::int32_t>();
     }
   }

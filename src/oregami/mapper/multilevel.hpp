@@ -13,9 +13,10 @@
 //   3. UNCOARSEN + REFINE: project the placement down one level at a
 //      time, freeing each coarse level (its CSR and the projection
 //      onto it) once the finer placement is projected, so only the
-//      finer levels stay resident; at each level run boundary-focused
-//      refinement rounds --
-//      only tasks with a neighbor on another processor are candidates.
+//      finer levels stay resident; at each level run up to two
+//      boundary-focused refinement rounds (a round that commits no move
+//      ends the level) -- only tasks with a neighbor on another
+//      processor are candidates.
 //      Each round first proposes one destination per boundary task
 //      from the frozen placement (CSR scans + the O(1) distance
 //      oracle), then commits the proposals in ascending task order
@@ -28,45 +29,33 @@
 //
 // Determinism contract: proposals are pure functions of the frozen
 // placement, commits are serial and ordered, and all randomness flows
-// from `seed` through per-level SplitMix64 streams -- so the result is
-// a pure function of (graph, topology, options) and the CLI's --jobs
-// never changes it. With a positive `time_budget_ms` the expiry point
-// is the sole nondeterminism.
+// from `portfolio_seed` through per-level SplitMix64 streams -- so the
+// result is a pure function of (graph, topology, options) and the CLI's
+// --jobs never changes it. With a positive `time_budget_ms` the expiry
+// point is the sole nondeterminism.
 #pragma once
-
-#include <cstdint>
 
 #include "oregami/mapper/driver.hpp"
 
 namespace oregami {
 
-struct MultilevelOptions {
-  /// Maximum number of coarsening levels; <= 0 means "auto": coarsen
-  /// until the graph has at most one super-task per processor (or
-  /// matching stalls). A small positive cap yields a shallower cycle
-  /// with more refinement work per level.
-  int max_levels = 0;
-  /// Boundary-refinement rounds per level. Each round proposes against
-  /// the frozen placement, then commits; a round that commits no move
-  /// ends the level early.
-  int refine_rounds = 2;
-  /// Base seed for the coarsening shuffles and the coarsest NN-Embed
-  /// tie-breaks (level k uses seed + k).
-  std::uint64_t seed = 0x09E6A311u;
-  /// Wall-clock budget (support/deadline.hpp idiom: 0 = none, < 0 =
-  /// already expired). Checked between levels and rounds and before
-  /// each commit; on expiry remaining refinement is skipped but the
-  /// projected placement is still returned, so the mapping is always
-  /// valid.
-  std::int64_t time_budget_ms = 0;
-};
-
 /// Maps `graph` onto `topo` with the multilevel V-cycle. Works for any
 /// graph size but pays off above a few thousand tasks; below that the
-/// direct pipeline explores more. Throws MappingError for an empty
-/// graph or a topology without links.
+/// direct pipeline explores more. Reads three fields of `options`:
+///   * `multilevel` > 0 caps the number of coarsening levels (a small
+///     cap yields a shallower cycle with more refinement work per
+///     level); 0 and -1 coarsen until the graph has at most one
+///     super-task per processor (or matching stalls);
+///   * `portfolio_seed` seeds the coarsening shuffles and the coarsest
+///     NN-Embed's tie-breaks (level k uses seed + k);
+///   * `time_budget_ms` (support/deadline.hpp idiom: 0 = none, < 0 =
+///     already expired) is checked between levels and rounds and before
+///     each commit; on expiry the remaining refinement is skipped but
+///     the projected placement is still returned, so the mapping is
+///     always valid.
+/// Throws MappingError for an empty graph or a topology without links.
 [[nodiscard]] MapperReport map_multilevel(const TaskGraph& graph,
                                           const Topology& topo,
-                                          const MultilevelOptions& options = {});
+                                          const MapperOptions& options = {});
 
 }  // namespace oregami

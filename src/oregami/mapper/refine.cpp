@@ -190,8 +190,7 @@ PlacementRefineResult refine_placement(const TaskGraph& graph,
                                        std::vector<std::int64_t> link_factor) {
   const int n = graph.num_tasks();
   IncrementalCompletion inc(graph, topo, std::move(proc_of_task),
-                            std::move(routing), CostModel{},
-                            std::move(link_factor));
+                            std::move(routing), std::move(link_factor));
 
   PlacementRefineResult result;
   result.completion_before = inc.completion();

@@ -56,7 +56,7 @@ RepairResult repair_mapping(const TaskGraph& graph,
                             const Mapping& mapping,
                             const RepairOptions& options) {
   const Topology& base = faults.base();
-  const Deadline deadline(options.time_budget_ms);
+  const Deadline deadline(options.remap_options.time_budget_ms);
   const trace::Span span("repair");
 
   std::vector<int> proc = mapping.proc_of_task();
@@ -106,8 +106,7 @@ RepairResult repair_mapping(const TaskGraph& graph,
         route_greedy_shortest(graph, proc, sub.topo);
 
     IncrementalCompletion inc(graph, sub.topo, std::move(proc),
-                              std::move(routing), CostModel{},
-                              sub.link_factor);
+                              std::move(routing), sub.link_factor);
 
     // Improve the displaced tasks only. Sweep k probes the processors
     // within 2^k hops of the task's current processor.

@@ -24,10 +24,11 @@
 //
 // Every rung scores the completion model at its default costs.
 //
-// Determinism: with `time_budget_ms` <= 0 the outcome is a pure
-// function of (graph, mapping, FaultSpec, options) -- no wall clock, no
-// thread count. A positive budget only ever *truncates* the improvement
-// schedule, and the truncation point is the sole nondeterminism.
+// Determinism: with `remap_options.time_budget_ms` <= 0 the outcome is
+// a pure function of (graph, mapping, FaultSpec, options) -- no wall
+// clock, no thread count. A positive budget only ever *truncates* the
+// improvement schedule, and the truncation point is the sole
+// nondeterminism.
 #pragma once
 
 #include <cstdint>
@@ -52,17 +53,16 @@ enum class RepairRung {
 [[nodiscard]] std::string to_string(RepairRung rung);
 
 struct RepairOptions {
-  /// Hard wall-clock deadline in milliseconds. 0 = none (fully
-  /// deterministic); < 0 = already expired (the migrate rung does the
-  /// provisional placement + re-route but skips all improvement --
-  /// useful for deterministic deadline tests).
-  std::int64_t time_budget_ms = 0;
   /// Rung switches (benchmarks force a single rung through these).
   bool allow_migrate = true;
   bool allow_refine = true;
   bool allow_remap = true;
   /// Mapper options for the remap rung (portfolio settings and seed
-  /// included).
+  /// included). Its `time_budget_ms` is also the whole ladder's hard
+  /// wall-clock deadline: 0 = none (fully deterministic); < 0 = already
+  /// expired (the migrate rung does the provisional placement +
+  /// re-route but skips all improvement -- useful for deterministic
+  /// deadline tests).
   MapperOptions remap_options;
 };
 

@@ -12,6 +12,7 @@ namespace oregami {
 
 namespace {
 constexpr std::int64_t kNoSecond = std::numeric_limits<std::int64_t>::min();
+constexpr CostModel kModel{};
 
 std::int64_t cost_of(const ExecPhase& phase, int task) {
   // An empty cost vector means all-zero (TaskGraph contract).
@@ -24,10 +25,9 @@ std::int64_t cost_of(const ExecPhase& phase, int task) {
 IncrementalCompletion::IncrementalCompletion(
     const TaskGraph& graph, const Topology& topo,
     std::vector<int> proc_of_task, std::vector<PhaseRouting> routing,
-    CostModel model, std::vector<std::int64_t> link_factor)
+    std::vector<std::int64_t> link_factor)
     : graph_(graph),
       topo_(topo),
-      model_(model),
       proc_of_task_(std::move(proc_of_task)),
       routing_(std::move(routing)),
       link_factor_(std::move(link_factor)) {
@@ -70,7 +70,7 @@ IncrementalCompletion::IncrementalCompletion(
       ++state.hops_hist[static_cast<std::size_t>(hb)];
     }
     rebuild_comm_maxima(state);
-    comm_times_.push_back(model_.comm_time(state.max_volume, state.max_hops));
+    comm_times_.push_back(kModel.comm_time(state.max_volume, state.max_hops));
   }
 
   // The incidence index: count each task's edge endpoints, turn the
@@ -128,10 +128,9 @@ IncrementalCompletion::IncrementalCompletion(
 
 IncrementalCompletion::IncrementalCompletion(
     const TaskGraph& graph, const Topology& topo, const Mapping& mapping,
-    CostModel model, std::vector<std::int64_t> link_factor)
+    std::vector<std::int64_t> link_factor)
     : IncrementalCompletion(graph, topo, mapping.proc_of_task(),
-                            mapping.routing, model,
-                            std::move(link_factor)) {}
+                            mapping.routing, std::move(link_factor)) {}
 
 CommPhaseSnapshot IncrementalCompletion::comm_snapshot(int phase) const {
   const auto& state = comm_[static_cast<std::size_t>(phase)];
@@ -348,7 +347,7 @@ std::int64_t IncrementalCompletion::delta_move(int task, int to_proc) const {
     }
 
     probe_comm_times_[static_cast<std::size_t>(k)] =
-        model_.comm_time(new_max_volume, new_max_hops);
+        kModel.comm_time(new_max_volume, new_max_hops);
     start = stop;
   }
 
@@ -407,7 +406,7 @@ void IncrementalCompletion::place_task(
     auto& state = comm_[static_cast<std::size_t>(incident[j].phase)];
     rebuild_comm_maxima(state);
     comm_times_[static_cast<std::size_t>(incident[j].phase)] =
-        model_.comm_time(state.max_volume, state.max_hops);
+        kModel.comm_time(state.max_volume, state.max_hops);
   }
 
   completion_ = compose_phase_times(graph_, comm_times_, exec_times_);

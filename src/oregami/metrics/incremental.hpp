@@ -16,11 +16,14 @@
 //   * undo()            -- exact restoration of the previous placement,
 //     routes, caches, and completion time.
 //
+// It scores the completion model at its default costs (CostModel{}),
+// the model every MAPPER strategy optimises.
+//
 // Invariants (when caches must be rebuilt): the evaluator owns its
 // placement + routing copies, so they can only drift from the caches
-// through apply_move/undo, which maintain them. Mutating the TaskGraph,
-// Topology, or CostModel it references invalidates the evaluator;
-// construct a fresh one. An instance is not thread-safe (probes use
+// through apply_move/undo, which maintain them. Mutating the TaskGraph
+// or Topology it references invalidates the evaluator; construct a
+// fresh one. An instance is not thread-safe (probes use
 // internal scratch); give each thread its own.
 #pragma once
 
@@ -82,12 +85,11 @@ class IncrementalCompletion {
   IncrementalCompletion(const TaskGraph& graph, const Topology& topo,
                         std::vector<int> proc_of_task,
                         std::vector<PhaseRouting> routing,
-                        CostModel model = {},
                         std::vector<std::int64_t> link_factor = {});
 
   /// Convenience: start from a MAPPER-produced mapping.
   IncrementalCompletion(const TaskGraph& graph, const Topology& topo,
-                        const Mapping& mapping, CostModel model = {},
+                        const Mapping& mapping,
                         std::vector<std::int64_t> link_factor = {});
 
   [[nodiscard]] const Topology& topology() const { return topo_; }
@@ -186,7 +188,6 @@ class IncrementalCompletion {
 
   const TaskGraph& graph_;
   const Topology& topo_;
-  CostModel model_;
   std::vector<int> proc_of_task_;
   std::vector<PhaseRouting> routing_;
   std::vector<std::int64_t> link_factor_;  ///< empty = all links factor 1

@@ -138,14 +138,17 @@ std::string render_ascii_layout(const TaskGraph& graph,
         out += " -- ";
       }
       const auto& tasks = by_proc[static_cast<std::size_t>(p)];
-      out += "[" +
-             (tasks.empty() ? std::string(".")
-                            : graph.task_name(tasks[0]) +
-                                  (tasks.size() > 1
-                                       ? "+" +
-                                             std::to_string(tasks.size() - 1)
-                                       : "")) +
-             "]";
+      out += '[';
+      if (tasks.empty()) {
+        out += '.';
+      } else {
+        out += graph.task_name(tasks[0]);
+        if (tasks.size() > 1) {
+          out += '+';
+          out += std::to_string(tasks.size() - 1);
+        }
+      }
+      out += ']';
     }
     if (topo.family() == TopoFamily::Ring) {
       out += " -- (wraps)";

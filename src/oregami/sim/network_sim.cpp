@@ -124,7 +124,7 @@ SimResult simulate(const TaskGraph& graph,
     // Structural per-phase link-volume and hop-histogram counters via
     // the metrics layer's incremental trackers, slowed links charged.
     const IncrementalCompletion inc(
-        graph, topo, proc_of_task, routing, {},
+        graph, topo, proc_of_task, routing,
         config.faults != nullptr ? config.faults->link_slowdowns()
                                  : std::vector<std::int64_t>{});
     inc.trace_phase_counters();

@@ -255,21 +255,4 @@ std::string report() {
   return out;
 }
 
-std::int64_t fired_total() {
-  Registry& reg = registry();
-  const std::lock_guard<std::mutex> lock(reg.mutex);
-  std::int64_t total = 0;
-  for (const Clause& clause : reg.clauses) {
-    total += clause.fired;
-  }
-  return total;
-}
-
-std::int64_t evaluations(std::string_view site) {
-  Registry& reg = registry();
-  const std::lock_guard<std::mutex> lock(reg.mutex);
-  const auto it = reg.counters.find(std::string(site));
-  return it == reg.counters.end() ? 0 : it->second;
-}
-
 }  // namespace oregami::failpoint

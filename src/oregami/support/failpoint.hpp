@@ -92,11 +92,4 @@ void clear();
 /// Empty string when nothing is armed.
 [[nodiscard]] std::string report();
 
-/// Total firings across all clauses since configure().
-[[nodiscard]] std::int64_t fired_total();
-
-/// Evaluations seen by `site` since configure() (fired or not); lets
-/// tests assert a site is actually threaded through a code path.
-[[nodiscard]] std::int64_t evaluations(std::string_view site);
-
 }  // namespace oregami::failpoint

@@ -23,9 +23,6 @@ class TextTable {
   /// cells render empty) but not more.
   void add_row(std::vector<std::string> cells);
 
-  /// Number of data rows added so far.
-  [[nodiscard]] std::size_t row_count() const { return rows_.size(); }
-
   /// Renders the table with a header underline, columns padded to the
   /// widest cell, two spaces between columns.
   [[nodiscard]] std::string to_string() const;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "oregami/graph/blossom.hpp"
 #include "oregami/support/rng.hpp"
 
@@ -27,10 +29,17 @@ void expect_valid(const Graph& g, const GeneralMatching& m) {
   EXPECT_EQ(weight, m.total_weight);
 }
 
+/// Number of matched pairs.
+int num_pairs(const GeneralMatching& m) {
+  return static_cast<int>(std::count_if(m.mate.begin(), m.mate.end(),
+                                        [](int u) { return u != -1; })) /
+         2;
+}
+
 TEST(Blossom, EmptyGraph) {
   const auto m = max_weight_matching(Graph(0));
   EXPECT_EQ(m.total_weight, 0);
-  EXPECT_EQ(m.num_pairs(), 0);
+  EXPECT_EQ(num_pairs(m), 0);
 }
 
 TEST(Blossom, SingleEdge) {
@@ -50,7 +59,7 @@ TEST(Blossom, PathPicksBestAlternation) {
   g.add_edge(2, 3, 1);
   const auto m = max_weight_matching(g);
   EXPECT_EQ(m.total_weight, 5);
-  EXPECT_EQ(m.num_pairs(), 1);
+  EXPECT_EQ(num_pairs(m), 1);
 }
 
 TEST(Blossom, PathPrefersTwoEdgesWhenHeavier) {
@@ -61,7 +70,7 @@ TEST(Blossom, PathPrefersTwoEdgesWhenHeavier) {
   g.add_edge(2, 3, 4);
   const auto m = max_weight_matching(g);
   EXPECT_EQ(m.total_weight, 8);
-  EXPECT_EQ(m.num_pairs(), 2);
+  EXPECT_EQ(num_pairs(m), 2);
 }
 
 TEST(Blossom, TriangleTakesHeaviestEdge) {
@@ -83,7 +92,7 @@ TEST(Blossom, OddCycleForcesBlossom) {
   g.add_edge(4, 0, 3);
   const auto m = max_weight_matching(g);
   EXPECT_EQ(m.total_weight, 6);
-  EXPECT_EQ(m.num_pairs(), 2);
+  EXPECT_EQ(num_pairs(m), 2);
   expect_valid(g, m);
 }
 
@@ -102,7 +111,7 @@ TEST(Blossom, PetersenLikeBlossomExpansion) {
   // Best: one edge in each triangle avoiding vertices 2/3, plus bridge?
   // Pairs (0,1), (4,5) weight 10, plus bridge (2,3) weight 1 -> 11.
   EXPECT_EQ(m.total_weight, 11);
-  EXPECT_EQ(m.num_pairs(), 3);
+  EXPECT_EQ(num_pairs(m), 3);
 }
 
 TEST(Blossom, MaximisesWeightNotCardinality) {
@@ -116,7 +125,7 @@ TEST(Blossom, MaximisesWeightNotCardinality) {
   const auto m = max_weight_matching(g);
   // (0,1) = 10 beats (1,2)+(0,3) = 4.
   EXPECT_EQ(m.total_weight, 10);
-  EXPECT_EQ(m.num_pairs(), 1);
+  EXPECT_EQ(num_pairs(m), 1);
 }
 
 TEST(Blossom, CompleteGraphEvenPerfect) {

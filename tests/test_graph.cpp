@@ -54,8 +54,8 @@ TEST(Graph, EdgeWeightAbsent) {
   Graph g(3);
   g.add_edge(0, 1);
   EXPECT_FALSE(g.edge_weight(0, 2).has_value());
-  EXPECT_FALSE(g.has_edge(1, 2));
-  EXPECT_TRUE(g.has_edge(0, 1));
+  EXPECT_FALSE(g.edge_weight(1, 2).has_value());
+  EXPECT_TRUE(g.edge_weight(0, 1).has_value());
 }
 
 TEST(Graph, DegreesAndTotalWeight) {

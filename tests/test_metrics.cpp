@@ -123,16 +123,26 @@ TEST(CompletionModel, EveryScorerComposesPhasesAlike) {
               expected);
     EXPECT_EQ(compute_metrics(graph, procs, routing, topo, model).completion,
               expected);
-    EXPECT_EQ(
-        IncrementalCompletion(graph, topo, procs, routing, model).completion(),
-        expected);
     EXPECT_EQ(simulate(graph, procs, routing, topo, sim).total_cycles,
               expected);
     EXPECT_EQ(degraded_completion_time(graph, procs, routing, healthy, model),
               expected);
   };
+  // IncrementalCompletion scores the default model (a = 3 + 1 = 4,
+  // b = 1 + 1 = 2), and agrees with every other scorer run at it.
+  const auto expect_default_scorers = [&](std::int64_t expected) {
+    EXPECT_EQ(IncrementalCompletion(graph, topo, procs, routing).completion(),
+              expected);
+    EXPECT_EQ(completion_time(graph, procs, routing, topo), expected);
+    EXPECT_EQ(compute_metrics(graph, procs, routing, topo).completion,
+              expected);
+    EXPECT_EQ(simulate(graph, procs, routing, topo).total_cycles, expected);
+    EXPECT_EQ(degraded_completion_time(graph, procs, routing, healthy),
+              expected);
+  };
   // (a; w; (a || w))^3 = 3 * (11 + 4 + max(11, 4)).
   expect_every_scorer(78);
+  expect_default_scorers(3 * (4 + 4 + 4));
 
   // Slow the link under a's first message by 3: a = 3*3*2 + 5 = 23.
   const int link = routing[0].route_of_edge[0].links.front();
@@ -144,13 +154,17 @@ TEST(CompletionModel, EveryScorerComposesPhasesAlike) {
   }
   EXPECT_EQ(degraded_completion_time(graph, procs, routing, slowed, model),
             3 * (23 + 4 + 23));
-  EXPECT_EQ(IncrementalCompletion(graph, topo, procs, routing, model, factors)
+  // At the default model: a = 3*3 + 1 = 10.
+  EXPECT_EQ(degraded_completion_time(graph, procs, routing, slowed),
+            3 * (10 + 4 + 10));
+  EXPECT_EQ(IncrementalCompletion(graph, topo, procs, routing, factors)
                 .completion(),
-            3 * (23 + 4 + 23));
+            3 * (10 + 4 + 10));
 
   // An Idle expression runs every phase once, the unused ones included.
   graph.set_phase_expr(PhaseTree::idle());
   expect_every_scorer(11 + 7 + 4 + 8);
+  expect_default_scorers(4 + 2 + 4 + 8);
 }
 
 TEST(Metrics, LoadSide) {

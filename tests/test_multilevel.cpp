@@ -40,8 +40,7 @@ TEST(Multilevel, ProducesValidMappingOnLarcsProgram) {
   const auto cp = larcs::compile_source(larcs::programs::nbody(),
                                         {{"n", 15}, {"s", 4}, {"m", 8}});
   const Topology topo = parse_topology_spec("mesh:4x4");
-  MultilevelOptions ml;
-  const MapperReport report = map_multilevel(cp.graph, topo, ml);
+  const MapperReport report = map_multilevel(cp.graph, topo, MapperOptions{});
   EXPECT_NO_THROW(validate_mapping(report.mapping, cp.graph, topo));
   // The mapping scores finitely under the real model.
   EXPECT_GE(completion_time(cp.graph, report.mapping.proc_of_task(),
@@ -67,15 +66,36 @@ TEST(Multilevel, BitIdenticalAcrossJobs) {
   EXPECT_EQ(texts[0], texts[2]);
 }
 
+TEST(Multilevel, SeedReachesTheVCycle) {
+  // MapperOptions::portfolio_seed seeds the coarsening shuffles and the
+  // coarsest NN-Embed, whichever entry point runs the V-cycle.
+  const TaskGraph graph = make_random_geometric(600, 0.06, kSeed);
+  const Topology topo = parse_topology_spec("torus:8x8");
+  const auto text_of = [&](const MapperReport& report) {
+    return mapping_text(graph, topo, report.mapping);
+  };
+  MapperOptions options;
+  options.multilevel = -1;
+  options.portfolio_seed = 1;
+  const std::string seed1 = text_of(map_computation(graph, topo, options));
+  EXPECT_EQ(text_of(map_computation(graph, topo, options)), seed1);
+  options.portfolio_seed = 7;
+  EXPECT_NE(text_of(map_computation(graph, topo, options)), seed1);
+
+  options.multilevel = 2;
+  EXPECT_EQ(text_of(map_multilevel(graph, topo, options)),
+            text_of(map_computation(graph, topo, options)));
+}
+
 TEST(Multilevel, RefinementNeverWorsensProjectedStart) {
   // Each committed move is re-probed with delta_move and applied only
   // when strictly improving, so the final completion can never exceed
-  // a run with refinement disabled (rounds = 0 keeps just the
-  // projected coarse placement).
+  // a run with refinement disabled (an expired budget skips refinement
+  // at every level and keeps just the projected coarse placement).
   const TaskGraph graph = make_power_law(800, 3, kSeed);
   const Topology topo = Topology::torus(8, 8);
-  MultilevelOptions no_refine;
-  no_refine.refine_rounds = 0;
+  MapperOptions no_refine;
+  no_refine.time_budget_ms = -1;
   const MapperReport projected = map_multilevel(graph, topo, no_refine);
   const MapperReport refined = map_multilevel(graph, topo);
   EXPECT_LE(completion_time(graph, refined.mapping.proc_of_task(),
@@ -88,8 +108,8 @@ TEST(Multilevel, RefinementNeverWorsensProjectedStart) {
 TEST(Multilevel, LevelCapIsHonored) {
   const TaskGraph graph = make_stencil2d(16, 16, kSeed);
   const Topology topo = Topology::mesh(4, 4);
-  MultilevelOptions shallow;
-  shallow.max_levels = 1;
+  MapperOptions shallow;
+  shallow.multilevel = 1;
   const MapperReport report = map_multilevel(graph, topo, shallow);
   EXPECT_NO_THROW(validate_mapping(report.mapping, graph, topo));
   // One coarsening step caps the hierarchy at two graphs (fine+coarse).
@@ -99,7 +119,7 @@ TEST(Multilevel, LevelCapIsHonored) {
 TEST(Multilevel, ExpiredBudgetStillReturnsValidMapping) {
   const TaskGraph graph = make_stencil2d(16, 16, kSeed);
   const Topology topo = Topology::mesh(4, 4);
-  MultilevelOptions expired;
+  MapperOptions expired;
   expired.time_budget_ms = -1;
   const MapperReport report = map_multilevel(graph, topo, expired);
   EXPECT_NO_THROW(validate_mapping(report.mapping, graph, topo));

@@ -116,8 +116,10 @@ TEST(DetectRing, PositiveWithWalkLabels) {
         fam->canonical_label[static_cast<std::size_t>(v)])] = v;
   }
   for (int p = 0; p < 9; ++p) {
-    EXPECT_TRUE(g.has_edge(vertex_at[static_cast<std::size_t>(p)],
-                           vertex_at[static_cast<std::size_t>((p + 1) % 9)]));
+    EXPECT_TRUE(
+        g.edge_weight(vertex_at[static_cast<std::size_t>(p)],
+                      vertex_at[static_cast<std::size_t>((p + 1) % 9)])
+            .has_value());
   }
 }
 

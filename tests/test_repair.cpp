@@ -164,7 +164,7 @@ TEST(Repair, ExpiredDeadlineStillProducesValidMapping) {
   const auto report = map_computation(graph, topo);
   const FaultedTopology ft(topo, FaultSpec::parse("p5,p6", topo));
   RepairOptions opts;
-  opts.time_budget_ms = -1;  // already expired, deterministically
+  opts.remap_options.time_budget_ms = -1;  // already expired, deterministically
   const RepairResult result = repair_mapping(graph, ft, report.mapping, opts);
   EXPECT_TRUE(result.deadline_hit);
   expect_avoids_faults(result.mapping, graph, ft, "deadline");

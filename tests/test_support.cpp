@@ -38,8 +38,7 @@ TEST(TextTable, AlignsColumns) {
 TEST(TextTable, PadsMissingCells) {
   TextTable t({"a", "b", "c"});
   t.add_row({"1"});
-  EXPECT_EQ(t.row_count(), 1u);
-  EXPECT_NO_THROW((void)t.to_string());
+  EXPECT_EQ(t.to_string(), "a  b  c\n-------\n1     \n");
 }
 
 TEST(FormatFixed, RoundsToDigits) {

@@ -184,7 +184,7 @@ TEST(RepairPins, JacobiWithSlowedLinkReachesRefineRung) {
 
 TEST(RepairPins, JacobiWithExpiredBudget) {
   RepairOptions expired;
-  expired.time_budget_ms = -1;
+  expired.remap_options.time_budget_ms = -1;
   const auto [r, mapping_digest] = repair_jacobi("mesh:4x4", "p5,l3", expired);
   EXPECT_EQ(mapping_digest, 0xac2eefe8ddaf11d8ULL);
   EXPECT_EQ(to_string(r.rung), "migrate");
@@ -271,28 +271,21 @@ TEST(DegradedMapPins, JacobiDeadProcessorAndLink) {
 // ------------------------------------------------------- map_multilevel
 
 /// The torus_stencil program at r=c=64 (4096 tasks) mapped onto `spec`
-/// by the V-cycle with `ml`.
+/// by the V-cycle with `options`.
 Pinned<MapperReport> multilevel_stencil(const std::string& spec,
-                                        const MultilevelOptions& ml) {
+                                        const MapperOptions& options) {
   const Compiled c =
       compile_named("torus_stencil", {{"r", 64}, {"c", 64}, {"iters", 1}});
   const Topology topo = parse_topology_spec(spec);
-  MapperReport report = map_multilevel(c.cp.graph, topo, ml);
+  MapperReport report = map_multilevel(c.cp.graph, topo, options);
   const std::uint64_t d = digest(c.cp.graph, topo, report.mapping);
   return {std::move(report), d};
 }
 
 Pinned<MapperReport> multilevel_stencil(int max_levels) {
-  MultilevelOptions ml;
-  ml.max_levels = max_levels;
-  return multilevel_stencil("torus:8x8", ml);
-}
-
-Pinned<MapperReport> multilevel_rounds(int refine_rounds) {
-  MultilevelOptions ml;
-  ml.max_levels = 2;
-  ml.refine_rounds = refine_rounds;
-  return multilevel_stencil("torus:8x8", ml);
+  MapperOptions options;
+  options.multilevel = max_levels;
+  return multilevel_stencil("torus:8x8", options);
 }
 
 TEST(MultilevelPins, TorusStencilAutoDepth) {
@@ -363,33 +356,6 @@ TEST(MultilevelPins, TorusStencilOnMesh3D) {
   EXPECT_EQ(report.details,
             "multilevel V-cycle: 8 level(s), 4096 -> 64 super-tasks; coarsest "
             "map NN-Embed; 14 refining moves");
-}
-
-// Other round counts, on the level-capped cycle: at auto depth the
-// second round already commits nothing, while here each level keeps
-// moving, so its proposals carry over through several commits.
-TEST(MultilevelPins, TorusStencilOneRound) {
-  const auto [report, mapping_digest] = multilevel_rounds(1);
-  EXPECT_EQ(mapping_digest, 0xc70a424a9b0a577bULL);
-  EXPECT_EQ(report.details,
-            "multilevel V-cycle: 3 level(s), 4096 -> 1214 super-tasks; "
-            "coarsest map round-robin; 179 refining moves");
-}
-
-TEST(MultilevelPins, TorusStencilFourRounds) {
-  const auto [report, mapping_digest] = multilevel_rounds(4);
-  EXPECT_EQ(mapping_digest, 0xb85180517ff5c4cfULL);
-  EXPECT_EQ(report.details,
-            "multilevel V-cycle: 3 level(s), 4096 -> 1214 super-tasks; "
-            "coarsest map round-robin; 191 refining moves");
-}
-
-TEST(MultilevelPins, TorusStencilEightRounds) {
-  const auto [report, mapping_digest] = multilevel_rounds(8);
-  EXPECT_EQ(mapping_digest, 0xb85180517ff5c4cfULL);
-  EXPECT_EQ(report.details,
-            "multilevel V-cycle: 3 level(s), 4096 -> 1214 super-tasks; "
-            "coarsest map round-robin; 191 refining moves");
 }
 
 // The driver's redirect runs the V-cycle on the healthy sub-machine, a

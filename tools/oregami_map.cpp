@@ -106,7 +106,8 @@ int usage(const char* argv0) {
       << "                         and keep the best (prints the table)\n"
       << "  --jobs J               portfolio worker threads (0 = all\n"
       << "                         cores); never changes the result\n"
-      << "  --seed S               portfolio base seed\n"
+      << "  --seed S               base seed of the portfolio candidates\n"
+      << "                         and of the multilevel V-cycle\n"
       << "  --anneal N             add N seeded simulated-annealing\n"
       << "                         candidates to the portfolio; requires\n"
       << "                         --portfolio\n"
@@ -373,7 +374,6 @@ int map_and_report(const Options& options, const larcs::Program& ast,
     // the degraded machine and print both completions side by side.
     if (faulted && options.repair) {
       RepairOptions ropts;
-      ropts.time_budget_ms = options.mapper.time_budget_ms;
       ropts.remap_options = options.mapper;
       ropts.remap_options.faults = nullptr;
       const RepairResult repaired =
