@@ -65,9 +65,8 @@ Route greedy_shortest_route(const Topology& topo, int src, int dst) {
   }
   route.links.reserve(
       static_cast<std::size_t>(std::max(0, topo.distance(src, dst))));
-  walk_greedy_route(topo, src, dst, [&route](int /*next*/, int link) {
-    route.links.push_back(link);
-  });
+  walk_greedy_route(topo, src, dst,
+                    [&route](int link) { route.links.push_back(link); });
   return route;
 }
 

@@ -2,8 +2,14 @@
 // (the "table of routing information" MM-Route consults in Fig 6) and
 // their count, the canonical greedy route, deterministic
 // dimension-order routes for baselines, and route validity checking.
+//
+// The greedy rule is stated once, in walk_oracle_route. A machine small
+// enough to keep a greedy-route table (topology.hpp) fills it with that
+// walk, and walk_greedy_route, the entry point every caller uses, reads
+// the table when there is one: the same links without a walk.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "oregami/arch/topology.hpp"
@@ -22,14 +28,15 @@ namespace oregami {
 [[nodiscard]] std::uint64_t count_shortest_routes(const Topology& topo,
                                                   int src, int dst);
 
-/// Walks the canonical greedy shortest route from src to dst: at each
-/// step the lowest-numbered neighbour one hop closer to dst (the first
-/// of next_hop_choices), calling on_hop(next, link) with the link id
-/// read off the adjacency entry. The family is dispatched once per walk
-/// and its distance oracle evaluated inline. Allocates nothing; returns
-/// the hop count (0 when src == dst). Asserts that dst is reachable.
+/// The canonical greedy shortest route from src to dst, walked through
+/// the distance oracle: at each step the lowest-numbered neighbour one
+/// hop closer to dst (the first of next_hop_choices), calling
+/// on_hop(link) with the link id read off the adjacency entry. The
+/// family is dispatched once per walk and its distance oracle evaluated
+/// inline. Allocates nothing; returns the hop count (0 when src == dst).
+/// Asserts that dst is reachable.
 template <class OnHop>
-int walk_greedy_route(const Topology& topo, int src, int dst,
+int walk_oracle_route(const Topology& topo, int src, int dst,
                       OnHop&& on_hop) {
   if (src == dst) {
     return 0;
@@ -48,11 +55,34 @@ int walk_greedy_route(const Topology& topo, int src, int dst,
         }
       }
       OREGAMI_ASSERT(next != -1, "destination must be reachable");
-      on_hop(next, next_link);
+      on_hop(next_link);
       current = next;
     }
     return hops;
   });
+}
+
+/// The greedy route from src to dst, as walk_oracle_route walks it:
+/// read from the topology's greedy-route table when it has one
+/// (Topology::kRouteTableMaxProcs), walked through the oracle
+/// otherwise. Every greedy route in the library comes from here.
+/// Calls on_hop(link) per hop, allocates nothing, returns the hop count
+/// and asserts that dst is reachable.
+template <class OnHop>
+int walk_greedy_route(const Topology& topo, int src, int dst,
+                      OnHop&& on_hop) {
+  if (src == dst) {
+    return 0;
+  }
+  if (const Topology::GreedyRouteTable* table = topo.greedy_route_table()) {
+    const std::span<const int> links = table->route(src, dst);
+    OREGAMI_ASSERT(!links.empty(), "destination must be reachable");
+    for (const int link : links) {
+      on_hop(link);
+    }
+    return static_cast<int>(links.size());
+  }
+  return walk_oracle_route(topo, src, dst, on_hop);
 }
 
 /// The greedy route as a Route: `Route{}` when src == dst.

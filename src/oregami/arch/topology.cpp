@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "oregami/arch/routes.hpp"
 #include "oregami/graph/gray_code.hpp"
 #include "oregami/graph/shortest_paths.hpp"
 #include "oregami/support/error.hpp"
@@ -44,6 +45,9 @@ Topology::Topology(std::string name, TopoFamily family,
       links_(std::move(links)),
       custom_dist_(family == TopoFamily::Custom
                        ? std::make_shared<CustomDistances>()
+                       : nullptr),
+      route_table_(links_.num_vertices() <= kRouteTableMaxProcs
+                       ? std::make_shared<LazyRouteTable>()
                        : nullptr) {}
 
 Topology Topology::ring(int p) {
@@ -236,6 +240,35 @@ const Topology::CustomDistances& Topology::custom_distances() const {
     }
   });
   return state;
+}
+
+const Topology::GreedyRouteTable& Topology::filled_route_table() const {
+  auto& state = *route_table_;
+  std::call_once(state.once, [&] {
+    GreedyRouteTable& table = state.table;
+    const int p = num_procs();
+    table.num_procs = p;
+    table.offsets.reserve(static_cast<std::size_t>(p) *
+                              static_cast<std::size_t>(p) +
+                          1);
+    table.offsets.push_back(0);
+    for (int src = 0; src < p; ++src) {
+      for (int dst = 0; dst < p; ++dst) {
+        // An unreachable pair (distance -1) keeps an empty range, so
+        // only a walk that asks for it fails.
+        if (distance(src, dst) > 0) {
+          walk_oracle_route(*this, src, dst, [&table](int link) {
+            table.links.push_back(link);
+          });
+        }
+        table.offsets.push_back(
+            static_cast<std::int32_t>(table.links.size()));
+      }
+    }
+    table.links.shrink_to_fit();
+    state.ready.store(true, std::memory_order_release);
+  });
+  return state.table;
 }
 
 namespace {

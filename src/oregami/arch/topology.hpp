@@ -12,8 +12,15 @@
 // exactly once under std::call_once. Every const distance query is
 // therefore allocation-free and safe to call concurrently from multiple
 // threads.
+//
+// A machine with at most kRouteTableMaxProcs processors also keeps every
+// greedy route (arch/routes.hpp) in one flat table: P*P + 1 offsets into
+// one link array, filled on first use under std::call_once by the oracle
+// walk and shared by copies, like the Custom distance table. Larger
+// machines have no table, and walk each route through their oracle.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -99,6 +106,40 @@ class Topology {
 
   [[nodiscard]] int diameter() const;
 
+  /// Machines with at most this many processors get a greedy-route
+  /// table. Its one-time build walks every route once: 5-25 us and
+  /// 2-6.5 KB at P <= 16, which the smallest SA chain repays. At P = 32
+  /// (about 0.1 ms) and P = 64 (0.5-0.8 ms, 65-280 KB) the build costs
+  /// more than a small job saves (DESIGN.md §6).
+  static constexpr int kRouteTableMaxProcs = 16;
+
+  /// Every greedy route of a machine, in one flat array: route (s, d)
+  /// is links[offsets[s * P + d], offsets[s * P + d + 1]). The range is
+  /// empty when s == d and when d is unreachable from s (a disconnected
+  /// Custom machine).
+  struct GreedyRouteTable {
+    int num_procs = 0;
+    std::vector<std::int32_t> offsets;  ///< P * P + 1 entries
+    std::vector<int> links;
+
+    [[nodiscard]] std::span<const int> route(int src, int dst) const {
+      const auto pair = static_cast<std::size_t>(src * num_procs + dst);
+      return {links.data() + offsets[pair], links.data() + offsets[pair + 1]};
+    }
+  };
+
+  /// The greedy-route table, filled on first use (thread-safely), or
+  /// nullptr above kRouteTableMaxProcs. Above the bound this is one
+  /// inline null check.
+  [[nodiscard]] const GreedyRouteTable* greedy_route_table() const {
+    if (route_table_ == nullptr) {
+      return nullptr;
+    }
+    return route_table_->ready.load(std::memory_order_acquire)
+               ? &route_table_->table
+               : &filled_route_table();
+  }
+
   /// Human label for a processor: plain index, mesh coordinates
   /// "(r,c)", or binary address for hypercubes.
   [[nodiscard]] std::string proc_label(int p) const;
@@ -125,6 +166,17 @@ class Topology {
 
   [[nodiscard]] const CustomDistances& custom_distances() const;
 
+  /// Greedy-route lazy state, shared by copies like CustomDistances.
+  /// `ready` is set once the fill is done, so a reader that sees it
+  /// skips std::call_once.
+  struct LazyRouteTable {
+    std::once_flag once;
+    std::atomic<bool> ready{false};
+    GreedyRouteTable table;
+  };
+
+  [[nodiscard]] const GreedyRouteTable& filled_route_table() const;
+
   std::string name_;
   TopoFamily family_;
   std::vector<int> shape_;
@@ -132,6 +184,8 @@ class Topology {
   // Allocated only for Custom; mutable because the once-fill happens
   // behind logically-const distance queries.
   mutable std::shared_ptr<CustomDistances> custom_dist_;
+  // Allocated only up to kRouteTableMaxProcs.
+  mutable std::shared_ptr<LazyRouteTable> route_table_;
 };
 
 template <class Fn>

@@ -1,14 +1,34 @@
 #include "oregami/mapper/mm_route.hpp"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
-#include "oregami/arch/routes.hpp"
 #include "oregami/graph/matching.hpp"
 #include "oregami/support/error.hpp"
 
 namespace oregami {
 
 namespace {
+
+/// The (neighbour, link) next hops of a message at `from` bound for
+/// `dst`, into `hops` (cleared first): next_hop_choices in its order
+/// (ascending neighbour id), each with the link of its adjacency entry,
+/// which is link_between's answer (a Graph merges parallel edges, so a
+/// neighbour has one entry).
+void next_hop_links(const Topology& topo, int from, int dst,
+                    std::vector<std::pair<int, int>>& hops) {
+  hops.clear();
+  topo.with_oracle([&](const auto& dist) {
+    const int here = dist(dst, from);
+    for (const auto& a : topo.graph().neighbors(from)) {
+      if (dist(dst, a.neighbor) == here - 1) {
+        hops.emplace_back(a.neighbor, a.edge_id);
+      }
+    }
+  });
+  std::sort(hops.begin(), hops.end());
+}
 
 /// Routes one phase; fills `routing.route_of_edge` and appends match
 /// rounds to `trace_rounds` when tracing.
@@ -32,12 +52,17 @@ PhaseRouting route_phase(const CommPhase& phase,
     target[static_cast<std::size_t>(m)] = dst;
   }
 
+  std::vector<int> pending;
+  std::vector<int> x_of;  // bipartite left index -> message
+  std::vector<char> advanced(static_cast<std::size_t>(num_edges));
+  std::vector<std::pair<int, int>> hops;
   for (int hop = 0;; ++hop) {
-    std::vector<int> pending;
+    pending.clear();
     for (int m = 0; m < num_edges; ++m) {
       if (current[static_cast<std::size_t>(m)] !=
           target[static_cast<std::size_t>(m)]) {
         pending.push_back(m);
+        advanced[static_cast<std::size_t>(m)] = 0;
       }
     }
     if (pending.empty()) {
@@ -46,25 +71,22 @@ PhaseRouting route_phase(const CommPhase& phase,
 
     // All pending messages advance exactly one hop this iteration, via
     // repeated maximal matchings (each round uses a link at most once).
-    std::vector<bool> advanced(pending.size(), false);
     std::size_t advanced_count = 0;
     while (advanced_count < pending.size()) {
       // X = not-yet-advanced pending messages, Y = links.
-      std::vector<int> x_of;  // bipartite left index -> message
-      for (std::size_t i = 0; i < pending.size(); ++i) {
-        if (!advanced[i]) {
-          x_of.push_back(pending[i]);
+      x_of.clear();
+      for (const int m : pending) {
+        if (advanced[static_cast<std::size_t>(m)] == 0) {
+          x_of.push_back(m);
         }
       }
       BipartiteGraph bg(static_cast<int>(x_of.size()), topo.num_links());
       for (std::size_t x = 0; x < x_of.size(); ++x) {
         const int m = x_of[x];
-        const int from = current[static_cast<std::size_t>(m)];
-        for (const int next :
-             next_hop_choices(topo, from, target[static_cast<std::size_t>(m)])) {
-          const auto link = topo.link_between(from, next);
-          OREGAMI_ASSERT(link.has_value(), "next hop must be adjacent");
-          bg.add_edge(static_cast<int>(x), *link);
+        next_hop_links(topo, current[static_cast<std::size_t>(m)],
+                       target[static_cast<std::size_t>(m)], hops);
+        for (const auto& next_hop : hops) {
+          bg.add_edge(static_cast<int>(x), next_hop.second);
         }
       }
       const BipartiteMatching matching =
@@ -90,14 +112,8 @@ PhaseRouting route_phase(const CommPhase& phase,
         current[static_cast<std::size_t>(m)] = next;
         routing.route_of_edge[static_cast<std::size_t>(m)].links.push_back(
             link);
-        // Mark advanced.
-        for (std::size_t i = 0; i < pending.size(); ++i) {
-          if (pending[i] == m) {
-            advanced[i] = true;
-            ++advanced_count;
-            break;
-          }
-        }
+        advanced[static_cast<std::size_t>(m)] = 1;
+        ++advanced_count;
         round.assignments.emplace_back(m, link);
       }
       if (trace_rounds != nullptr) {

@@ -159,6 +159,7 @@ long refine_level(const CsrTaskGraph& csr, IncrementalCompletion& inc,
         /*load_bound=*/0, /*max_passes=*/1, deadline);
     trace::counter("boundary", boundary);
     trace::counter("proposed", proposed);
+    trace::counter("probes", sweep.probes);
     trace::counter("moves", sweep.moves);
     total_moves += sweep.moves;
     if (sweep.moves == 0) break;

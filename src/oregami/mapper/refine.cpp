@@ -159,6 +159,7 @@ SweepResult greedy_sweep(IncrementalCompletion& inc,
           continue;
         }
         const std::int64_t delta = inc.delta_move(t, q);
+        ++result.probes;
         if (delta < best_delta) {
           best_delta = delta;
           best_proc = q;

@@ -63,6 +63,7 @@ struct PlacementRefineResult {
 struct SweepResult {
   int passes = 0;  ///< sweeps begun (one the deadline cut short counts)
   int moves = 0;   ///< moves applied
+  std::int64_t probes = 0;  ///< delta_move calls
   bool deadline_hit = false;
 };
 

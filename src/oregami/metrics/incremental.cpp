@@ -211,14 +211,6 @@ void IncrementalCompletion::rebuild_comm_maxima(CommState& state) const {
   }
 }
 
-Route IncrementalCompletion::route_for(int phase, int edge) const {
-  const auto& e = graph_.comm_phases()[static_cast<std::size_t>(phase)]
-                      .edges[static_cast<std::size_t>(edge)];
-  return greedy_shortest_route(topo_,
-                               proc_of_task_[static_cast<std::size_t>(e.src)],
-                               proc_of_task_[static_cast<std::size_t>(e.dst)]);
-}
-
 std::int64_t IncrementalCompletion::delta_move(int task, int to_proc) const {
   OREGAMI_ASSERT(task >= 0 && task < graph_.num_tasks(),
                  "task out of range");
@@ -293,10 +285,9 @@ std::int64_t IncrementalCompletion::delta_move(int task, int to_proc) const {
               ? to_proc
               : proc_of_task_[static_cast<std::size_t>(dst_task)];
       // The route apply_move would store, walked without building it.
-      const int new_hops =
-          walk_greedy_route(topo_, src, dst, [&](int /*next*/, int link) {
-            touch(link, edge.volume * link_weight(link));
-          });
+      const int new_hops = walk_greedy_route(topo_, src, dst, [&](int link) {
+        touch(link, edge.volume * link_weight(link));
+      });
       const int hb = hop_bucket(new_hops);
       if (static_cast<int>(hops_scratch_.size()) <= hb) {
         hops_scratch_.resize(static_cast<std::size_t>(hb) + 1, 0);
@@ -355,8 +346,8 @@ std::int64_t IncrementalCompletion::delta_move(int task, int to_proc) const {
          completion_;
 }
 
-void IncrementalCompletion::place_task(
-    int task, int to_proc, const std::vector<Route>* forced_routes) {
+void IncrementalCompletion::place_task(int task, int to_proc,
+                                       const int* replaced) {
   const int from = proc_of_task_[static_cast<std::size_t>(task)];
   for (std::size_t k = 0; k < exec_.size(); ++k) {
     const std::int64_t c = cost_of(graph_.exec_phases()[k], task);
@@ -386,8 +377,17 @@ void IncrementalCompletion::place_task(
           edge.volume * link_weight(link);
     }
     --state.hops_hist[static_cast<std::size_t>(hop_bucket(slot.hops()))];
-    slot = forced_routes != nullptr ? (*forced_routes)[j]
-                                    : route_for(k, i);
+    if (replaced == nullptr) {
+      const int src = proc_of_task_[static_cast<std::size_t>(edge.src)];
+      const int dst = proc_of_task_[static_cast<std::size_t>(edge.dst)];
+      slot.links.clear();
+      walk_greedy_route(topo_, src, dst,
+                        [&slot](int link) { slot.links.push_back(link); });
+    } else {
+      const int hops = *replaced++;
+      slot.links.assign(replaced, replaced + hops);
+      replaced += hops;
+    }
     for (const int link : slot.links) {
       state.volume[static_cast<std::size_t>(link)] +=
           edge.volume * link_weight(link);
@@ -421,19 +421,15 @@ std::int64_t IncrementalCompletion::apply_move(int task, int to_proc) {
   if (from == to_proc) {
     return 0;
   }
-  UndoRecord rec;
-  rec.task = task;
-  rec.from_proc = from;
-  rec.old_completion = completion_;
-  const std::span<const EdgeRef> incident = this->incident(task);
-  rec.old_routes.reserve(incident.size());
-  for (const auto& ref : incident) {
-    rec.old_routes.push_back(
-        routing_[static_cast<std::size_t>(ref.phase)]
-            .route_of_edge[static_cast<std::size_t>(ref.edge)]);
+  history_.push_back({task, from, undo_pool_.size(), completion_});
+  for (const auto& ref : incident(task)) {
+    const auto& links = routing_[static_cast<std::size_t>(ref.phase)]
+                            .route_of_edge[static_cast<std::size_t>(ref.edge)]
+                            .links;
+    undo_pool_.push_back(static_cast<int>(links.size()));
+    undo_pool_.insert(undo_pool_.end(), links.begin(), links.end());
   }
   place_task(task, to_proc, nullptr);
-  history_.push_back(std::move(rec));
   return completion_ - history_.back().old_completion;
 }
 
@@ -441,9 +437,10 @@ bool IncrementalCompletion::undo() {
   if (history_.empty()) {
     return false;
   }
-  UndoRecord rec = std::move(history_.back());
+  const UndoRecord rec = history_.back();
   history_.pop_back();
-  place_task(rec.task, rec.from_proc, &rec.old_routes);
+  place_task(rec.task, rec.from_proc, undo_pool_.data() + rec.pool_begin);
+  undo_pool_.resize(rec.pool_begin);
   OREGAMI_ASSERT(completion_ == rec.old_completion,
                  "undo must restore the exact completion time");
   return true;

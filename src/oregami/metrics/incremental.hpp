@@ -11,10 +11,16 @@
 //     trackers, O(links + incident routes) per affected comm phase;
 //     no allocation in the steady state; pure probe, no state change;
 //   * apply_move(t, q)  -- commits the move, greedily re-routing the
-//     edges incident to t (same rule as MetricsSession::move_task) and
-//     refreshing the caches;
+//     edges incident to t (same rule as MetricsSession::move_task) in
+//     place and refreshing the caches;
 //   * undo()            -- exact restoration of the previous placement,
 //     routes, caches, and completion time.
+//
+// Probes and commits take each greedy route from walk_greedy_route
+// (arch/routes.hpp), which reads the machine's route table when it has
+// one. The undo history keeps the routes a commit replaced in one flat
+// pool, so once the pool and the routes have grown to fit, neither a
+// commit nor an undo allocates.
 //
 // It scores the completion model at its default costs (CostModel{}),
 // the model every MAPPER strategy optimises.
@@ -157,21 +163,21 @@ class IncrementalCompletion {
   struct UndoRecord {
     int task = 0;
     int from_proc = 0;
-    std::vector<Route> old_routes;  ///< parallel to incident(task)
+    std::size_t pool_begin = 0;  ///< its replaced routes in undo_pool_
     std::int64_t old_completion = 0;
   };
 
   void rebuild_exec_tracker(ExecState& state) const;
   void rebuild_comm_maxima(CommState& state) const;
-  [[nodiscard]] Route route_for(int phase, int edge) const;
   /// The comm edges of `task`, grouped by ascending phase.
   [[nodiscard]] std::span<const EdgeRef> incident(int task) const {
     const auto t = static_cast<std::size_t>(task);
     return {incident_.data() + incident_begin_[t],
             incident_.data() + incident_begin_[t + 1]};
   }
-  void place_task(int task, int to_proc,
-                  const std::vector<Route>* forced_routes);
+  /// Moves `task` and rewrites its incident routes in place: greedily
+  /// when `replaced` is null, else from an undo-pool record.
+  void place_task(int task, int to_proc, const int* replaced);
 
   /// Histogram index of a route length under the kHopHistCap bucket
   /// scheme. Used symmetrically on increment and decrement, so
@@ -203,6 +209,10 @@ class IncrementalCompletion {
   std::vector<std::int32_t> incident_begin_;
   std::vector<EdgeRef> incident_;
   std::vector<UndoRecord> history_;
+  /// The routes each history record replaced, records back to back; in
+  /// a record, per incident edge in incident() order, the hop count and
+  /// then the links.
+  std::vector<int> undo_pool_;
 
   // Probe scratch (mutable: delta_move is logically const). Reused
   // across probes so the steady state allocates nothing.

@@ -3,17 +3,19 @@
 // ground truth (a Custom topology built from the same link graph), for
 // every TopoFamily across a sweep of shapes reaching P >= 256 per
 // family, plus diameter() cross-checks, the weighted-row primitive
-// against pairwise distance(), and a concurrency test on the unwarmed
-// Custom lazy table.
+// against pairwise distance(), and concurrency tests on the unwarmed
+// Custom lazy table and the lazy greedy-route table.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <latch>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "oregami/arch/routes.hpp"
 #include "oregami/arch/topology.hpp"
 #include "oregami/graph/shortest_paths.hpp"
 
@@ -268,6 +270,56 @@ TEST(DistanceOracleThreads, UnwarmedConcurrentQueries) {
   }
   for (int w = 1; w < kThreads; ++w) {
     EXPECT_EQ(checksums[static_cast<std::size_t>(w)], checksums[0]);
+  }
+}
+
+// The greedy-route table is filled by whichever thread first asks for
+// a route; every thread must see the whole table (run under TSan in
+// CI). Each thread's first route comes from the same unwarmed
+// topologies, released together.
+TEST(DistanceOracleThreads, FirstGreedyRouteFromUnwarmedTopology) {
+  Graph g(16);
+  for (int i = 0; i < 16; ++i) {
+    g.add_edge(i, (i + 1) % 16);
+    g.add_edge(i, (i + 5) % 16);
+  }
+  const Topology custom = Topology::custom("chordal16", std::move(g));
+  const Topology torus = Topology::torus(4, 4);
+  ASSERT_LE(custom.num_procs(), Topology::kRouteTableMaxProcs);
+  ASSERT_LE(torus.num_procs(), Topology::kRouteTableMaxProcs);
+  constexpr int kThreads = 6;
+  std::latch start(kThreads);
+  std::vector<std::thread> workers;
+  std::vector<std::vector<int>> walked(kThreads);
+  workers.reserve(kThreads);
+  for (int w = 0; w < kThreads; ++w) {
+    workers.emplace_back([&, w] {
+      std::vector<int>& out = walked[static_cast<std::size_t>(w)];
+      start.arrive_and_wait();
+      for (const Topology* t : {&custom, &torus}) {
+        for (int u = 0; u < t->num_procs(); ++u) {
+          for (int v = 0; v < t->num_procs(); ++v) {
+            walk_greedy_route(*t, u, v,
+                              [&out](int link) { out.push_back(link); });
+          }
+        }
+      }
+    });
+  }
+  for (auto& worker : workers) {
+    worker.join();
+  }
+  std::vector<int> want;
+  for (const Topology* t : {&custom, &torus}) {
+    for (int u = 0; u < t->num_procs(); ++u) {
+      for (int v = 0; v < t->num_procs(); ++v) {
+        walk_oracle_route(*t, u, v,
+                          [&want](int link) { want.push_back(link); });
+      }
+    }
+  }
+  for (int w = 0; w < kThreads; ++w) {
+    EXPECT_EQ(walked[static_cast<std::size_t>(w)], want) << "thread " << w;
   }
 }
 

@@ -161,7 +161,11 @@ TEST(Multilevel, SingleProcessorTopology) {
 TEST(Multilevel, LaterRoundsProposeOnlyAroundMoves) {
   // Round 1 proposes for every boundary task; round 2 only for the
   // tasks that moved and their neighbours, so its `proposed` counter
-  // must fall on every level that reaches a second round.
+  // must fall on every level that reaches a second round. The commit
+  // probes each task that holds a proposal once, so round 1 makes at
+  // most one probe per proposal and no round moves more tasks than it
+  // probes. (Round 2 also probes the proposals kept from round 1, so
+  // there `probes` can exceed `proposed`.)
   const auto cp = larcs::compile_source(
       larcs::programs::torus_stencil(), {{"r", 64}, {"c", 64}, {"iters", 1}});
   const Topology topo = parse_topology_spec("torus:8x8");
@@ -171,14 +175,21 @@ TEST(Multilevel, LaterRoundsProposeOnlyAroundMoves) {
   trace::disable();
   std::map<std::string, std::vector<std::int64_t>> proposed;
   std::map<std::string, std::vector<std::int64_t>> boundary;
+  std::map<std::string, std::vector<std::int64_t>> probes;
+  std::map<std::string, std::vector<std::int64_t>> moves;
   for (const trace::Event& e : trace::snapshot()) {
     if (e.kind != trace::Event::Kind::Counter) continue;
     const std::size_t slash = e.path.rfind('/');
     const std::string level = e.path.substr(0, slash);
-    if (e.path.substr(slash + 1) == "proposed") {
+    const std::string name = e.path.substr(slash + 1);
+    if (name == "proposed") {
       proposed[level].push_back(e.value);
-    } else if (e.path.substr(slash + 1) == "boundary") {
+    } else if (name == "boundary") {
       boundary[level].push_back(e.value);
+    } else if (name == "probes") {
+      probes[level].push_back(e.value);
+    } else if (name == "moves") {
+      moves[level].push_back(e.value);
     }
   }
   trace::clear();
@@ -187,8 +198,14 @@ TEST(Multilevel, LaterRoundsProposeOnlyAroundMoves) {
   for (const auto& [level, counts] : proposed) {
     SCOPED_TRACE(level);
     ASSERT_EQ(counts.size(), boundary[level].size());
+    ASSERT_EQ(counts.size(), probes[level].size());
+    ASSERT_EQ(counts.size(), moves[level].size());
     // The first round proposes for the whole boundary.
     EXPECT_EQ(counts[0], boundary[level][0]);
+    EXPECT_LE(probes[level][0], counts[0]);
+    for (std::size_t round = 0; round < counts.size(); ++round) {
+      EXPECT_LE(moves[level][round], probes[level][round]);
+    }
     if (counts.size() < 2) continue;
     ++second_rounds;
     EXPECT_LT(counts[1], counts[0]);

@@ -12,6 +12,7 @@
 //     starting metrics (the edit loop's delta accounting has no leaks).
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -239,31 +240,75 @@ TEST(Properties, GeneratedPipelineInvariants) {
   }
 }
 
+/// A topology for the evaluator's cases: half the time one of
+/// random_topology's (at most 16 processors, so they keep a greedy-route
+/// table), half the time a machine over Topology::kRouteTableMaxProcs,
+/// whose routes are walked.
+Topology random_incremental_topology(SplitMix64& rng) {
+  static_assert(Topology::kRouteTableMaxProcs == 16,
+                "random_topology stays at or under the bound");
+  if (rng.next_below(2) == 0) {
+    return random_topology(rng);
+  }
+  const auto side = [&rng](int lo, int hi) {
+    return std::to_string(rng.next_in(lo, hi));
+  };
+  switch (rng.next_below(5)) {
+    case 0:
+      return parse_topology_spec("ring:" + side(17, 40));
+    case 1:
+      return parse_topology_spec("mesh:" + side(5, 7) + "x" + side(4, 6));
+    case 2:
+      return parse_topology_spec("torus:" + side(5, 6) + "x" + side(4, 5));
+    case 3:
+      return parse_topology_spec("hypercube:" + side(5, 6));
+    default:
+      return parse_topology_spec("butterfly:3");
+  }
+}
+
 /// IncrementalCompletion invariants on a generated case: the cached
 /// completion matches completion_time(), every delta_move probe equals
 /// the realised apply_move delta (which in turn matches a from-scratch
-/// recompute), and unwinding the whole move history restores the
-/// placement, the routing, and the completion exactly.
-void check_incremental_case(std::uint64_t case_seed) {
+/// recompute), and every undo restores the placement, the routing and
+/// the completion of the state before its move exactly. Moves and undos
+/// interleave at random, and an undone move is often re-applied at
+/// once, so commits reuse the undo pool after it shrinks. Counts the
+/// case in `table_cases` when its machine keeps a greedy-route table.
+void check_incremental_case(std::uint64_t case_seed, int& table_cases) {
   SCOPED_TRACE("case seed " + std::to_string(case_seed));
   SplitMix64 rng(case_seed);
-  const Topology topo = random_topology(rng);
+  const Topology topo = random_incremental_topology(rng);
   const TaskGraph graph = random_task_graph(rng);
   const MapperReport report = map_computation(graph, topo, {});
+  table_cases += topo.greedy_route_table() != nullptr ? 1 : 0;
 
   IncrementalCompletion inc(graph, topo, report.mapping);
-  const auto procs_before = inc.proc_of_task();
-  const auto routing_before = inc.routing();
-  const std::int64_t completion_before = inc.completion();
-  ASSERT_EQ(completion_before,
-            completion_time(graph, procs_before, routing_before, topo));
+  ASSERT_EQ(inc.completion(), completion_time(graph, inc.proc_of_task(),
+                                              inc.routing(), topo));
 
-  const int kMoves = 6;
-  for (int m = 0; m < kMoves; ++m) {
-    const int task = static_cast<int>(
-        rng.next_below(static_cast<std::uint64_t>(graph.num_tasks())));
-    const int target = static_cast<int>(
-        rng.next_below(static_cast<std::uint64_t>(topo.num_procs())));
+  struct State {
+    std::vector<int> procs;
+    std::vector<PhaseRouting> routing;
+    std::int64_t completion;
+  };
+  const auto expect_state = [&inc](const State& want) {
+    ASSERT_EQ(inc.completion(), want.completion);
+    ASSERT_EQ(inc.proc_of_task(), want.procs);
+    ASSERT_EQ(inc.routing().size(), want.routing.size());
+    for (std::size_t k = 0; k < want.routing.size(); ++k) {
+      const auto& a = inc.routing()[k].route_of_edge;
+      const auto& b = want.routing[k].route_of_edge;
+      ASSERT_EQ(a.size(), b.size());
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        ASSERT_EQ(a[i].links, b[i].links) << "phase " << k << " edge " << i;
+      }
+    }
+  };
+  // states[h] is the state with h moves in the history.
+  std::vector<State> states{
+      {inc.proc_of_task(), inc.routing(), inc.completion()}};
+  const auto move = [&](int task, int target) {
     const std::int64_t probed = inc.delta_move(task, target);
     const std::int64_t before = inc.completion();
     const std::int64_t realised = inc.apply_move(task, target);
@@ -274,30 +319,67 @@ void check_incremental_case(std::uint64_t case_seed) {
               completion_time(graph, inc.proc_of_task(), inc.routing(),
                               topo))
         << "task " << task << " -> " << target;
-  }
-  while (inc.undo()) {
-  }
-  EXPECT_EQ(inc.completion(), completion_before);
-  EXPECT_EQ(inc.proc_of_task(), procs_before);
-  ASSERT_EQ(inc.routing().size(), routing_before.size());
-  for (std::size_t k = 0; k < routing_before.size(); ++k) {
-    const auto& a = inc.routing()[k].route_of_edge;
-    const auto& b = routing_before[k].route_of_edge;
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].links, b[i].links);
+    if (inc.history_size() + 1 > states.size()) {
+      states.push_back({inc.proc_of_task(), inc.routing(), inc.completion()});
+    }
+  };
+
+  constexpr int kSteps = 12;
+  for (int step = 0; step < kSteps; ++step) {
+    if (inc.history_size() > 0 && rng.next_below(3) == 0) {
+      // Undo, then half the time re-apply the same move.
+      const std::size_t h = inc.history_size();
+      const State undone = states[h];
+      ASSERT_TRUE(inc.undo());
+      states.pop_back();
+      expect_state(states.back());
+      if (::testing::Test::HasFailure()) {
+        return;
+      }
+      if (rng.next_below(2) == 0) {
+        int task = 0;
+        while (undone.procs[static_cast<std::size_t>(task)] ==
+               states.back().procs[static_cast<std::size_t>(task)]) {
+          ++task;
+        }
+        move(task, undone.procs[static_cast<std::size_t>(task)]);
+        expect_state(undone);
+      }
+      continue;
+    }
+    const int task = static_cast<int>(
+        rng.next_below(static_cast<std::uint64_t>(graph.num_tasks())));
+    const int target = static_cast<int>(
+        rng.next_below(static_cast<std::uint64_t>(topo.num_procs())));
+    move(task, target);
+    if (::testing::Test::HasFailure()) {
+      return;
     }
   }
+  while (inc.history_size() > 0) {
+    ASSERT_TRUE(inc.undo());
+    states.pop_back();
+    expect_state(states.back());
+  }
+  EXPECT_FALSE(inc.undo());
 }
 
 TEST(Properties, IncrementalCompletionMatchesFullRecompute) {
   SplitMix64 seeder(kBaseSeed ^ 0xD15C0ULL);
+  int table_cases = 0;
   for (int i = 0; i < kCases; ++i) {
-    check_incremental_case(seeder.next_u64());
+    check_incremental_case(seeder.next_u64(), table_cases);
     if (HasFatalFailure()) {
       return;
     }
   }
+  // Both sides of the route-table bound get a fair share of the cases.
+  RecordProperty("route_table_cases", table_cases);
+  RecordProperty("route_walk_cases", kCases - table_cases);
+  std::printf("%d cases on a machine with a greedy-route table, %d without\n",
+              table_cases, kCases - table_cases);
+  EXPECT_GE(table_cases, kCases / 4);
+  EXPECT_GE(kCases - table_cases, kCases / 4);
 }
 
 /// refine_placement never worsens the completion model, keeps every

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "mapping_text.hpp"
+#include "oregami/arch/fault_model.hpp"
 #include "oregami/arch/routes.hpp"
 #include "oregami/support/error.hpp"
 
@@ -105,6 +108,117 @@ TEST(GreedyRoute, MatchesNextHopReference) {
       }
     }
   }
+}
+
+/// The links walk_oracle_route visits from src to dst.
+std::vector<int> oracle_links(const Topology& topo, int src, int dst) {
+  std::vector<int> links;
+  walk_oracle_route(topo, src, dst,
+                    [&links](int link) { links.push_back(link); });
+  return links;
+}
+
+/// Every pair's greedy route must be the oracle walk's, whether it
+/// comes from the route table, from walk_greedy_route, or from
+/// greedy_shortest_route.
+void expect_table_matches_walk(const Topology& t) {
+  SCOPED_TRACE(t.name());
+  const Topology::GreedyRouteTable* table = t.greedy_route_table();
+  ASSERT_EQ(table != nullptr, t.num_procs() <= Topology::kRouteTableMaxProcs);
+  for (int u = 0; u < t.num_procs(); ++u) {
+    for (int v = 0; v < t.num_procs(); ++v) {
+      const std::vector<int> want = oracle_links(t, u, v);
+      if (table != nullptr) {
+        const std::span<const int> got = table->route(u, v);
+        ASSERT_EQ(std::vector<int>(got.begin(), got.end()), want)
+            << u << " -> " << v;
+      }
+      std::vector<int> walked;
+      const int hops = walk_greedy_route(
+          t, u, v, [&walked](int link) { walked.push_back(link); });
+      ASSERT_EQ(walked, want) << u << " -> " << v;
+      ASSERT_EQ(hops, static_cast<int>(want.size()));
+      ASSERT_EQ(greedy_shortest_route(t, u, v).links, want)
+          << u << " -> " << v;
+    }
+  }
+}
+
+TEST(GreedyRouteTable, MatchesOracleWalkOnBothSidesOfTheBound) {
+  static_assert(Topology::kRouteTableMaxProcs == 16,
+                "the sizes below straddle a bound of 16");
+  const std::vector<Topology> topos = {
+      // At or under the bound: the table.
+      Topology::ring(5), Topology::ring(16), Topology::chain(9),
+      Topology::chain(16), Topology::mesh(3, 4), Topology::mesh(4, 4),
+      Topology::torus(3, 5), Topology::torus(4, 4), Topology::hypercube(3),
+      Topology::hypercube(4), Topology::complete_binary_tree(4),
+      Topology::star(16), Topology::complete(16), Topology::butterfly(2),
+      Topology::mesh3d(2, 2, 4),
+      // Over it: the oracle walk.
+      Topology::ring(17), Topology::ring(40), Topology::chain(17),
+      Topology::mesh(5, 4), Topology::mesh(9, 9), Topology::torus(3, 6),
+      Topology::torus(8, 9), Topology::hypercube(5), Topology::hypercube(7),
+      Topology::complete_binary_tree(5), Topology::star(17),
+      Topology::complete(17), Topology::butterfly(3),
+      Topology::mesh3d(3, 3, 3)};
+  for (const Topology& t : topos) {
+    expect_table_matches_walk(t);
+  }
+  // The healthy sub-machine of a faulted machine is a Custom topology,
+  // on each side of the bound.
+  const Topology small = Topology::mesh(4, 4);
+  const Topology large = Topology::mesh(6, 6);
+  const FaultedTopology small_ft(small, FaultSpec::parse("p5,l3,l17", small));
+  const FaultedTopology large_ft(large,
+                                 FaultSpec::parse("p7,p20,l3,l30", large));
+  for (const FaultedTopology* ft : {&small_ft, &large_ft}) {
+    const Topology& sub = ft->healthy_subtopology().topo;
+    ASSERT_EQ(sub.family(), TopoFamily::Custom);
+    expect_table_matches_walk(sub);
+  }
+  EXPECT_LE(small_ft.healthy_subtopology().topo.num_procs(),
+            Topology::kRouteTableMaxProcs);
+  EXPECT_GT(large_ft.healthy_subtopology().topo.num_procs(),
+            Topology::kRouteTableMaxProcs);
+}
+
+TEST(GreedyRouteTable, CopiesShareOneTable) {
+  const Topology t = Topology::mesh(4, 4);
+  const Topology copy = t;
+  EXPECT_EQ(copy.greedy_route_table(), t.greedy_route_table());
+  EXPECT_EQ(Topology::mesh(5, 4).greedy_route_table(), nullptr);
+}
+
+TEST(GreedyRouteTable, DisconnectedCustomRoutesItsReachablePairs) {
+  // A 4-ring {0, 2, 4, 6} and a 3-chain {1, 3, 5}: building the table
+  // must not trip on a pair across the components.
+  Graph g(7);
+  for (const auto [u, v] : std::vector<std::pair<int, int>>{
+           {0, 2}, {2, 4}, {4, 6}, {6, 0}, {1, 3}, {3, 5}}) {
+    g.add_edge(u, v);
+  }
+  const Topology t = Topology::custom("split7", std::move(g));
+  const Topology::GreedyRouteTable* table = t.greedy_route_table();
+  ASSERT_NE(table, nullptr);
+  for (int u = 0; u < t.num_procs(); ++u) {
+    for (int v = 0; v < t.num_procs(); ++v) {
+      SCOPED_TRACE(std::to_string(u) + " -> " + std::to_string(v));
+      const std::span<const int> got = table->route(u, v);
+      if (t.distance(u, v) < 0) {
+        EXPECT_TRUE(got.empty());
+        continue;
+      }
+      EXPECT_EQ(std::vector<int>(got.begin(), got.end()),
+                oracle_links(t, u, v));
+      EXPECT_EQ(greedy_shortest_route(t, u, v).links, oracle_links(t, u, v));
+    }
+  }
+  EXPECT_EQ(greedy_shortest_route(t, 0, 4).hops(), 2);
+  EXPECT_EQ(greedy_shortest_route(t, 1, 5).hops(), 2);
+  // Asking for an unreachable pair still fails the walk's assertion.
+  EXPECT_DEATH((void)greedy_shortest_route(t, 0, 1),
+               "destination must be reachable");
 }
 
 TEST(DimensionOrder, HypercubeAscendingBits) {
