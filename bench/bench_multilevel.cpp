@@ -7,24 +7,36 @@
 // "multilevel_<size>/operator_new" counter: unlike the wall time, it
 // repeats exactly.
 //
+// The compile stage gets the same two figures: the LaRCS compiler
+// expands torus_stencil (the map_100k program) at 10k tasks, with its
+// median and interquartile compile time as "compile_<size>_time[_iqr]"
+// and the operator new calls of one compile as
+// "compile_<size>/operator_new".
+//
 // The 100k row takes minutes on the flat side (that is the point), so
-// it only runs with OREGAMI_BENCH_FULL=1 in the environment; the
-// committed BENCH_mapper.json carries the full-sweep numbers, and
-// JsonReport::load() keeps them when the smoke run refreshes the small
-// rows.
+// it only runs with OREGAMI_BENCH_FULL=1 in the environment, as do the
+// 100k and 1M compile rows; the committed BENCH_mapper.json carries the
+// full-sweep numbers, and JsonReport::load() keeps them when the smoke
+// run refreshes the small rows.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <new>
 #include <string>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "oregami/core/csr_graph.hpp"
 #include "oregami/core/synthetic.hpp"
+#include "oregami/larcs/compiler.hpp"
+#include "oregami/larcs/parser.hpp"
+#include "oregami/larcs/programs.hpp"
 #include "oregami/mapper/baselines.hpp"
 #include "oregami/mapper/multilevel.hpp"
 #include "oregami/mapper/refine.hpp"
@@ -109,6 +121,45 @@ void run_size(const std::string& label, int rows, int cols,
   json.add_counter("multilevel_" + label + "/operator_new", ml_news);
 }
 
+/// Compiles torus_stencil at side x side tasks kCompileRepeats times
+/// after one counted compile: the median and interquartile wall time,
+/// and the operator new calls of the counted one.
+void run_compile(const std::string& label, long side, TextTable& table,
+                 bench::JsonReport& json) {
+  constexpr int kCompileRepeats = 7;
+  const larcs::Program ast =
+      larcs::parse_program(larcs::programs::torus_stencil());
+  const std::map<std::string, long> bindings = {
+      {"r", side}, {"c", side}, {"iters", 1}};
+
+  const std::int64_t news_before = g_operator_new_calls.load();
+  int tasks = 0;
+  {
+    const larcs::CompiledProgram counted = larcs::compile(ast, bindings);
+    tasks = counted.graph.num_tasks();
+  }
+  const std::int64_t news = g_operator_new_calls.load() - news_before;
+  std::vector<double> ms;
+  for (int i = 0; i < kCompileRepeats; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(larcs::compile(ast, bindings));
+    ms.push_back(seconds_since(t0) * 1e3);
+  }
+  std::sort(ms.begin(), ms.end());
+  // Quartiles of 7 sorted samples: positions 1, 3 and 5.
+  const double median_ms = ms[3];
+  const double iqr_ms = ms[5] - ms[1];
+  char median[32];
+  char iqr[32];
+  std::snprintf(median, sizeof(median), "%.1f", median_ms);
+  std::snprintf(iqr, sizeof(iqr), "%.1f", iqr_ms);
+  table.add_row({label, std::to_string(tasks), median, iqr,
+                 std::to_string(news)});
+  json.add("compile_" + label + "_time", median_ms, "ms");
+  json.add("compile_" + label + "_time_iqr", iqr_ms, "ms");
+  json.add_counter("compile_" + label + "/operator_new", news);
+}
+
 void print_figures_and_json() {
   bench::print_header(
       "size sweep on torus:64x64: multilevel V-cycle vs flat "
@@ -116,14 +167,15 @@ void print_figures_and_json() {
   const Topology topo = Topology::torus(64, 64);
   bench::JsonReport json("BENCH_mapper.json");
   json.load();  // shared with the other mapper benches
+  const char* full_env = std::getenv("OREGAMI_BENCH_FULL");
+  const bool full = full_env != nullptr && full_env[0] == '1';
 
   TextTable table({"size", "tasks", "ml completion", "ml ms",
                    "ml operator new", "flat completion", "flat ms",
                    "speedup"});
   run_size("1k", 32, 32, topo, table, json);
   run_size("10k", 100, 100, topo, table, json);
-  if (const char* full = std::getenv("OREGAMI_BENCH_FULL");
-      full != nullptr && full[0] == '1') {
+  if (full) {
     run_size("100k", 316, 316, topo, table, json);
   } else {
     std::printf(
@@ -131,6 +183,16 @@ void print_figures_and_json() {
         "sweep — the committed numbers stay in BENCH_mapper.json)\n");
   }
   std::printf("%s", table.to_string().c_str());
+
+  bench::print_header("LaRCS compile of torus_stencil (r = c = side)");
+  TextTable compile_table(
+      {"size", "tasks", "median ms", "iqr ms", "operator new"});
+  run_compile("10k", 100, compile_table, json);
+  if (full) {
+    run_compile("100k", 316, compile_table, json);
+    run_compile("1M", 1000, compile_table, json);
+  }
+  std::printf("%s", compile_table.to_string().c_str());
   json.write();
 }
 
