@@ -90,15 +90,26 @@ std::string PhaseTree::to_string(
   return "?";
 }
 
-int TaskGraph::add_task(std::string name, std::vector<long> label) {
+int TaskGraph::add_task(std::string name, std::span<const long> label) {
   task_names_.push_back(std::move(name));
-  task_labels_.push_back(std::move(label));
+  label_values_.insert(label_values_.end(), label.begin(), label.end());
+  label_end_.push_back(label_values_.size());
   return num_tasks() - 1;
 }
 
 int TaskGraph::add_comm_phase(std::string name) {
   comm_phases_.push_back({std::move(name), {}});
   return static_cast<int>(comm_phases_.size()) - 1;
+}
+
+void TaskGraph::reserve_comm_edges(int phase, std::size_t more) {
+  OREGAMI_ASSERT(phase >= 0 &&
+                     phase < static_cast<int>(comm_phases_.size()),
+                 "comm phase index out of range");
+  auto& edges = comm_phases_[static_cast<std::size_t>(phase)].edges;
+  if (edges.capacity() - edges.size() < more) {
+    edges.reserve(std::max(edges.size() + more, 2 * edges.capacity()));
+  }
 }
 
 void TaskGraph::add_comm_edge(int phase, int src, int dst,
@@ -130,9 +141,11 @@ const std::string& TaskGraph::task_name(int t) const {
   return task_names_[static_cast<std::size_t>(t)];
 }
 
-const std::vector<long>& TaskGraph::task_label(int t) const {
+std::span<const long> TaskGraph::task_label(int t) const {
   OREGAMI_ASSERT(t >= 0 && t < num_tasks(), "task id out of range");
-  return task_labels_[static_cast<std::size_t>(t)];
+  const auto index = static_cast<std::size_t>(t);
+  const std::size_t begin = index == 0 ? 0 : label_end_[index - 1];
+  return std::span(label_values_).subspan(begin, label_end_[index] - begin);
 }
 
 int TaskGraph::num_comm_edges() const {

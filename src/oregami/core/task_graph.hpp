@@ -4,9 +4,15 @@
 // passing); node weights are per-*execution-phase* task costs; and a
 // *phase expression* describes the dynamic behaviour -- the order and
 // repetition of phases over time.
+//
+// Every task keeps its name (one string) and its LaRCS label tuple. The
+// labels of all tasks sit in one flat values array with one end offset
+// per task, so adding a labelled task allocates nothing beyond the
+// arrays' amortised growth.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -68,11 +74,15 @@ class TaskGraph {
   TaskGraph() = default;
 
   /// Adds a task; returns its id. `label` is the LaRCS label tuple
-  /// (may be empty for hand-built graphs).
-  int add_task(std::string name, std::vector<long> label = {});
+  /// (may be empty for hand-built graphs); it is copied.
+  int add_task(std::string name, std::span<const long> label = {});
 
   /// Declares a new communication phase; returns its index.
   int add_comm_phase(std::string name);
+
+  /// Makes room for `more` edges in phase `phase` beyond those it has
+  /// (growing its capacity at least geometrically, as push_back would).
+  void reserve_comm_edges(int phase, std::size_t more);
 
   /// Adds a directed message edge to phase `phase`.
   void add_comm_edge(int phase, int src, int dst, std::int64_t volume = 1);
@@ -88,7 +98,9 @@ class TaskGraph {
     return static_cast<int>(task_names_.size());
   }
   [[nodiscard]] const std::string& task_name(int t) const;
-  [[nodiscard]] const std::vector<long>& task_label(int t) const;
+  /// Task t's label tuple: a view into the flat label array, valid
+  /// until the next add_task.
+  [[nodiscard]] std::span<const long> task_label(int t) const;
   [[nodiscard]] const std::vector<CommPhase>& comm_phases() const {
     return comm_phases_;
   }
@@ -129,7 +141,10 @@ class TaskGraph {
 
  private:
   std::vector<std::string> task_names_;
-  std::vector<std::vector<long>> task_labels_;
+  /// Task t's label is label_values_[label_end_[t - 1], label_end_[t])
+  /// (from 0 for t = 0).
+  std::vector<std::size_t> label_end_;
+  std::vector<long> label_values_;
   std::vector<CommPhase> comm_phases_;
   std::vector<ExecPhase> exec_phases_;
   PhaseTree phase_expr_;

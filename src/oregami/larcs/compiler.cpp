@@ -1,6 +1,7 @@
 #include "oregami/larcs/compiler.hpp"
 
 #include <algorithm>
+#include <string_view>
 
 #include "oregami/larcs/parser.hpp"
 #include "oregami/larcs/phase_expr.hpp"
@@ -8,7 +9,7 @@
 
 namespace oregami::larcs {
 
-bool NodeTypeLayout::contains(const std::vector<long>& tuple) const {
+bool NodeTypeLayout::contains(std::span<const long> tuple) const {
   if (tuple.size() != lo.size()) {
     return false;
   }
@@ -20,7 +21,7 @@ bool NodeTypeLayout::contains(const std::vector<long>& tuple) const {
   return true;
 }
 
-int NodeTypeLayout::task_of(const std::vector<long>& tuple) const {
+int NodeTypeLayout::task_of(std::span<const long> tuple) const {
   OREGAMI_ASSERT(contains(tuple), "label tuple outside nodetype domain");
   long offset = 0;
   for (std::size_t d = 0; d < tuple.size(); ++d) {
@@ -42,7 +43,7 @@ const NodeTypeLayout* CompiledProgram::find_layout(
 namespace {
 
 std::string tuple_name(const std::string& type,
-                       const std::vector<long>& tuple) {
+                       std::span<const long> tuple) {
   std::string out = type + "(";
   for (std::size_t d = 0; d < tuple.size(); ++d) {
     if (d != 0) {
@@ -53,26 +54,23 @@ std::string tuple_name(const std::string& type,
   return out + ")";
 }
 
-/// Iterates every tuple of the box [lo, hi], row-major (last dimension
-/// fastest), invoking fn(tuple).
+/// Steps `tuple` through every point of the box [lo, hi], row-major
+/// (last dimension fastest), invoking fn() at each.
 template <typename Fn>
 void for_each_tuple(const std::vector<long>& lo, const std::vector<long>& hi,
-                    Fn&& fn) {
-  std::vector<long> tuple = lo;
+                    std::span<long> tuple, Fn&& fn) {
+  std::copy(lo.begin(), lo.end(), tuple.begin());
   for (;;) {
-    fn(tuple);
-    int d = static_cast<int>(tuple.size()) - 1;
-    while (d >= 0) {
-      if (tuple[static_cast<std::size_t>(d)] < hi[static_cast<std::size_t>(d)]) {
-        ++tuple[static_cast<std::size_t>(d)];
-        break;
-      }
-      tuple[static_cast<std::size_t>(d)] = lo[static_cast<std::size_t>(d)];
+    fn();
+    std::size_t d = tuple.size();
+    while (d > 0 && tuple[d - 1] >= hi[d - 1]) {
+      tuple[d - 1] = lo[d - 1];
       --d;
     }
-    if (d < 0) {
+    if (d == 0) {
       return;
     }
+    ++tuple[d - 1];
   }
 }
 
@@ -144,8 +142,9 @@ CompiledProgram compile(const Program& program,
     if (total_tasks > kMaxTasks) {
       throw LarcsError("program exceeds the task limit", nt.loc);
     }
-    for_each_tuple(layout.lo, layout.hi, [&](const std::vector<long>& t) {
-      out.graph.add_task(tuple_name(nt.name, t), t);
+    std::vector<long> tuple(layout.lo.size());
+    for_each_tuple(layout.lo, layout.hi, tuple, [&] {
+      out.graph.add_task(tuple_name(nt.name, tuple), tuple);
     });
     out.layouts.push_back(std::move(layout));
   }
@@ -154,7 +153,12 @@ CompiledProgram compile(const Program& program,
     out.graph.set_node_symmetric(true);
   }
 
-  // 3. Communication phases.
+  // 3. Communication phases. A rule's expressions are resolved once
+  //    against the slots [env | pattern binders | forall binder]; the
+  //    loops write each binder's value into its slot.
+  const std::size_t num_env = env.values().size();
+  std::vector<long> slots = env.values();
+  std::vector<long> target;
   for (const auto& cp : program.comm_phases) {
     const int phase = out.graph.add_comm_phase(cp.name);
     for (const auto& rule : cp.rules) {
@@ -162,28 +166,47 @@ CompiledProgram compile(const Program& program,
       const auto* dst = out.find_layout(rule.dst_type);
       OREGAMI_ASSERT(src != nullptr && dst != nullptr,
                      "parser guarantees nodetypes resolve");
-      Env rule_env = env;
-      for_each_tuple(src->lo, src->hi, [&](const std::vector<long>& t) {
-        for (std::size_t d = 0; d < rule.pattern.size(); ++d) {
-          rule_env.bind(rule.pattern[d], t[d]);
-        }
-        long k_lo = 0;
-        long k_hi = 0;
-        if (rule.forall_binder) {
-          k_lo = eval(rule.forall_lo, rule_env);
-          k_hi = eval(rule.forall_hi, rule_env);
-        }
-        for (long k = k_lo; k <= k_hi; ++k) {
-          if (rule.forall_binder) {
-            rule_env.bind(*rule.forall_binder, k);
+      std::vector<std::string_view> binders(rule.pattern.begin(),
+                                            rule.pattern.end());
+      if (rule.forall_binder) {
+        binders.push_back(*rule.forall_binder);
+      }
+      // The bounds are evaluated before the forall binder is bound, so
+      // they resolve without it.
+      const Scope outer{env, std::span(binders).first(rule.pattern.size())};
+      const Scope inner{env, binders};
+      SlotExprs code;
+      const int k_lo = rule.forall_binder ? code.add(*rule.forall_lo, outer)
+                                          : -1;
+      const int k_hi = rule.forall_binder ? code.add(*rule.forall_hi, outer)
+                                          : -1;
+      const int guard = rule.guard ? code.add(*rule.guard, inner) : -1;
+      std::vector<int> components;
+      for (const auto& comp : rule.target) {
+        components.push_back(code.add(*comp, inner));
+      }
+      const int volume = rule.volume ? code.add(*rule.volume, inner) : -1;
+
+      slots.resize(num_env + binders.size());
+      const std::span<long> tuple =
+          std::span(slots).subspan(num_env, rule.pattern.size());
+      const std::size_t k_slot = num_env + rule.pattern.size();
+      target.resize(rule.target.size());
+      out.graph.reserve_comm_edges(phase,
+                                   static_cast<std::size_t>(src->count));
+      for_each_tuple(src->lo, src->hi, tuple, [&] {
+        const int from = src->task_of(tuple);
+        const long first = k_lo < 0 ? 0 : code.eval(k_lo, slots);
+        const long last = k_hi < 0 ? 0 : code.eval(k_hi, slots);
+        for (long k = first; k <= last; ++k) {
+          if (k_lo >= 0) {
+            slots[k_slot] = k;
           }
-          if (rule.guard && !eval_bool(rule.guard, rule_env)) {
+          if (guard >= 0 && code.eval(guard, slots) == 0) {
             continue;
           }
-          std::vector<long> target;
-          target.reserve(rule.target.size());
-          for (const auto& comp : rule.target) {
-            target.push_back(eval(comp, rule_env));
+          for (std::size_t d = 0; d < components.size(); ++d) {
+            target[d] = code.eval(components[d], slots);
           }
           if (!dst->contains(target)) {
             throw LarcsError(
@@ -191,46 +214,45 @@ CompiledProgram compile(const Program& program,
                     " is outside the nodetype domain (add a 'when' guard?)",
                 rule.loc);
           }
-          const int from = src->task_of(t);
           const int to = dst->task_of(target);
           if (from == to) {
             throw LarcsError("rule produces a self-loop at " +
-                                 tuple_name(rule.src_type, t),
+                                 tuple_name(rule.src_type, tuple),
                              rule.loc);
           }
-          const long volume =
-              rule.volume ? eval(rule.volume, rule_env) : 1;
-          if (volume < 0) {
+          const long v = volume < 0 ? 1 : code.eval(volume, slots);
+          if (v < 0) {
             throw LarcsError("negative message volume", rule.loc);
           }
-          out.graph.add_comm_edge(phase, from, to, volume);
-        }
-        if (rule.forall_binder) {
-          rule_env.unbind(*rule.forall_binder);
+          out.graph.add_comm_edge(phase, from, to, v);
         }
       });
     }
   }
 
-  // 4. Execution phases: cost evaluated per task with that task's
-  //    nodetype dimension binders in scope.
+  // 4. Execution phases: a cost is resolved per nodetype against the
+  //    slots [env | the nodetype's dimension binders] and evaluated per
+  //    task.
   for (const auto& ep : program.exec_phases) {
     std::vector<std::int64_t> cost(
         static_cast<std::size_t>(out.graph.num_tasks()), 0);
     for (std::size_t nt_index = 0; nt_index < program.nodetypes.size();
          ++nt_index) {
-      const auto& nt = program.nodetypes[nt_index];
       const auto& layout = out.layouts[nt_index];
-      Env cost_env = env;
-      for_each_tuple(layout.lo, layout.hi, [&](const std::vector<long>& t) {
-        for (std::size_t d = 0; d < nt.dims.size(); ++d) {
-          cost_env.bind(nt.dims[d].binder, t[d]);
-        }
-        const long c = eval(ep.cost, cost_env);
+      std::vector<std::string_view> binders;
+      for (const auto& dim : program.nodetypes[nt_index].dims) {
+        binders.push_back(dim.binder);
+      }
+      SlotExprs code;
+      const int cost_expr = code.add(*ep.cost, Scope{env, binders});
+      slots.resize(num_env + binders.size());
+      const std::span<long> tuple = std::span(slots).subspan(num_env);
+      for_each_tuple(layout.lo, layout.hi, tuple, [&] {
+        const long c = code.eval(cost_expr, slots);
         if (c < 0) {
           throw LarcsError("negative execution cost", ep.loc);
         }
-        cost[static_cast<std::size_t>(layout.task_of(t))] = c;
+        cost[static_cast<std::size_t>(layout.task_of(tuple))] = c;
       });
     }
     out.graph.add_exec_phase(ep.name, std::move(cost));

@@ -4,10 +4,19 @@
 // consumed by MAPPER and METRICS; here we materialise the same
 // information directly as the TaskGraph data structure (see DESIGN.md,
 // substitution table).
+//
+// Each comm rule expands to one edge per (source tuple, forall value)
+// that passes its guard, and each exec phase to one cost per task. Their
+// expressions are resolved to slots once per rule or per (exec phase,
+// nodetype) (expr_eval.hpp); the loops write the binders' values into a
+// flat slot array and reuse one target buffer, so expanding an edge or a
+// task does no name lookup and no heap allocation. Labels go into the
+// TaskGraph's one flat label array (DESIGN.md §6, "The LaRCS compiler").
 #pragma once
 
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -32,10 +41,10 @@ struct NodeTypeLayout {
   int base = 0;
   long count = 0;
 
-  [[nodiscard]] bool contains(const std::vector<long>& tuple) const;
+  [[nodiscard]] bool contains(std::span<const long> tuple) const;
 
   /// Task id of a label tuple (must be in range).
-  [[nodiscard]] int task_of(const std::vector<long>& tuple) const;
+  [[nodiscard]] int task_of(std::span<const long> tuple) const;
 };
 
 /// Compiler output: the task graph plus the layout/meta information the

@@ -2,164 +2,215 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 namespace oregami::larcs {
 
-long Env::get(const std::string& name) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) {
-    throw LarcsError("unknown variable '" + name + "'");
+void Env::bind(const std::string& name, long value) {
+  const auto [it, inserted] =
+      slots_.try_emplace(name, static_cast<int>(values_.size()));
+  if (inserted) {
+    values_.push_back(value);
+  } else {
+    values_[static_cast<std::size_t>(it->second)] = value;
   }
-  return it->second;
 }
 
-namespace {
-
-long eval_call(const Expr& expr, const Env& env) {
-  auto arity = [&expr](std::size_t n) {
-    if (expr.args.size() != n) {
-      throw LarcsError("call to '" + expr.name + "' expects " +
-                           std::to_string(n) + " argument(s)",
-                       expr.loc);
-    }
-  };
-  if (expr.name == "pow") {
-    arity(2);
-    const long base = eval(*expr.args[0], env);
-    const long exp = eval(*expr.args[1], env);
-    if (exp < 0) {
-      throw LarcsError("pow with negative exponent", expr.loc);
-    }
-    long result = 1;
-    for (long k = 0; k < exp; ++k) {
-      if (base != 0 && std::abs(result) > (1L << 62) / std::abs(base)) {
-        throw LarcsError("pow overflows", expr.loc);
-      }
-      result *= base;
-    }
-    return result;
+long Env::get(std::string_view name) const {
+  const int slot = slot_of(name);
+  if (slot < 0) {
+    throw LarcsError("unknown variable '" + std::string(name) + "'");
   }
-  if (expr.name == "log2") {
-    arity(1);
-    const long x = eval(*expr.args[0], env);
-    if (x <= 0) {
-      throw LarcsError("log2 of a non-positive value", expr.loc);
-    }
-    long result = 0;
-    long v = x;
-    while (v > 1) {
-      v /= 2;
-      ++result;
-    }
-    return result;  // floor(log2(x))
-  }
-  if (expr.name == "min") {
-    arity(2);
-    return std::min(eval(*expr.args[0], env), eval(*expr.args[1], env));
-  }
-  if (expr.name == "max") {
-    arity(2);
-    return std::max(eval(*expr.args[0], env), eval(*expr.args[1], env));
-  }
-  if (expr.name == "abs") {
-    arity(1);
-    return std::abs(eval(*expr.args[0], env));
-  }
-  if (expr.name == "xor") {
-    arity(2);
-    const long a = eval(*expr.args[0], env);
-    const long b = eval(*expr.args[1], env);
-    if (a < 0 || b < 0) {
-      throw LarcsError("xor requires non-negative arguments", expr.loc);
-    }
-    return a ^ b;
-  }
-  if (expr.name == "bit") {
-    arity(2);
-    const long x = eval(*expr.args[0], env);
-    const long j = eval(*expr.args[1], env);
-    if (x < 0 || j < 0 || j > 62) {
-      throw LarcsError("bit requires x >= 0 and 0 <= j <= 62", expr.loc);
-    }
-    return (x >> j) & 1;
-  }
-  throw LarcsError("unknown function '" + expr.name + "'", expr.loc);
+  return values_[static_cast<std::size_t>(slot)];
 }
 
-}  // namespace
+int Env::slot_of(std::string_view name) const {
+  const auto it = slots_.find(name);
+  return it == slots_.end() ? -1 : it->second;
+}
 
-long eval(const Expr& expr, const Env& env) {
+int Scope::slot_of(std::string_view name) const {
+  for (std::size_t k = binders.size(); k > 0; --k) {
+    if (binders[k - 1] == name) {
+      return static_cast<int>(env.values().size() + k - 1);
+    }
+  }
+  return env.slot_of(name);
+}
+
+int SlotExprs::add(const Expr& expr, const Scope& scope) {
+  Node node;
+  node.src = &expr;
   switch (expr.kind) {
     case Expr::Kind::IntLit:
-      return expr.value;
+      node.value = expr.value;
+      break;
     case Expr::Kind::Var:
-      if (!env.has(expr.name)) {
-        throw LarcsError("unknown variable '" + expr.name + "'", expr.loc);
-      }
-      return env.get(expr.name);
-    case Expr::Kind::Unary: {
-      if (expr.un_op == UnOp::Neg) {
-        return -eval(*expr.args[0], env);
-      }
-      return eval(*expr.args[0], env) == 0 ? 1 : 0;
-    }
+      node.value = scope.slot_of(expr.name);
+      node.op = node.value < 0 ? Op::Unbound : Op::Slot;
+      break;
+    case Expr::Kind::Unary:
+      node.op = expr.un_op == UnOp::Neg ? Op::Neg : Op::Not;
+      node.lhs = add(*expr.args[0], scope);
+      break;
     case Expr::Kind::Binary: {
-      // Short-circuit booleans first.
-      if (expr.bin_op == BinOp::And) {
-        return (eval(*expr.args[0], env) != 0 &&
-                eval(*expr.args[1], env) != 0)
-                   ? 1
-                   : 0;
-      }
-      if (expr.bin_op == BinOp::Or) {
-        return (eval(*expr.args[0], env) != 0 ||
-                eval(*expr.args[1], env) != 0)
-                   ? 1
-                   : 0;
-      }
-      const long a = eval(*expr.args[0], env);
-      const long b = eval(*expr.args[1], env);
-      switch (expr.bin_op) {
-        case BinOp::Add: return a + b;
-        case BinOp::Sub: return a - b;
-        case BinOp::Mul: return a * b;
-        case BinOp::Div:
-          if (b == 0) {
-            throw LarcsError("division by zero", expr.loc);
-          }
-          return a / b;
-        case BinOp::Mod: {
-          if (b == 0) {
-            throw LarcsError("mod by zero", expr.loc);
-          }
-          const long m = a % b;
-          return m < 0 ? m + std::abs(b) : m;
-        }
-        case BinOp::Eq: return a == b ? 1 : 0;
-        case BinOp::Ne: return a != b ? 1 : 0;
-        case BinOp::Lt: return a < b ? 1 : 0;
-        case BinOp::Le: return a <= b ? 1 : 0;
-        case BinOp::Gt: return a > b ? 1 : 0;
-        case BinOp::Ge: return a >= b ? 1 : 0;
-        case BinOp::And:
-        case BinOp::Or:
-          break;  // handled above
-      }
-      return 0;
+      // Indexed by BinOp, in its declaration order.
+      static constexpr Op kBinary[] = {Op::Add, Op::Sub, Op::Mul, Op::Div,
+                                       Op::Mod, Op::Eq,  Op::Ne,  Op::Lt,
+                                       Op::Le,  Op::Gt,  Op::Ge,  Op::And,
+                                       Op::Or};
+      static_assert(std::size(kBinary) ==
+                    static_cast<std::size_t>(BinOp::Or) + 1);
+      node.op = kBinary[static_cast<std::size_t>(expr.bin_op)];
+      node.lhs = add(*expr.args[0], scope);
+      node.rhs = add(*expr.args[1], scope);
+      break;
     }
-    case Expr::Kind::Call:
-      return eval_call(expr, env);
+    case Expr::Kind::Call: {
+      struct Builtin {
+        std::string_view name;
+        Op op;
+        std::size_t arity;
+      };
+      static constexpr Builtin kBuiltins[] = {
+          {"pow", Op::Pow, 2}, {"log2", Op::Log2, 1}, {"min", Op::Min, 2},
+          {"max", Op::Max, 2}, {"abs", Op::Abs, 1},   {"xor", Op::Xor, 2},
+          {"bit", Op::Bit, 2}};
+      const auto* builtin = std::find_if(
+          std::begin(kBuiltins), std::end(kBuiltins),
+          [&expr](const Builtin& b) { return b.name == expr.name; });
+      if (builtin == std::end(kBuiltins)) {
+        node.op = Op::UnknownCall;
+      } else if (expr.args.size() != builtin->arity) {
+        node.op = Op::BadArity;
+        node.value = static_cast<long>(builtin->arity);
+      } else {
+        node.op = builtin->op;
+        node.lhs = add(*expr.args[0], scope);
+        if (builtin->arity == 2) {
+          node.rhs = add(*expr.args[1], scope);
+        }
+      }
+      break;
+    }
   }
+  nodes_.push_back(node);
+  return static_cast<int>(nodes_.size()) - 1;
+}
+
+long SlotExprs::eval_node(int index, const long* slots) const {
+  const Node& node = nodes_[static_cast<std::size_t>(index)];
+  const Expr& src = *node.src;
+  switch (node.op) {
+    case Op::Lit:
+      return node.value;
+    case Op::Slot:
+      return slots[node.value];
+    case Op::Unbound:
+      throw LarcsError("unknown variable '" + src.name + "'", src.loc);
+    case Op::Neg:
+      return -eval_node(node.lhs, slots);
+    case Op::Not:
+      return eval_node(node.lhs, slots) == 0 ? 1 : 0;
+    case Op::And:
+      return (eval_node(node.lhs, slots) != 0 &&
+              eval_node(node.rhs, slots) != 0)
+                 ? 1
+                 : 0;
+    case Op::Or:
+      return (eval_node(node.lhs, slots) != 0 ||
+              eval_node(node.rhs, slots) != 0)
+                 ? 1
+                 : 0;
+    case Op::Abs:
+      return std::abs(eval_node(node.lhs, slots));
+    case Op::Log2: {
+      long v = eval_node(node.lhs, slots);
+      if (v <= 0) {
+        throw LarcsError("log2 of a non-positive value", src.loc);
+      }
+      long result = 0;
+      while (v > 1) {
+        v /= 2;
+        ++result;
+      }
+      return result;  // floor(log2(x))
+    }
+    case Op::BadArity:
+      throw LarcsError("call to '" + src.name + "' expects " +
+                           std::to_string(node.value) + " argument(s)",
+                       src.loc);
+    case Op::UnknownCall:
+      throw LarcsError("unknown function '" + src.name + "'", src.loc);
+    default:
+      break;
+  }
+  // Two operands, evaluated left then right.
+  const long a = eval_node(node.lhs, slots);
+  const long b = eval_node(node.rhs, slots);
+  switch (node.op) {
+    case Op::Add: return a + b;
+    case Op::Sub: return a - b;
+    case Op::Mul: return a * b;
+    case Op::Div:
+      if (b == 0) {
+        throw LarcsError("division by zero", src.loc);
+      }
+      return a / b;
+    case Op::Mod: {
+      if (b == 0) {
+        throw LarcsError("mod by zero", src.loc);
+      }
+      const long m = a % b;
+      return m < 0 ? m + std::abs(b) : m;
+    }
+    case Op::Eq: return a == b ? 1 : 0;
+    case Op::Ne: return a != b ? 1 : 0;
+    case Op::Lt: return a < b ? 1 : 0;
+    case Op::Le: return a <= b ? 1 : 0;
+    case Op::Gt: return a > b ? 1 : 0;
+    case Op::Ge: return a >= b ? 1 : 0;
+    case Op::Min: return std::min(a, b);
+    case Op::Max: return std::max(a, b);
+    case Op::Pow: {
+      if (b < 0) {
+        throw LarcsError("pow with negative exponent", src.loc);
+      }
+      long result = 1;
+      for (long k = 0; k < b; ++k) {
+        if (a != 0 && std::abs(result) > (1L << 62) / std::abs(a)) {
+          throw LarcsError("pow overflows", src.loc);
+        }
+        result *= a;
+      }
+      return result;
+    }
+    case Op::Xor:
+      if (a < 0 || b < 0) {
+        throw LarcsError("xor requires non-negative arguments", src.loc);
+      }
+      return a ^ b;
+    case Op::Bit:
+      if (a < 0 || b < 0 || b > 62) {
+        throw LarcsError("bit requires x >= 0 and 0 <= j <= 62", src.loc);
+      }
+      return (a >> b) & 1;
+    default:
+      break;
+  }
+  OREGAMI_ASSERT(false, "every operator is evaluated above");
   return 0;
+}
+
+long eval(const Expr& expr, const Env& env) {
+  SlotExprs code;
+  const int handle = code.add(expr, Scope{env, {}});
+  return code.eval(handle, env.values());
 }
 
 long eval(const ExprPtr& expr, const Env& env) {
   OREGAMI_ASSERT(expr != nullptr, "evaluating a null expression");
   return eval(*expr, env);
-}
-
-bool eval_bool(const ExprPtr& expr, const Env& env) {
-  return eval(expr, env) != 0;
 }
 
 }  // namespace oregami::larcs

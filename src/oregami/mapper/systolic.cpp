@@ -6,7 +6,7 @@
 
 namespace oregami {
 
-long SystolicMapping::time_of(const std::vector<long>& point) const {
+long SystolicMapping::time_of(std::span<const long> point) const {
   OREGAMI_ASSERT(point.size() == schedule.size(),
                  "point dimensionality mismatch");
   long t = 0;
@@ -123,7 +123,7 @@ std::optional<SystolicMapping> systolic_map(
   out.contraction.cluster_of_task.resize(
       static_cast<std::size_t>(graph.num_tasks()));
   for (int t = 0; t < graph.num_tasks(); ++t) {
-    const auto& label = graph.task_label(t);
+    const std::span<const long> label = graph.task_label(t);
     long pe = 0;
     for (std::size_t i = 0; i < dims; ++i) {
       if (static_cast<int>(i) == best_axis) {

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -32,7 +33,7 @@ struct SystolicMapping {
 
   /// Time step of a domain point under the schedule, offset so the
   /// earliest point of the box fires at step 0.
-  [[nodiscard]] long time_of(const std::vector<long>& point) const;
+  [[nodiscard]] long time_of(std::span<const long> point) const;
 };
 
 /// Attempts systolic synthesis. Returns nullopt when the affine checks

@@ -45,7 +45,7 @@ void fold_task_graph(Fnv1a& h, const TaskGraph& graph) {
   h.i32(graph.num_tasks());
   for (int t = 0; t < graph.num_tasks(); ++t) {
     h.str(graph.task_name(t));
-    const auto& label = graph.task_label(t);
+    const std::span<const long> label = graph.task_label(t);
     h.u64(label.size());
     for (const long x : label) {
       h.i64(x);
