@@ -3,11 +3,10 @@
 // one. A Route stores only its links; both helpers derive the nodes
 // from the edge's source processor and those links.
 //
-// Text format (`oregami-mapping v1`, line oriented):
-//   oregami-mapping v1
-//   tasks <N> clusters <C> procs <P> phases <K>
-//   contraction <N ints>
-//   embedding <C ints>
+// Text format (`oregami-mapping v2`, line oriented):
+//   oregami-mapping v2
+//   tasks <N> procs <P> phases <K>
+//   placement <N ints>
 //   phase <edge-count>
 //   route <node-count> <nodes...> <link-count> <links...>   (per edge)
 #pragma once
@@ -42,16 +41,12 @@ inline std::string mapping_text(const TaskGraph& graph, const Topology& topo,
       out += ' ' + std::to_string(v);
     }
   };
-  out += "oregami-mapping v1\ntasks " +
-         std::to_string(mapping.contraction.cluster_of_task.size()) +
-         " clusters " + std::to_string(mapping.contraction.num_clusters) +
+  const std::vector<int>& proc_of_task = mapping.proc_of_task();
+  out += "oregami-mapping v2\ntasks " + std::to_string(proc_of_task.size()) +
          " procs " + std::to_string(topo.num_procs()) + " phases " +
-         std::to_string(mapping.routing.size()) + "\ncontraction";
-  ints(mapping.contraction.cluster_of_task);
-  out += "\nembedding";
-  ints(mapping.embedding.proc_of_cluster);
+         std::to_string(mapping.routing.size()) + "\nplacement";
+  ints(proc_of_task);
   out += '\n';
-  const std::vector<int> proc_of_task = mapping.proc_of_task();
   for (std::size_t k = 0; k < mapping.routing.size(); ++k) {
     const auto& routes = mapping.routing[k].route_of_edge;
     const auto& edges = graph.comm_phases()[k].edges;

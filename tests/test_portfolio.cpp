@@ -287,10 +287,7 @@ void expect_identical(const PortfolioReport& a, const PortfolioReport& b) {
     if (!ca.ok) {
       continue;
     }
-    EXPECT_EQ(ca.mapping.contraction.cluster_of_task,
-              cb.mapping.contraction.cluster_of_task);
-    EXPECT_EQ(ca.mapping.embedding.proc_of_cluster,
-              cb.mapping.embedding.proc_of_cluster);
+    EXPECT_EQ(ca.mapping.proc_of_task(), cb.mapping.proc_of_task());
     ASSERT_EQ(ca.mapping.routing.size(), cb.mapping.routing.size());
     for (std::size_t k = 0; k < ca.mapping.routing.size(); ++k) {
       ASSERT_EQ(ca.mapping.routing[k].route_of_edge.size(),
