@@ -407,8 +407,10 @@ void FaultedTopology::check_routes(int phase_index,
 
 Mapping map_to_base(const FaultedTopology::HealthySub& sub,
                     Mapping mapping) {
-  for (int& p : mapping.embedding.proc_of_cluster) {
-    p = sub.to_base_proc[static_cast<std::size_t>(p)];
+  std::vector<int> placement;
+  placement.reserve(mapping.proc_of_task().size());
+  for (const int p : mapping.proc_of_task()) {
+    placement.push_back(sub.to_base_proc[static_cast<std::size_t>(p)]);
   }
   for (auto& phase : mapping.routing) {
     for (auto& route : phase.route_of_edge) {
@@ -417,7 +419,7 @@ Mapping map_to_base(const FaultedTopology::HealthySub& sub,
       }
     }
   }
-  return mapping;
+  return Mapping(std::move(placement), std::move(mapping.routing));
 }
 
 }  // namespace oregami

@@ -59,17 +59,4 @@ void Embedding::validate(int num_procs) const {
   }
 }
 
-std::vector<int> Mapping::proc_of_task() const {
-  std::vector<int> result;
-  result.reserve(contraction.cluster_of_task.size());
-  for (const int c : contraction.cluster_of_task) {
-    OREGAMI_ASSERT(
-        c >= 0 &&
-            static_cast<std::size_t>(c) < embedding.proc_of_cluster.size(),
-        "cluster id has no embedded processor");
-    result.push_back(embedding.proc_of_cluster[static_cast<std::size_t>(c)]);
-  }
-  return result;
-}
-
 }  // namespace oregami

@@ -105,8 +105,7 @@ AnnealResult anneal_placement(const TaskGraph& graph, const Topology& topo,
   trace::counter("accepted", result.accepted);
   trace::counter("uphill", result.uphill);
   trace::counter("improvement", result.improvement());
-  result.proc_of_task = inc.proc_of_task();
-  result.routing = std::move(inc).routing();
+  result.mapping = std::move(inc).mapping();
   return result;
 }
 

@@ -44,8 +44,7 @@ struct AnnealOptions {
 };
 
 struct AnnealResult {
-  std::vector<int> proc_of_task;
-  std::vector<PhaseRouting> routing;  ///< greedy re-routes of moved edges
+  Mapping mapping;  ///< the best state; moved edges re-routed greedily
   std::int64_t completion_before = 0;
   std::int64_t completion_after = 0;  ///< best completion visited
   int proposed = 0;                   ///< proposals actually evaluated

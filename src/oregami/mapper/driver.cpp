@@ -38,30 +38,6 @@ std::string to_string(MapStrategy strategy) {
   return "?";
 }
 
-Mapping mapping_from_placement(const std::vector<int>& proc_of_task,
-                               std::vector<PhaseRouting> routing,
-                               int num_procs) {
-  std::vector<int> cluster_of_proc(static_cast<std::size_t>(num_procs), -1);
-  Mapping mapping;
-  for (const int p : proc_of_task) {
-    cluster_of_proc[static_cast<std::size_t>(p)] = 0;
-  }
-  for (int p = 0; p < num_procs; ++p) {
-    if (cluster_of_proc[static_cast<std::size_t>(p)] == 0) {
-      cluster_of_proc[static_cast<std::size_t>(p)] =
-          mapping.contraction.num_clusters++;
-      mapping.embedding.proc_of_cluster.push_back(p);
-    }
-  }
-  mapping.contraction.cluster_of_task.reserve(proc_of_task.size());
-  for (const int p : proc_of_task) {
-    mapping.contraction.cluster_of_task.push_back(
-        cluster_of_proc[static_cast<std::size_t>(p)]);
-  }
-  mapping.routing = std::move(routing);
-  return mapping;
-}
-
 Graph cluster_graph_of(const TaskGraph& graph,
                        const Contraction& contraction) {
   Graph g(contraction.num_clusters);
@@ -128,18 +104,27 @@ Embedding embed_clusters(const TaskGraph& graph,
 namespace {
 
 MapperReport finish(MapStrategy strategy, std::string details,
-                    Contraction contraction, Embedding embedding,
-                    const TaskGraph& graph, const Topology& topo,
-                    const MapperOptions& options) {
+                    const Contraction& contraction,
+                    const Embedding& embedding, const TaskGraph& graph,
+                    const Topology& topo, const MapperOptions& options) {
+  contraction.validate(graph.num_tasks());
+  embedding.validate(topo.num_procs());
+  if (embedding.proc_of_cluster.size() !=
+      static_cast<std::size_t>(contraction.num_clusters)) {
+    throw MappingError("embedding does not cover every cluster");
+  }
+  std::vector<int> placement;
+  placement.reserve(contraction.cluster_of_task.size());
+  for (const int c : contraction.cluster_of_task) {
+    placement.push_back(embedding.proc_of_cluster[static_cast<std::size_t>(c)]);
+  }
   MapperReport report;
   report.strategy = strategy;
   report.details = std::move(details);
-  report.mapping.contraction = std::move(contraction);
-  report.mapping.embedding = std::move(embedding);
   {
     const trace::Span span("route");
-    report.mapping.routing =
-        mm_route(graph, report.mapping.proc_of_task(), topo);
+    std::vector<PhaseRouting> routing = mm_route(graph, placement, topo);
+    report.mapping = Mapping(std::move(placement), std::move(routing));
   }
   if (options.refine_placement) {
     const trace::Span span("refine_placement");
@@ -147,7 +132,7 @@ MapperReport finish(MapStrategy strategy, std::string details,
     // by the explicit B when given, else the current largest cluster.
     const int bound = options.load_bound_B > 0
                           ? options.load_bound_B
-                          : report.mapping.contraction.max_cluster_size();
+                          : contraction.max_cluster_size();
     PlacementRefineResult refined =
         refine_placement(graph, topo, report.mapping.proc_of_task(),
                          report.mapping.routing, bound);
@@ -158,10 +143,7 @@ MapperReport finish(MapStrategy strategy, std::string details,
                         std::to_string(refined.improvement()) +
                         " completion (" + std::to_string(refined.moves) +
                         " moves)";
-      report.mapping =
-          mapping_from_placement(refined.proc_of_task,
-                                 std::move(refined.routing),
-                                 topo.num_procs());
+      report.mapping = std::move(refined.mapping);
     }
   }
   validate_mapping(report.mapping, graph, topo);
@@ -198,9 +180,8 @@ MapperReport do_general(const TaskGraph& graph, const Topology& topo,
     const trace::Span span("embed");
     embedding = embed_clusters(graph, contraction, topo, &how, nn_seed);
   }
-  return finish(MapStrategy::General, description + "; " + how,
-                std::move(contraction), std::move(embedding), graph, topo,
-                options);
+  return finish(MapStrategy::General, description + "; " + how, contraction,
+                embedding, graph, topo, options);
 }
 
 }  // namespace
@@ -222,8 +203,7 @@ std::optional<MapperReport> try_canned(const TaskGraph& graph,
   return finish(MapStrategy::Canned,
                 to_string(family.family) + " recognized; " +
                     canned->description,
-                std::move(canned->contraction), std::move(canned->embedding),
-                graph, topo, options);
+                canned->contraction, canned->embedding, graph, topo, options);
 }
 
 std::optional<MapperReport> try_group(const TaskGraph& graph,
@@ -246,8 +226,7 @@ std::optional<MapperReport> try_group(const TaskGraph& graph,
       embed_clusters(graph, outcome.result->contraction, topo, &how);
   return finish(MapStrategy::GroupTheoretic,
                 outcome.result->description + "; " + how,
-                std::move(outcome.result->contraction), std::move(embedding),
-                graph, topo, options);
+                outcome.result->contraction, embedding, graph, topo, options);
 }
 
 std::optional<MapperReport> try_systolic(
@@ -271,8 +250,7 @@ std::optional<MapperReport> try_systolic(
   Embedding embedding =
       embed_clusters(graph, systolic->contraction, topo, &how);
   return finish(MapStrategy::Systolic, systolic->description + "; " + how,
-                std::move(systolic->contraction), std::move(embedding),
-                graph, topo, options);
+                systolic->contraction, embedding, graph, topo, options);
 }
 
 MapperReport map_general_seeded(const TaskGraph& graph, const Topology& topo,
@@ -443,13 +421,15 @@ std::string option_violation(const MapperOptions& options,
 
 void validate_mapping(const Mapping& mapping, const TaskGraph& graph,
                       const Topology& topo) {
-  mapping.contraction.validate(graph.num_tasks());
-  mapping.embedding.validate(topo.num_procs());
-  if (mapping.embedding.proc_of_cluster.size() !=
-      static_cast<std::size_t>(mapping.contraction.num_clusters)) {
-    throw MappingError("embedding does not cover every cluster");
+  const std::vector<int>& proc_of_task = mapping.proc_of_task();
+  if (proc_of_task.size() != static_cast<std::size_t>(graph.num_tasks())) {
+    throw MappingError("placement does not cover every task");
   }
-  const auto proc_of_task = mapping.proc_of_task();
+  for (const int p : proc_of_task) {
+    if (p < 0 || p >= topo.num_procs()) {
+      throw MappingError("placement processor id out of range");
+    }
+  }
   if (mapping.routing.size() != graph.comm_phases().size()) {
     throw MappingError("routing does not cover every comm phase");
   }

@@ -25,9 +25,8 @@
 // charged per hop via the O(1) distance oracle. Ties break to the
 // lowest processor id.
 //
-// The result is a bare placement; route it with mm_route and rebuild
-// the three-layer mapping with mapping_from_placement (the portfolio
-// candidate does both).
+// The result is a bare placement; the portfolio candidate routes it
+// with mm_route into a Mapping.
 #pragma once
 
 #include <cstdint>

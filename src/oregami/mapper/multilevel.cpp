@@ -264,15 +264,14 @@ MapperReport map_multilevel(const TaskGraph& graph, const Topology& topo,
     const TaskGraph& level_graph = k == 0 ? graph : folded;
     std::vector<PhaseRouting> routing =
         route_greedy_shortest(level_graph, placement, topo);
-    IncrementalCompletion inc(level_graph, topo, placement,
+    IncrementalCompletion inc(level_graph, topo, std::move(placement),
                               std::move(routing));
     if (!deadline.passed()) {
       total_moves += refine_level(level.csr, inc, topo, deadline);
     }
     if (k == 0) {
       trace::counter("completion", inc.completion());
-      mapping = mapping_from_placement(
-          inc.proc_of_task(), std::move(inc).routing(), num_procs);
+      mapping = std::move(inc).mapping();
     } else {
       std::vector<std::int32_t>& projection =
           levels[static_cast<std::size_t>(k - 1)].coarse_of_fine;

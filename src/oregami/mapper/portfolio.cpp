@@ -111,9 +111,8 @@ void add_extended_candidates(std::vector<CandidateSpec>* specs,
              report.details += "; " + std::to_string(ls.deadline_degraded) +
                                " task(s) placed by deadline fallback";
            }
-           report.mapping = mapping_from_placement(
-               ls.proc_of_task, mm_route(graph, ls.proc_of_task, topo),
-               topo.num_procs());
+           report.mapping =
+               Mapping(ls.proc_of_task, mm_route(graph, ls.proc_of_task, topo));
            return std::optional<MapperReport>(std::move(report));
          }});
   }
@@ -140,8 +139,7 @@ void add_extended_candidates(std::vector<CandidateSpec>* specs,
                std::to_string(sa.uphill) + " uphill); completion " +
                std::to_string(sa.completion_before) + " -> " +
                std::to_string(sa.completion_after);
-           report.mapping = mapping_from_placement(
-               sa.proc_of_task, std::move(sa.routing), topo.num_procs());
+           report.mapping = std::move(sa.mapping);
            return std::optional<MapperReport>(std::move(report));
          }});
   }

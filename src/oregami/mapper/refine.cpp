@@ -230,8 +230,7 @@ PlacementRefineResult refine_placement(const TaskGraph& graph,
   result.completion_after = inc.completion();
   OREGAMI_ASSERT(result.completion_after <= result.completion_before,
                  "placement refinement must never worsen completion");
-  result.proc_of_task = inc.proc_of_task();
-  result.routing = std::move(inc).routing();
+  result.mapping = std::move(inc).mapping();
   return result;
 }
 

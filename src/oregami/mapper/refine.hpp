@@ -47,8 +47,7 @@ struct RefineResult {
                                               int load_bound_B);
 
 struct PlacementRefineResult {
-  std::vector<int> proc_of_task;
-  std::vector<PhaseRouting> routing;  ///< greedy re-routes of moved edges
+  Mapping mapping;  ///< moved edges re-routed greedily
   std::int64_t completion_before = 0;
   std::int64_t completion_after = 0;
   int moves = 0;

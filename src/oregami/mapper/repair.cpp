@@ -144,15 +144,14 @@ RepairResult repair_mapping(const TaskGraph& graph,
       trace::instant("deadline_hit", "migrate improvement loop");
     }
 
-    std::vector<int> repaired_proc = inc.proc_of_task();
-    std::vector<PhaseRouting> repaired_routing = std::move(inc).routing();
+    Mapping repaired = std::move(inc).mapping();
 
     // --- Rung 2: local refinement polish. ---
     if (options.allow_refine && !deadline.passed()) {
       const trace::Span refine_span("refine");
       PlacementRefineResult refined = refine_placement(
-          graph, sub.topo, std::move(repaired_proc),
-          std::move(repaired_routing), /*load_bound_B=*/0, sub.link_factor);
+          graph, sub.topo, repaired.proc_of_task(),
+          std::move(repaired.routing), /*load_bound_B=*/0, sub.link_factor);
       if (refined.moves > 0) {
         result.rung = RepairRung::Refine;
         result.details += "; refinement -" +
@@ -162,18 +161,14 @@ RepairResult repair_mapping(const TaskGraph& graph,
       }
       trace::counter("refine_moves", refined.moves);
       trace::counter("refine_improvement", refined.improvement());
-      repaired_proc = std::move(refined.proc_of_task);
-      repaired_routing = std::move(refined.routing);
+      repaired = std::move(refined.mapping);
     } else if (options.allow_refine) {
       result.deadline_hit = true;
       result.details += "; refinement skipped (deadline)";
       trace::instant("deadline_hit", "refine rung skipped");
     }
 
-    result.mapping = map_to_base(
-        sub, mapping_from_placement(repaired_proc,
-                                    std::move(repaired_routing),
-                                    sub.topo.num_procs()));
+    result.mapping = map_to_base(sub, std::move(repaired));
   } else if (options.allow_remap) {
     // --- Rung 3: full remap on the healthy machine. ---
     const trace::Span rung_span("remap");

@@ -106,10 +106,11 @@ class IncrementalCompletion {
   [[nodiscard]] const std::vector<PhaseRouting>& routing() const& {
     return routing_;
   }
-  /// Moves the routes out of an evaluator that is done with them:
-  /// `std::move(inc).routing()`. Only destruction may follow.
-  [[nodiscard]] std::vector<PhaseRouting> routing() && {
-    return std::move(routing_);
+  /// Moves the placement and the routes out of an evaluator that is
+  /// done with them: `std::move(inc).mapping()`. Only destruction may
+  /// follow.
+  [[nodiscard]] Mapping mapping() && {
+    return Mapping(std::move(proc_of_task_), std::move(routing_));
   }
 
   /// Completion-time change if `task` moved to `to_proc` (incident

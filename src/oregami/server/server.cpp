@@ -112,7 +112,7 @@ OutcomePtr compute_outcome(const WireJob& job, const CompiledJob& cj) {
   try {
     const MapperReport report =
         map_program(cj.ast, cj.compiled, cj.topo, job.options);
-    const std::vector<int> procs = report.mapping.proc_of_task();
+    const std::vector<int>& procs = report.mapping.proc_of_task();
     const PlacementObjectives obj = extract_objectives(
         cj.compiled.graph, procs, report.mapping.routing, cj.topo);
     outcome->ok = true;

@@ -38,19 +38,13 @@ Compiled compile_named(const std::string& name,
 
 // Round-robin initial placement + MM-Route, the usual SA starting
 // point in these tests.
-struct Init {
-  std::vector<int> proc_of_task;
-  std::vector<PhaseRouting> routing;
-};
-
-Init round_robin_init(const TaskGraph& graph, const Topology& topo) {
-  Init init;
-  init.proc_of_task.resize(static_cast<std::size_t>(graph.num_tasks()));
+Mapping round_robin_init(const TaskGraph& graph, const Topology& topo) {
+  std::vector<int> procs(static_cast<std::size_t>(graph.num_tasks()));
   for (int t = 0; t < graph.num_tasks(); ++t) {
-    init.proc_of_task[static_cast<std::size_t>(t)] = t % topo.num_procs();
+    procs[static_cast<std::size_t>(t)] = t % topo.num_procs();
   }
-  init.routing = mm_route(graph, init.proc_of_task, topo);
-  return init;
+  std::vector<PhaseRouting> routing = mm_route(graph, procs, topo);
+  return Mapping(std::move(procs), std::move(routing));
 }
 
 // --------------------------------------------- acceptance-with-undo
@@ -58,21 +52,22 @@ Init round_robin_init(const TaskGraph& graph, const Topology& topo) {
 TEST(Anneal, NeverWorseThanInit) {
   const auto c = compile_named("nbody", {{"n", 15}, {"s", 4}, {"m", 8}});
   const Topology topo = Topology::mesh(4, 4);
-  const Init init = round_robin_init(c.cp.graph, topo);
+  const Mapping init = round_robin_init(c.cp.graph, topo);
   const std::int64_t before =
-      completion_time(c.cp.graph, init.proc_of_task, init.routing, topo);
+      completion_time(c.cp.graph, init.proc_of_task(), init.routing, topo);
 
   AnnealOptions opts;
   opts.iterations = 2000;
   const AnnealResult r = anneal_placement(c.cp.graph, topo,
-                                          init.proc_of_task, init.routing,
+                                          init.proc_of_task(), init.routing,
                                           opts);
   EXPECT_EQ(r.completion_before, before);
   EXPECT_LE(r.completion_after, r.completion_before);
   // The reported score is the genuine completion-model score of the
   // returned state, not a stale incremental value.
   EXPECT_EQ(r.completion_after,
-            completion_time(c.cp.graph, r.proc_of_task, r.routing, topo));
+            completion_time(c.cp.graph, r.mapping.proc_of_task(),
+                            r.mapping.routing, topo));
 }
 
 // A single task on a symmetric machine: every move is a sideways move
@@ -95,7 +90,7 @@ TEST(Anneal, RoundTripsToInitWhenNothingImproves) {
       anneal_placement(g, topo, init_placement, init_routing, opts);
   EXPECT_GT(r.proposed, 0);
   EXPECT_EQ(r.completion_after, r.completion_before);
-  EXPECT_EQ(r.proc_of_task, init_placement);  // bitwise round-trip
+  EXPECT_EQ(r.mapping.proc_of_task(), init_placement);  // bitwise round-trip
   EXPECT_EQ(r.improvement(), 0);
 }
 
@@ -124,23 +119,23 @@ TEST(Anneal, ImprovesObviouslyPoorInit) {
   EXPECT_GT(r.improvement(), 0);
   EXPECT_LT(r.completion_after, r.completion_before);
   // The improved placement really pulled the pair together.
-  EXPECT_LT(topo.distance(r.proc_of_task[0], r.proc_of_task[1]),
-            topo.distance(0, 7));
+  const std::vector<int>& procs = r.mapping.proc_of_task();
+  EXPECT_LT(topo.distance(procs[0], procs[1]), topo.distance(0, 7));
 }
 
 TEST(Anneal, DeterministicForFixedSeedAndSensitiveToIt) {
   const auto c = compile_named("jacobi", {{"n", 8}, {"iters", 10}});
   const Topology topo = Topology::mesh(4, 4);
-  const Init init = round_robin_init(c.cp.graph, topo);
+  const Mapping init = round_robin_init(c.cp.graph, topo);
 
   AnnealOptions opts;
   opts.iterations = 1500;
   opts.seed = 0xABCDEFull;
   const AnnealResult a = anneal_placement(
-      c.cp.graph, topo, init.proc_of_task, init.routing, opts);
+      c.cp.graph, topo, init.proc_of_task(), init.routing, opts);
   const AnnealResult b = anneal_placement(
-      c.cp.graph, topo, init.proc_of_task, init.routing, opts);
-  EXPECT_EQ(a.proc_of_task, b.proc_of_task);
+      c.cp.graph, topo, init.proc_of_task(), init.routing, opts);
+  EXPECT_EQ(a.mapping.proc_of_task(), b.mapping.proc_of_task());
   EXPECT_EQ(a.completion_after, b.completion_after);
   EXPECT_EQ(a.proposed, b.proposed);
   EXPECT_EQ(a.accepted, b.accepted);
@@ -150,15 +145,15 @@ TEST(Anneal, DeterministicForFixedSeedAndSensitiveToIt) {
 TEST(Anneal, ZeroIterationsReturnsInitUntouched) {
   const auto c = compile_named("jacobi", {{"n", 8}, {"iters", 10}});
   const Topology topo = Topology::mesh(4, 4);
-  const Init init = round_robin_init(c.cp.graph, topo);
+  const Mapping init = round_robin_init(c.cp.graph, topo);
 
   AnnealOptions opts;
   opts.iterations = 0;
   const AnnealResult r = anneal_placement(
-      c.cp.graph, topo, init.proc_of_task, init.routing, opts);
+      c.cp.graph, topo, init.proc_of_task(), init.routing, opts);
   EXPECT_EQ(r.proposed, 0);
   EXPECT_EQ(r.accepted, 0);
-  EXPECT_EQ(r.proc_of_task, init.proc_of_task);
+  EXPECT_EQ(r.mapping.proc_of_task(), init.proc_of_task());
   EXPECT_EQ(r.completion_after, r.completion_before);
 }
 
@@ -167,7 +162,7 @@ TEST(Anneal, ZeroIterationsReturnsInitUntouched) {
 TEST(Anneal, DeadlineIdiom) {
   const auto c = compile_named("nbody", {{"n", 15}, {"s", 4}, {"m", 8}});
   const Topology topo = Topology::mesh(4, 4);
-  const Init init = round_robin_init(c.cp.graph, topo);
+  const Mapping init = round_robin_init(c.cp.graph, topo);
 
   // Budget < 0: deterministically expired -- no proposals run, the
   // init comes back bit-identical, and deadline_hit stays false (only
@@ -175,12 +170,12 @@ TEST(Anneal, DeadlineIdiom) {
   AnnealOptions expired;
   expired.iterations = 2000;
   const AnnealResult r_expired =
-      anneal_placement(c.cp.graph, topo, init.proc_of_task, init.routing,
+      anneal_placement(c.cp.graph, topo, init.proc_of_task(), init.routing,
                        expired, Deadline(-1));
   EXPECT_EQ(r_expired.proposed, 0);
   EXPECT_EQ(r_expired.accepted, 0);
   EXPECT_FALSE(r_expired.deadline_hit);
-  EXPECT_EQ(r_expired.proc_of_task, init.proc_of_task);
+  EXPECT_EQ(r_expired.mapping.proc_of_task(), init.proc_of_task());
   EXPECT_EQ(r_expired.completion_after, r_expired.completion_before);
 
   // Budget 0 (never read the clock) and a generous positive budget
@@ -188,14 +183,14 @@ TEST(Anneal, DeadlineIdiom) {
   AnnealOptions none;
   none.iterations = 1000;
   const AnnealResult r_none = anneal_placement(
-      c.cp.graph, topo, init.proc_of_task, init.routing, none);
+      c.cp.graph, topo, init.proc_of_task(), init.routing, none);
   EXPECT_FALSE(r_none.deadline_hit);
   EXPECT_EQ(r_none.proposed, 1000);
 
   const AnnealResult r_generous =
-      anneal_placement(c.cp.graph, topo, init.proc_of_task, init.routing,
+      anneal_placement(c.cp.graph, topo, init.proc_of_task(), init.routing,
                        none, Deadline(60'000));
-  EXPECT_EQ(r_generous.proc_of_task, r_none.proc_of_task);
+  EXPECT_EQ(r_generous.mapping.proc_of_task(), r_none.mapping.proc_of_task());
   EXPECT_EQ(r_generous.completion_after, r_none.completion_after);
   EXPECT_EQ(r_generous.proposed, r_none.proposed);
 }

@@ -150,14 +150,6 @@ TEST(Embedding, ValidateRejectsCollisionsAndRange) {
   EXPECT_NO_THROW(e.validate(4));
 }
 
-TEST(Mapping, ProcOfTaskComposes) {
-  Mapping m;
-  m.contraction.num_clusters = 2;
-  m.contraction.cluster_of_task = {0, 1, 0, 1};
-  m.embedding.proc_of_cluster = {7, 3};
-  EXPECT_EQ(m.proc_of_task(), (std::vector<int>{7, 3, 7, 3}));
-}
-
 TEST(Route, HopCount) {
   Route r;
   r.links = {0, 1};

@@ -395,7 +395,7 @@ int map_and_report(const Options& options, const larcs::Program& ast,
     // In repair mode these metrics describe the repaired mapping (the
     // degraded-completion line above charges the slow links on top).
     const auto metrics = compute_metrics(graph, report.mapping, topo);
-    const auto procs = report.mapping.proc_of_task();
+    const std::vector<int>& procs = report.mapping.proc_of_task();
     std::cout << render_summary(metrics) << "\n";
     if (faulted && !options.repair) {
       std::cout << "degraded completion (slow links charged): "
