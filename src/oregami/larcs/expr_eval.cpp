@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <limits>
 
 namespace oregami::larcs {
 
@@ -109,7 +110,15 @@ long SlotExprs::eval_node(int index, const long* slots) const {
     case Op::Unbound:
       throw LarcsError("unknown variable '" + src.name + "'", src.loc);
     case Op::Neg:
-      return -eval_node(node.lhs, slots);
+    case Op::Abs: {
+      const long v = eval_node(node.lhs, slots);
+      if (v == std::numeric_limits<long>::min()) {
+        throw LarcsError(node.op == Op::Neg ? "negation overflows"
+                                            : "abs overflows",
+                         src.loc);
+      }
+      return node.op == Op::Neg ? -v : std::abs(v);
+    }
     case Op::Not:
       return eval_node(node.lhs, slots) == 0 ? 1 : 0;
     case Op::And:
@@ -122,8 +131,6 @@ long SlotExprs::eval_node(int index, const long* slots) const {
               eval_node(node.rhs, slots) != 0)
                  ? 1
                  : 0;
-    case Op::Abs:
-      return std::abs(eval_node(node.lhs, slots));
     case Op::Log2: {
       long v = eval_node(node.lhs, slots);
       if (v <= 0) {
@@ -148,21 +155,45 @@ long SlotExprs::eval_node(int index, const long* slots) const {
   // Two operands, evaluated left then right.
   const long a = eval_node(node.lhs, slots);
   const long b = eval_node(node.rhs, slots);
+  long r = 0;
   switch (node.op) {
-    case Op::Add: return a + b;
-    case Op::Sub: return a - b;
-    case Op::Mul: return a * b;
+    case Op::Add:
+      if (__builtin_add_overflow(a, b, &r)) {
+        throw LarcsError("addition overflows", src.loc);
+      }
+      return r;
+    case Op::Sub:
+      if (__builtin_sub_overflow(a, b, &r)) {
+        throw LarcsError("subtraction overflows", src.loc);
+      }
+      return r;
+    case Op::Mul:
+      if (__builtin_mul_overflow(a, b, &r)) {
+        throw LarcsError("multiplication overflows", src.loc);
+      }
+      return r;
     case Op::Div:
       if (b == 0) {
         throw LarcsError("division by zero", src.loc);
+      }
+      if (b == -1 && a == std::numeric_limits<long>::min()) {
+        throw LarcsError("division overflows", src.loc);
       }
       return a / b;
     case Op::Mod: {
       if (b == 0) {
         throw LarcsError("mod by zero", src.loc);
       }
+      if (b == -1) {
+        return 0;  // a % -1 traps for a = LONG_MIN
+      }
+      // The non-negative residue: m - b is m + |b| without forming |b|,
+      // which LONG_MIN has not.
       const long m = a % b;
-      return m < 0 ? m + std::abs(b) : m;
+      if (m >= 0) {
+        return m;
+      }
+      return b < 0 ? m - b : m + b;
     }
     case Op::Eq: return a == b ? 1 : 0;
     case Op::Ne: return a != b ? 1 : 0;
@@ -176,9 +207,20 @@ long SlotExprs::eval_node(int index, const long* slots) const {
       if (b < 0) {
         throw LarcsError("pow with negative exponent", src.loc);
       }
+      // |a| <= 1 never grows, so it needs no loop; any other base
+      // passes the bound within 62 steps (LONG_MIN at the first).
+      if (a == 0 || a == 1) {
+        return b == 0 ? 1 : a;
+      }
+      if (a == -1) {
+        return b % 2 == 0 ? 1 : -1;
+      }
+      const long bound = a == std::numeric_limits<long>::min()
+                             ? 0
+                             : (1L << 62) / std::abs(a);
       long result = 1;
       for (long k = 0; k < b; ++k) {
-        if (a != 0 && std::abs(result) > (1L << 62) / std::abs(a)) {
+        if (std::abs(result) > bound) {
           throw LarcsError("pow overflows", src.loc);
         }
         result *= a;

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "oregami/larcs/expr_eval.hpp"
 #include "oregami/larcs/parser.hpp"
 
@@ -167,6 +170,72 @@ TEST(Eval, BuiltinErrors) {
 
 TEST(Eval, PowOverflowGuard) {
   EXPECT_THROW(eval_str("pow(10, 30)"), LarcsError);
+}
+
+/// An environment holding the extremes of `long`: lo = LONG_MIN,
+/// hi = LONG_MAX.
+Env extremes() {
+  Env env;
+  env.bind("lo", std::numeric_limits<long>::min());
+  env.bind("hi", std::numeric_limits<long>::max());
+  return env;
+}
+
+/// The message `src` throws, or "" when it evaluates.
+std::string error_of(const std::string& src) {
+  try {
+    (void)eval_str(src, extremes());
+  } catch (const LarcsError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Eval, OverflowingArithmeticThrowsWhereItHappens) {
+  EXPECT_EQ(error_of("1 + hi"), "LaRCS error at 1:3: addition overflows");
+  EXPECT_EQ(error_of("lo - 1"), "LaRCS error at 1:4: subtraction overflows");
+  EXPECT_EQ(error_of("4611686018427387904 * 4 + 3"),
+            "LaRCS error at 1:21: multiplication overflows");
+  EXPECT_EQ(error_of("-lo"), "LaRCS error at 1:1: negation overflows");
+  EXPECT_EQ(error_of("abs(lo)"), "LaRCS error at 1:1: abs overflows");
+  EXPECT_EQ(error_of("lo / (0 - 1)"),
+            "LaRCS error at 1:4: division overflows");
+  // The largest results that fit still evaluate.
+  const Env env = extremes();
+  EXPECT_EQ(eval_str("hi - 1 + 1", env), std::numeric_limits<long>::max());
+  EXPECT_EQ(eval_str("lo + 1 - 1", env), std::numeric_limits<long>::min());
+  EXPECT_EQ(eval_str("(0 - 4611686018427387904) * 2", env),
+            std::numeric_limits<long>::min());
+  EXPECT_EQ(eval_str("-hi", env), -std::numeric_limits<long>::max());
+  EXPECT_EQ(eval_str("abs(lo + 1)", env), std::numeric_limits<long>::max());
+  EXPECT_EQ(eval_str("lo / 1", env), std::numeric_limits<long>::min());
+  EXPECT_EQ(eval_str("hi / (0 - 1)", env), -std::numeric_limits<long>::max());
+}
+
+TEST(Eval, ModAnswersEveryNonzeroDivisor) {
+  const Env env = extremes();
+  EXPECT_EQ(eval_str("lo mod (0 - 1)", env), 0);
+  EXPECT_EQ(eval_str("7 mod (0 - 1)", env), 0);
+  EXPECT_EQ(eval_str("-7 mod (0 - 3)", env), 2);
+  EXPECT_EQ(eval_str("7 mod (0 - 3)", env), 1);
+  EXPECT_EQ(eval_str("-1 mod lo", env), std::numeric_limits<long>::max());
+  EXPECT_EQ(eval_str("lo mod lo", env), 0);
+  EXPECT_EQ(eval_str("lo mod hi", env), std::numeric_limits<long>::max() - 1);
+  EXPECT_EQ(eval_str("hi mod lo", env), std::numeric_limits<long>::max());
+}
+
+TEST(Eval, PowOfSmallBasesAnswersAtOnce) {
+  EXPECT_EQ(eval_str("pow(1, 4000000000000000000)"), 1);
+  EXPECT_EQ(eval_str("pow(0, 4000000000000000000)"), 0);
+  EXPECT_EQ(eval_str("pow(0, 0)"), 1);
+  EXPECT_EQ(eval_str("pow(0 - 1, 4000000000000000000)"), 1);
+  EXPECT_EQ(eval_str("pow(0 - 1, 4000000000000000001)"), -1);
+  EXPECT_EQ(eval_str("pow(2, 62)"), 4611686018427387904L);
+  EXPECT_EQ(eval_str("pow(0 - 2, 61)"), -2305843009213693952L);
+  EXPECT_EQ(error_of("pow(2, 63)"), "LaRCS error at 1:1: pow overflows");
+  EXPECT_EQ(error_of("pow(2, hi)"), "LaRCS error at 1:1: pow overflows");
+  EXPECT_EQ(error_of("pow(lo, 1)"), "LaRCS error at 1:1: pow overflows");
+  EXPECT_EQ(eval_str("pow(lo, 0)", extremes()), 1);
 }
 
 TEST(Eval, PaperChordalFormula) {
