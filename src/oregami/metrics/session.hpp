@@ -14,7 +14,7 @@
 namespace oregami {
 
 /// Result of one session edit: the recomputed metrics plus the change
-/// in headline numbers (negative deltas are improvements).
+/// in completion time (a negative delta is an improvement).
 struct EditReport {
   MappingMetrics before;
   MappingMetrics after;
@@ -22,16 +22,13 @@ struct EditReport {
   [[nodiscard]] std::int64_t completion_delta() const {
     return after.completion - before.completion;
   }
-  [[nodiscard]] std::int64_t ipc_delta() const {
-    return after.total_ipc - before.total_ipc;
-  }
 };
 
 class MetricsSession {
  public:
   /// Starts from a MAPPER-produced mapping. The session works at task
-  /// granularity (the contraction is dissolved into per-task processor
-  /// assignments, which is what click-and-drag edits manipulate).
+  /// granularity (per-task processor assignments, which is what
+  /// click-and-drag edits manipulate).
   MetricsSession(const TaskGraph& graph, const Topology& topo,
                  const Mapping& mapping, CostModel model = {});
 

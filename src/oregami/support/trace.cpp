@@ -237,8 +237,7 @@ std::vector<Event> snapshot() {
   return merged;
 }
 
-void write_chrome_json(std::ostream& out, const std::vector<Event>& events,
-                       const ExportOptions& options) {
+void write_chrome_json(std::ostream& out, const std::vector<Event>& events) {
   out << "{\"traceEvents\": [\n";
   bool first = true;
   for (const Event& e : events) {
@@ -257,12 +256,9 @@ void write_chrome_json(std::ostream& out, const std::vector<Event>& events,
         << "\", \"cat\": \"oregami\", \"ph\": \"" << ph
         << "\", \"pid\": 1, \"tid\": " << e.lane;
     // Volatile fields, grouped so one normalisation pass strips them.
-    const std::int64_t ts = options.canonical ? 0 : e.start_us;
-    const std::int64_t dur = options.canonical ? 0 : e.dur_us;
-    const int worker = options.canonical ? 0 : e.worker;
-    out << ", \"ts\": " << ts;
+    out << ", \"ts\": " << e.start_us;
     if (e.kind == Event::Kind::Span) {
-      out << ", \"dur\": " << dur;
+      out << ", \"dur\": " << e.dur_us;
     }
     if (e.kind == Event::Kind::Instant) {
       out << ", \"s\": \"t\"";
@@ -274,7 +270,7 @@ void write_chrome_json(std::ostream& out, const std::vector<Event>& events,
     if (!e.args.empty()) {
       out << ", \"detail\": \"" << json_escape(e.args) << "\"";
     }
-    out << ", \"worker\": " << worker << "}}";
+    out << ", \"worker\": " << e.worker << "}}";
   }
   out << "\n]}\n";
 }

@@ -17,10 +17,9 @@
 //     ("portfolio/cand#3/contract") plus a per-thread sequence number,
 //     and the exporters order events by (path, seq), never by wall
 //     time or completion order. Wall times, durations, and the
-//     physical worker index are *volatile* fields: the canonical
-//     export mode zeroes them (and CI strips them with
-//     tools/check_trace.py), so a traced run is byte-identical across
-//     --jobs values and across repeated runs.
+//     physical worker index are *volatile* fields: CI strips them
+//     with tools/check_trace.py, and the rest of a traced run is
+//     byte-identical across --jobs values and across repeated runs.
 //
 // The path key makes determinism a local property of the
 // instrumentation: as long as concurrent lanes use distinct path
@@ -55,7 +54,7 @@ struct Event {
   int lane = 0;
   /// Nesting depth of the span's parent chain (for the summary tree).
   int depth = 0;
-  /// -- volatile fields (zeroed by canonical export) --
+  /// -- volatile fields (stripped by tools/check_trace.py) --
   std::int64_t start_us = 0;  ///< microseconds since tracer enable
   std::int64_t dur_us = 0;    ///< span duration (Kind::Span only)
   int worker = -1;            ///< physical ThreadPool worker, -1 = none
@@ -124,20 +123,12 @@ class LaneScope {
 /// (path, seq) order. Non-destructive; callable any time.
 [[nodiscard]] std::vector<Event> snapshot();
 
-struct ExportOptions {
-  /// Zero the volatile fields (start_us, dur_us, worker) so the output
-  /// is byte-identical across runs and --jobs values. The CLI writes
-  /// real timings; tests compare canonical exports.
-  bool canonical = false;
-};
-
 /// Chrome trace-event JSON ({"traceEvents": [...]}): loads in
 /// chrome://tracing and Perfetto. Spans become "X" (complete) events,
 /// counters "C", instants "i". Deterministic field order; volatile
 /// fields are emitted adjacently so tools/check_trace.py can strip
 /// them with one pass.
-void write_chrome_json(std::ostream& out, const std::vector<Event>& events,
-                       const ExportOptions& options = {});
+void write_chrome_json(std::ostream& out, const std::vector<Event>& events);
 
 /// ASCII summary tree: spans aggregated by path with call counts and
 /// inclusive/exclusive wall times, counters listed beneath their path.
