@@ -5,8 +5,9 @@
 //
 // Design:
 //   * a digest picks its shard by its top bits (the FNV-1a avalanche
-//     makes them uniform); each shard owns an independent mutex, an
-//     open-addressed map digest -> entry, and an intrusive LRU order;
+//     makes them uniform); each shard owns an independent mutex, a
+//     std::unordered_map digest -> entry, and an LRU order in a
+//     std::list;
 //   * capacity is split evenly across shards (per-shard bound =
 //     ceil(capacity / shards)), so the global bound holds within one
 //     shard's worth of slack and eviction never takes a global lock;
